@@ -4,11 +4,12 @@ Pairs of activity signals are compared per subject with Pearson's
 coefficient (in the frequency domain, between their Welch power spectral
 densities), then aggregated across subjects into mean and SD matrices.
 Threshold sweeps trace how ZCM/TAT relate to reference metrics as their
-threshold grows, with the dataset-SD threshold marked.
+threshold grows, with the dataset-SD threshold marked; each subject's part
+is computed from its preprocessed datasets, then the parts are averaged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -18,6 +19,7 @@ from scipy import signal as spsignal
 from .core import (
     ActivitySignal,
     DatasetKind,
+    PreprocessedSeries,
     RawRecording,
     epoch_matrix,
     epoch_sample_count,
@@ -255,6 +257,141 @@ def _nanmean_scalar(values) -> float:
     return float(finite.mean()) if finite.size else float("nan")
 
 
+def _sweep_grid(
+    metric: MetricId, kind: DatasetKind, step_g: float, max_steps: int
+) -> np.ndarray:
+    """The ascending threshold grid of one sweep; rejects non-level metrics."""
+    if metric not in (MetricId.ZCM, MetricId.TAT):
+        raise ValueError("threshold sweeps are defined for ZCM and TAT only")
+    mode, reason = applicability(metric, kind)
+    if mode is Applicability.INAPPLICABLE:
+        raise InapplicableMetric(f"{metric}({kind}): {reason}")
+    start = 1.0 if kind is DatasetKind.UFM else 0.0
+    return start + step_g * np.arange(max_steps)
+
+
+@dataclass(frozen=True, eq=False)
+class SubjectSweep:
+    """One subject's share of a threshold sweep, before the reduce.
+
+    Rows are indexed by grid point. ``mean_activity`` is the epoch-mean
+    activity per grid point; ``sd_threshold`` is the subject's adaptive
+    threshold and the ``anchor_*`` scalars correlate the activity at that
+    threshold against the references (NaN where degenerate).
+    """
+
+    r_vs_enmo: np.ndarray
+    r_vs_hfen: np.ndarray
+    r_vs_sd_anchored: np.ndarray
+    mean_activity: np.ndarray
+    sd_threshold: float
+    anchor_r_vs_enmo: float
+    anchor_r_vs_hfen: float
+
+
+def subject_sweep(
+    metric: MetricId,
+    kind: DatasetKind,
+    datasets: Mapping[DatasetKind, PreprocessedSeries],
+    te_s: float = 60.0,
+    *,
+    step_g: float = 0.05,
+    max_steps: int = 200,
+) -> SubjectSweep:
+    """Evaluate one subject's already-preprocessed datasets on the sweep grid.
+
+    The self-reference curve correlates each grid point against the
+    activity at the grid point nearest the subject's adaptive SD threshold.
+    """
+    grid = _sweep_grid(metric, kind, step_g, max_steps)
+    series = datasets[kind]
+    n = epoch_sample_count(te_s, series.sample_rate_hz)
+    mat = epoch_matrix(series.values, n)
+    if mat.shape[0] < 2:
+        raise SignalTooShort(
+            f"a threshold sweep needs at least 2 epochs, got {mat.shape[0]}"
+        )
+    ts = series.ts
+    ref_enmo = enmo_values(epoch_matrix(datasets[DatasetKind.UFM].values, n))
+    ref_hfen = hfen_values(epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n))
+
+    sd_thr = sd_threshold(series)
+    anchor_idx = int(np.clip(round((sd_thr - grid[0]) / step_g), 0, max_steps - 1))
+
+    # beyond the series maximum both metrics are exactly zero; skip the work
+    vmax = float(series.values.max())
+    activities = np.zeros((grid.size, mat.shape[0]))
+    for i, thr in enumerate(grid):
+        if thr > vmax:
+            break
+        activities[i] = _level_values(metric, mat, thr, ts)
+    sd_activity = _level_values(metric, mat, sd_thr, ts)
+
+    def _r_curve(reference: np.ndarray) -> np.ndarray:
+        out = np.full(grid.size, np.nan)
+        for i in range(grid.size):
+            try:
+                out[i] = pearson(activities[i], reference)
+            except DegenerateInput:
+                pass
+        return out
+
+    def _r_scalar(reference: np.ndarray) -> float:
+        try:
+            return pearson(sd_activity, reference)
+        except DegenerateInput:
+            return np.nan
+
+    return SubjectSweep(
+        r_vs_enmo=_r_curve(ref_enmo),
+        r_vs_hfen=_r_curve(ref_hfen),
+        r_vs_sd_anchored=_r_curve(activities[anchor_idx]),
+        mean_activity=activities.mean(axis=1),
+        sd_threshold=sd_thr,
+        anchor_r_vs_enmo=_r_scalar(ref_enmo),
+        anchor_r_vs_hfen=_r_scalar(ref_hfen),
+    )
+
+
+def reduce_sweeps(
+    metric: MetricId,
+    kind: DatasetKind,
+    parts: Sequence[SubjectSweep],
+    *,
+    step_g: float = 0.05,
+    max_steps: int = 200,
+) -> SweepCurve:
+    """Average per-subject sweeps into one curve, in the order given.
+
+    The grid is cut once the subject-mean activity falls below 1% of its
+    maximum; the SD marker is the mean of the subjects' adaptive
+    thresholds.
+    """
+    grid = _sweep_grid(metric, kind, step_g, max_steps)
+    if not parts:
+        raise ValueError("need at least one recording")
+    mean_activity = _nanmean([p.mean_activity for p in parts])
+    peak = float(mean_activity.max())
+    cut = grid.size
+    if peak > 0:
+        below = np.nonzero(mean_activity < 0.01 * peak)[0]
+        if below.size:
+            cut = int(below[0]) + 1
+
+    keep = slice(0, cut)
+    return SweepCurve(
+        metric=metric,
+        kind=kind,
+        thresholds=grid[keep],
+        r_vs_enmo=_nanmean([p.r_vs_enmo for p in parts])[keep],
+        r_vs_hfen=_nanmean([p.r_vs_hfen for p in parts])[keep],
+        r_vs_sd_anchored=_nanmean([p.r_vs_sd_anchored for p in parts])[keep],
+        sd_marker=float(np.mean([p.sd_threshold for p in parts])),
+        sd_anchor_r_vs_enmo=_nanmean_scalar([p.anchor_r_vs_enmo for p in parts]),
+        sd_anchor_r_vs_hfen=_nanmean_scalar([p.anchor_r_vs_hfen for p in parts]),
+    )
+
+
 def threshold_sweep(
     metric: MetricId,
     kind: DatasetKind,
@@ -270,92 +407,28 @@ def threshold_sweep(
     """Sweep the ZCM/TAT threshold and correlate against ENMO and HFEN.
 
     The grid starts at 1 g for UFM (which still carries gravity) and at
-    0 g otherwise, ascending in ``step_g`` increments. Per subject, the
-    self-reference curve correlates each grid point against the activity at
-    the grid point nearest that subject's adaptive SD threshold. The grid
-    is cut once the corpus-mean activity falls below 1% of its maximum,
-    capped at ``max_steps`` points.
+    0 g otherwise, ascending in ``step_g`` increments, capped at
+    ``max_steps`` points. Preprocesses each recording, then runs
+    :func:`subject_sweep` on it and :func:`reduce_sweeps` over all of
+    them, in the order given. ``bandpass`` and ``hfen_spec`` are
+    redesigned at each recording's own sample rate (order and cutoffs
+    kept), so a corpus may mix rates.
     """
-    if metric not in (MetricId.ZCM, MetricId.TAT):
-        raise ValueError("threshold sweeps are defined for ZCM and TAT only")
-    mode, reason = applicability(metric, kind)
-    if mode is Applicability.INAPPLICABLE:
-        raise InapplicableMetric(f"{metric}({kind}): {reason}")
-    if not recordings:
-        raise ValueError("need at least one recording")
-
-    start = 1.0 if kind is DatasetKind.UFM else 0.0
-    grid = start + step_g * np.arange(max_steps)
-
-    r_enmo_rows: list[np.ndarray] = []
-    r_hfen_rows: list[np.ndarray] = []
-    r_anchor_rows: list[np.ndarray] = []
-    mean_activity_rows: list[np.ndarray] = []
-    sd_thresholds: list[float] = []
-    anchor_vs_enmo: list[float] = []
-    anchor_vs_hfen: list[float] = []
-
+    _sweep_grid(metric, kind, step_g, max_steps)  # reject before preprocessing
+    parts = []
     for rec in recordings:
-        datasets = preprocess_all(rec, bandpass, hfen_spec, zero_phase)
-        series = datasets[kind]
-        n = epoch_sample_count(te_s, series.sample_rate_hz)
-        mat = epoch_matrix(series.values, n)
-        ts = series.ts
-        ref_enmo = enmo_values(epoch_matrix(datasets[DatasetKind.UFM].values, n))
-        ref_hfen = hfen_values(
-            epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n)
+        fs = rec.sample_rate_hz
+        datasets = preprocess_all(
+            rec, _at_rate(bandpass, fs), _at_rate(hfen_spec, fs), zero_phase
         )
+        parts.append(
+            subject_sweep(metric, kind, datasets, te_s, step_g=step_g, max_steps=max_steps)
+        )
+    return reduce_sweeps(metric, kind, parts, step_g=step_g, max_steps=max_steps)
 
-        sd_thr = sd_threshold(series)
-        sd_thresholds.append(sd_thr)
-        anchor_idx = int(np.clip(round((sd_thr - start) / step_g), 0, max_steps - 1))
 
-        # beyond the series maximum both metrics are exactly zero; skip the work
-        vmax = float(series.values.max())
-        activities = np.zeros((grid.size, mat.shape[0]))
-        for i, thr in enumerate(grid):
-            if thr > vmax:
-                break
-            activities[i] = _level_values(metric, mat, thr, ts)
-        anchor_activity = activities[anchor_idx]
-        sd_activity = _level_values(metric, mat, sd_thr, ts)
-
-        def _r_curve(reference: np.ndarray) -> np.ndarray:
-            out = np.full(grid.size, np.nan)
-            for i in range(grid.size):
-                try:
-                    out[i] = pearson(activities[i], reference)
-                except DegenerateInput:
-                    pass
-            return out
-
-        r_enmo_rows.append(_r_curve(ref_enmo))
-        r_hfen_rows.append(_r_curve(ref_hfen))
-        r_anchor_rows.append(_r_curve(anchor_activity))
-        mean_activity_rows.append(activities.mean(axis=1))
-        for refs, acc in ((ref_enmo, anchor_vs_enmo), (ref_hfen, anchor_vs_hfen)):
-            try:
-                acc.append(pearson(sd_activity, refs))
-            except DegenerateInput:
-                acc.append(np.nan)
-
-    mean_activity = _nanmean(mean_activity_rows)
-    peak = float(mean_activity.max())
-    cut = grid.size
-    if peak > 0:
-        below = np.nonzero(mean_activity < 0.01 * peak)[0]
-        if below.size:
-            cut = int(below[0]) + 1
-
-    keep = slice(0, cut)
-    return SweepCurve(
-        metric=metric,
-        kind=kind,
-        thresholds=grid[keep],
-        r_vs_enmo=_nanmean(r_enmo_rows)[keep],
-        r_vs_hfen=_nanmean(r_hfen_rows)[keep],
-        r_vs_sd_anchored=_nanmean(r_anchor_rows)[keep],
-        sd_marker=float(np.mean(sd_thresholds)),
-        sd_anchor_r_vs_enmo=_nanmean_scalar(anchor_vs_enmo),
-        sd_anchor_r_vs_hfen=_nanmean_scalar(anchor_vs_hfen),
-    )
+def _at_rate(spec: Optional[FilterSpec], sample_rate_hz: float) -> Optional[FilterSpec]:
+    """``spec`` designed for ``sample_rate_hz`` instead of its own rate."""
+    if spec is None or spec.sample_rate_hz == sample_rate_hz:
+        return spec
+    return replace(spec, sample_rate_hz=sample_rate_hz)

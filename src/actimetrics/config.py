@@ -15,11 +15,20 @@ from typing import Any, Mapping, Optional
 
 from .analysis import PsdParams
 from .combine import CatalogOptions
+from .core import DatasetKind
 from .errors import ConfigError
-from .metrics import IntegrationMethod, MetricId, ThresholdPolicy
+from .metrics import (
+    Applicability,
+    IntegrationMethod,
+    MetricId,
+    ThresholdPolicy,
+    applicability,
+)
 from .preprocess import FilterSpec, default_bandpass, hfen_highpass
 
 SCHEMA_VERSION = 1
+
+_DATASET_KINDS = {kind.value for kind in DatasetKind}
 
 _INTEGRATIONS = {
     "riemann": IntegrationMethod.RIEMANN_SUM,
@@ -278,6 +287,15 @@ def validate_config(config: PipelineConfig) -> None:
     for metric in config.sweep.metrics:
         if metric not in (MetricId.ZCM.value, MetricId.TAT.value):
             raise ConfigError(f"sweep.metrics: {metric!r} is not ZCM or TAT")
+    for kind in config.sweep.kinds:
+        if not isinstance(kind, str) or kind not in _DATASET_KINDS:
+            raise ConfigError(
+                f"sweep.kinds: {kind!r} is not one of {sorted(_DATASET_KINDS)}"
+            )
+    for metric, kind in config.sweep_requests():
+        mode, reason = applicability(MetricId(metric), DatasetKind(kind))
+        if mode is Applicability.INAPPLICABLE:
+            raise ConfigError(f"sweep: {metric}({kind}) is inapplicable: {reason}")
     if config.sweep.step_g <= 0:
         raise ConfigError("sweep.step_g must be positive")
     if config.sweep.max_steps < 1:

@@ -268,8 +268,25 @@ def zcm_values(mat, threshold: float) -> np.ndarray:
     Strict sign changes only: samples exactly on the threshold take no
     side, and a crossing is counted when the next strictly-off-threshold
     sample lands on the opposite side of the most recent one.
+
+    A row whose samples all lie strictly above or below the threshold
+    counts the changes of ``x > threshold`` between neighbours. Only rows
+    holding a sample that is neither above nor below it (exactly on the
+    threshold, or NaN) go through the carry-forward fill, which gives each
+    on-threshold sample the side of the last off-threshold sample before
+    it.
     """
     mat = _as_matrix(mat)
+    above = mat > threshold
+    counts = np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1)
+    on_threshold = ~(above | (mat < threshold)).all(axis=1)
+    if on_threshold.any():
+        counts[on_threshold] = _zcm_carry_forward(mat[on_threshold], threshold)
+    return counts
+
+
+def _zcm_carry_forward(mat: np.ndarray, threshold: float) -> np.ndarray:
+    """Crossing counts with on-threshold samples filled by the preceding side."""
     m, n = mat.shape
     s = np.sign(mat - threshold)
     cols = np.arange(n)

@@ -2,9 +2,10 @@
 
 Per subject: validate, preprocess into every dataset kind, evaluate the
 full variant catalog, and write one activity file per variant. Across
-subjects: time- and frequency-domain correlation matrices plus the
-configured threshold sweeps, and a manifest tying everything to the
-config hash and catalog.
+subjects: time- and frequency-domain correlation matrices, the configured
+threshold sweeps (computed per subject at the subject's own sample rate,
+then averaged over the successful subjects in input order), and a
+manifest tying everything to the config hash and catalog.
 
 Failures of one subject are reported in the manifest and do not stop the
 others. Output is deterministic: rerunning with the same config and
@@ -138,6 +139,7 @@ def run_pipeline(
                 DatasetKind(kind_name),
                 ok_recordings,
                 config.epoch_s,
+                # redesigned at each recording's own rate inside the sweep
                 bandpass=config.bandpass_spec(ok_recordings[0].sample_rate_hz),
                 hfen_spec=config.hfen_spec(ok_recordings[0].sample_rate_hz),
                 zero_phase=config.zero_phase,

@@ -12,10 +12,12 @@ from actimetrics import (
     SyntheticSpec,
     correlation_matrix,
     pearson,
+    preprocess_all,
     psd,
     synthesize,
     threshold_sweep,
 )
+from actimetrics.analysis import subject_sweep
 from actimetrics.errors import DegenerateInput, LabelMismatch, SignalTooShort
 
 
@@ -256,3 +258,33 @@ class TestThresholdSweep:
     def test_non_level_metric_rejected(self):
         with pytest.raises(ValueError):
             threshold_sweep(MetricId.MAD, DatasetKind.UFM, _sweep_corpus(1))
+
+
+class TestSubjectSweep:
+    @pytest.mark.parametrize("active_s", [0.0, 180.0])
+    def test_noise_free_ufm_on_grid_point_0_matches_the_oracle(self, active_s):
+        from test_acceptance import _tat_oracle, _zcm_oracle
+
+        # noise-free rest gives UFM == 1.0 exactly, the first UFM grid point
+        rec = synthesize(SyntheticSpec(
+            subject_id="still", duration_s=1200.0, rest_s=240.0, active_s=active_s,
+            noise_sd_g=0.0, seed=3,
+        ))
+        datasets = preprocess_all(rec)
+        ufm = datasets[DatasetKind.UFM].values
+        assert (ufm == 1.0).any()
+        epochs = ufm.reshape(-1, 600)
+        oracles = {
+            MetricId.ZCM: lambda row: _zcm_oracle(row, 1.0),
+            MetricId.TAT: lambda row: _tat_oracle(row, 1.0, 0.1),
+        }
+        for metric, oracle in oracles.items():
+            part = subject_sweep(metric, DatasetKind.UFM, datasets, 60.0, max_steps=10)
+            expected = np.mean(np.array([oracle(row) for row in epochs], dtype=float))
+            assert part.mean_activity[0] == expected, metric
+
+    def test_one_epoch_is_a_typed_error(self):
+        rec = synthesize(SyntheticSpec(subject_id="short", duration_s=60.0,
+                                       noise_sd_g=0.02, seed=1))
+        with pytest.raises(SignalTooShort):
+            subject_sweep(MetricId.ZCM, DatasetKind.UFM, preprocess_all(rec), 60.0)

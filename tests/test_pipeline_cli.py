@@ -96,6 +96,16 @@ class TestConfig:
         assert "PIM(UFNM)" in labels and "PIMs(UFNM)" in labels
         assert len(labels) == 102
 
+    @pytest.mark.parametrize("kinds", [["BOGUS"], ["UFX"], ["HFEN_SPECIAL"], [7]])
+    def test_bad_sweep_kind_rejected(self, kinds):
+        with pytest.raises(ConfigError):
+            config_from_dict({"sweep": {"kinds": kinds}})
+
+    def test_every_level_metric_kind_accepted_for_sweeps(self):
+        kinds = ["FX", "FY", "FZ", "UFM", "UFNM", "FMpre", "FMpost"]
+        config = config_from_dict({"sweep": {"kinds": kinds}})
+        assert len(config.sweep_requests()) == 2 * len(kinds)
+
     def test_fixed_threshold_flows_into_compute(self):
         from actimetrics import DatasetKind, MetricId, compute_activity, preprocess_all
         from actimetrics.combine import VariantDescriptor
@@ -173,6 +183,28 @@ class TestRunPipeline:
         run_pipeline(config, corpus(), out2, jobs=4)
         for rel in sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file()):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    def test_sweep_csvs_match_threshold_sweep(self, tmp_path):
+        from actimetrics import DatasetKind, MetricId, threshold_sweep
+        from actimetrics.formats import write_sweep_csv
+
+        config = small_config(sweep=SweepConfig(
+            metrics=("ZCM", "TAT"), kinds=("UFM", "FMpost"), max_steps=40))
+        # not in id order: both sides reduce in input order
+        recordings = [corpus(3)[i] for i in (2, 0, 1)]
+        manifest = run_pipeline(config, recordings, tmp_path / "bundle", jobs=2)
+        assert len(manifest["sweeps"]) == 4
+        for metric, kind in config.sweep_requests():
+            curve = threshold_sweep(
+                MetricId(metric), DatasetKind(kind), recordings, config.epoch_s,
+                bandpass=config.bandpass_spec(10.0), hfen_spec=config.hfen_spec(10.0),
+                zero_phase=config.zero_phase, step_g=config.sweep.step_g,
+                max_steps=config.sweep.max_steps,
+            )
+            direct = tmp_path / f"direct_{metric}_{kind}.csv"
+            write_sweep_csv(curve, direct)
+            bundled = tmp_path / "bundle" / f"sweep_{metric}_{kind}.csv"
+            assert direct.read_bytes() == bundled.read_bytes(), (metric, kind)
 
     def test_empty_catalog_aborts_before_work(self, tmp_path):
         config = small_config()
@@ -278,6 +310,15 @@ class TestCli:
         bad.write_text(json.dumps({"mystery": True}))
         assert main(["--config", str(bad), "catalog"]) == 1
 
+    def test_bad_sweep_kind_exits_1_before_any_output(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"sweep": {"kinds": ["BOGUS"]}}))
+        paths = self._write_corpus(tmp_path, n=1)
+        out = tmp_path / "out"
+        assert main(["--config", str(bad), "--out", str(out), "correlate",
+                     str(paths[0])]) == 1
+        assert not out.exists()
+
     def test_usage_error_exit_code_1(self):
         assert main(["definitely-not-a-command"]) == 1
 
@@ -285,6 +326,34 @@ class TestCli:
         missing = tmp_path / "missing.actm"
         missing.write_bytes(b"XXXX" + b"\x00" * 12)
         assert main(["correlate", str(missing)]) == 2
+
+    def test_mixed_sample_rates_design_filters_per_recording(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "psd": {"segment_epochs": 8},
+            "sweep": {"metrics": ["ZCM", "TAT"], "kinds": ["UFM"], "max_steps": 30},
+        }))
+        paths = []
+        for subject_id, rate in (("r10", 10.0), ("r20", 20.0)):
+            rec = synthesize(SyntheticSpec(
+                subject_id=subject_id, duration_s=1200.0, sample_rate_hz=rate,
+                rest_s=240.0, active_s=180.0, amp_jitter=0.3, noise_sd_g=0.02,
+                seed=int(rate),
+            ))
+            paths.append(tmp_path / f"{subject_id}.actm")
+            write_recording_bin(rec, paths[-1])
+        out = tmp_path / "out"
+        code = main(["--config", str(config), "--out", str(out), "correlate",
+                     *map(str, paths)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [s["status"] for s in manifest["subjects"]] == ["ok", "ok"]
+        assert manifest["sweeps"] == ["sweep_ZCM_UFM.csv", "sweep_TAT_UFM.csv"]
+        swept = tmp_path / "swept"
+        assert main(["--config", str(config), "--out", str(swept), "sweep",
+                     *map(str, paths)]) == 0
+        for rel in manifest["sweeps"]:
+            assert (out / rel).read_bytes() == (swept / rel).read_bytes(), rel
 
     def test_partial_failure_exit_code_3(self, tmp_path, capsys):
         config = self._config_file(tmp_path)
