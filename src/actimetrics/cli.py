@@ -125,13 +125,9 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
         subject_dir = out / rec.subject_id / "datasets"
         subject_dir.mkdir(parents=True, exist_ok=True)
         for kind, series in datasets.items():
-            path = subject_dir / f"{formats.label_slug(kind.value)}.csv"
-            with path.open("w", encoding="utf-8") as fh:
-                fh.write(f"# kind: {kind.value}\n")
-                fh.write(f"# sample_rate_hz: {float(series.sample_rate_hz)!r}\n")
-                fh.write("index,value\n")
-                for i, v in enumerate(series.values):
-                    fh.write(f"{i},{float(v)!r}\n")
+            formats.write_dataset_csv(
+                series, subject_dir / f"{formats.label_slug(kind.value)}.csv"
+            )
         print(f"{rec.subject_id}: wrote {len(datasets)} dataset kinds")
     return EXIT_OK
 

@@ -104,6 +104,10 @@ _METRIC_UNITS = {
 
 VariantKind = Union[DatasetKind, AxisTriple]
 
+# Resolved ZCM/TAT thresholds of one subject's datasets, keyed by
+# (dataset kind, squared input, policy); scalars only.
+ThresholdMemo = dict[tuple[DatasetKind, bool, ThresholdPolicy], float]
+
 
 def _metric_token(metric: MetricId, integration: Optional[IntegrationMethod]) -> str:
     if metric is MetricId.PIM and integration is IntegrationMethod.SIMPSON38:
@@ -269,8 +273,12 @@ def _single_values(
     policy: Optional[ThresholdPolicy],
     integration: Optional[IntegrationMethod],
     squared_input: bool,
+    thresholds: ThresholdMemo,
 ) -> np.ndarray:
-    """Per-epoch activity of one metric on one series, corrections applied."""
+    """Per-epoch activity of one metric on one series, corrections applied.
+
+    A ZCM/TAT threshold is resolved once per key of ``thresholds``.
+    """
     mode, reason = applicability(metric, series.kind)
     if mode is Applicability.INAPPLICABLE:
         raise InapplicableMetric(f"{metric}({series.kind}): {reason}")
@@ -282,7 +290,11 @@ def _single_values(
     if metric is MetricId.PIM:
         return pim_corrected_values(mat, ts, series.kind, integration)
     if metric in THRESHOLD_METRICS:
-        threshold = (policy or ThresholdPolicy.adaptive()).resolve(series)
+        policy = policy or ThresholdPolicy.adaptive()
+        key = (series.kind, squared_input, policy)
+        threshold = thresholds.get(key)
+        if threshold is None:
+            threshold = thresholds[key] = policy.resolve(series)
         if metric is MetricId.ZCM:
             return zcm_values(mat, threshold).astype(float)
         return tat_values(mat, threshold, ts)
@@ -321,7 +333,8 @@ def metric_on_squared_axis(
         integration=integration if metric is MetricId.PIM else None,
     )
     values = _single_values(
-        metric, axis_series, te_s, policy, descriptor.integration, squared_input=True
+        metric, axis_series, te_s, policy, descriptor.integration,
+        squared_input=True, thresholds={},
     )
     return ActivitySignal(
         label=descriptor.label,
@@ -340,13 +353,21 @@ def compute_activity(
     noise: Optional[NoiseVarianceEstimate] = None,
     noise_window_s: float = 60.0,
     ai_subtract_per_axis: bool = False,
+    thresholds: Optional[ThresholdMemo] = None,
 ) -> ActivitySignal:
     """Evaluate one variant against a preprocessed dataset map.
 
     AI variants need a noise-variance estimate; when ``noise`` is None it
     is derived from the raw axes in ``datasets`` with ``noise_window_s``
     windows.
+
+    ``thresholds`` lets calls on the same ``datasets`` share their resolved
+    ZCM/TAT thresholds: pass one empty dict per dataset map (one subject)
+    and never reuse it for another map. When None, each call resolves its
+    own.
     """
+    if thresholds is None:
+        thresholds = {}
 
     def _series(kind: DatasetKind) -> PreprocessedSeries:
         series = datasets.get(kind)
@@ -379,6 +400,7 @@ def compute_activity(
                     variant.threshold_policy,
                     variant.integration,
                     variant.squared_axes,
+                    thresholds,
                 )
                 for kind in variant.kind.axes
             ]
@@ -391,6 +413,7 @@ def compute_activity(
             variant.threshold_policy,
             variant.integration,
             variant.combination is CombinationRule.METRIC_ON_SQUARED_AXIS,
+            thresholds,
         )
         if variant.combination is CombinationRule.SQUARE_EACH_AXIS:
             values = values ** 2

@@ -22,7 +22,8 @@ def as_float_array(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {arr.shape}")
-    arr = np.ascontiguousarray(arr)
+    # a view, so that freezing it leaves the caller's own array writeable
+    arr = np.ascontiguousarray(arr).view()
     arr.setflags(write=False)
     return arr
 

@@ -62,7 +62,11 @@ class ParseError(ActimetricsError):
 
 
 class MissingSampleRate(ActimetricsError):
-    """No sample rate was supplied via argument or sidecar metadata."""
+    """No usable sample rate came from the argument, sidecar or file header.
+
+    Raised when none is given, and when the one given is not a positive,
+    finite number of hertz.
+    """
 
 
 class BadMagic(ActimetricsError):

@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .analysis import CorrelationSummary, SweepCurve
-from .core import ActivitySignal, RawRecording
+from .core import ActivitySignal, PreprocessedSeries, RawRecording
 from .errors import (
     BadMagic,
     MissingSampleRate,
@@ -36,18 +36,62 @@ from .errors import (
 
 PathLike = Union[str, Path]
 
-
-def _r(value) -> str:
-    """Shortest round-trip decimal text of a float (plain, not numpy repr)."""
-    return repr(float(value))
-
 MAGIC = b"ACTM"
 BIN_VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")
+_ROWS_PER_WRITE = 1 << 16
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
+
+
+def _read_sidecar(sidecar: Path) -> dict:
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(
+            getattr(exc, "lineno", 1), f"{sidecar}: invalid JSON sidecar: {exc}"
+        ) from None
+    if not isinstance(meta, dict):
+        raise ParseError(
+            1, f"{sidecar}: expected a JSON object, got {type(meta).__name__}"
+        )
+    return meta
+
+
+def _sample_rate(value, path: Path) -> float:
+    """``value`` as a positive, finite rate in Hz, or MissingSampleRate."""
+    try:
+        rate = float(value)
+    except (TypeError, ValueError):
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0):
+        raise MissingSampleRate(
+            f"{path}: sample rate {value!r} is not a positive, finite number of Hz"
+        )
+    return rate
+
+
+def _write_rows(
+    path: PathLike, meta: dict, header: str, *columns, index: bool = False
+) -> None:
+    """``# key: value`` lines, the CSV header, then one row per float of ``columns``.
+
+    Floats print as ``repr(float(v))``, the shortest text that reads back
+    to the same value; ``index`` prepends the row number. Rows stop at the
+    shortest column and are written in blocks, so memory stays bounded.
+    """
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    n = min(c.size for c in cols)
+    if index:
+        cols.insert(0, np.arange(n))
+    row = ",".join(["%r"] * len(cols)) + "\n"
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write("".join(f"# {k}: {v}\n" for k, v in meta.items()) + header + "\n")
+        for lo in range(0, n, _ROWS_PER_WRITE):
+            block = [c[lo:lo + _ROWS_PER_WRITE].tolist() for c in cols]
+            fh.write("".join(map(row.__mod__, zip(*block))))
 
 
 def read_recording_csv(
@@ -58,15 +102,14 @@ def read_recording_csv(
     """Read a recording from CSV; parse failures name the offending line."""
     path = Path(path)
     sidecar = _sidecar_path(path)
-    meta = {}
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+    meta = _read_sidecar(sidecar) if sidecar.exists() else {}
     if sample_rate_hz is None:
         sample_rate_hz = meta.get("sample_rate_hz")
     if sample_rate_hz is None:
         raise MissingSampleRate(
             f"{path}: supply a sample rate or a sidecar {sidecar.name}"
         )
+    sample_rate_hz = _sample_rate(sample_rate_hz, path)
     if subject_id is None:
         subject_id = meta.get("subject_id", path.stem)
 
@@ -102,7 +145,7 @@ def read_recording_csv(
 
     return RawRecording(
         subject_id=subject_id,
-        sample_rate_hz=float(sample_rate_hz),
+        sample_rate_hz=sample_rate_hz,
         x=xs,
         y=ys,
         z=zs,
@@ -113,10 +156,7 @@ def read_recording_csv(
 def write_recording_csv(rec: RawRecording, path: PathLike) -> None:
     """Write a recording plus its JSON sidecar carrying the sample rate."""
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("x,y,z\n")
-        for x, y, z in zip(rec.x, rec.y, rec.z):
-            fh.write(f"{_r(x)},{_r(y)},{_r(z)}\n")
+    _write_rows(path, {}, "x,y,z", rec.x, rec.y, rec.z)
     sidecar = {
         "subject_id": rec.subject_id,
         "sample_rate_hz": rec.sample_rate_hz,
@@ -137,6 +177,7 @@ def read_recording_bin(path: PathLike, subject_id: Optional[str] = None) -> RawR
         raise BadMagic(f"{path}: magic {magic!r}, expected {MAGIC!r}")
     if version != BIN_VERSION:
         raise VersionUnsupported(f"{path}: version {version}, supported: {BIN_VERSION}")
+    sample_rate_hz = _sample_rate(deci_hz / 10.0, path)
     need = count * 3 * 4
     payload = blob[_HEADER.size :]
     if len(payload) < need:
@@ -147,7 +188,7 @@ def read_recording_bin(path: PathLike, subject_id: Optional[str] = None) -> RawR
     data = np.frombuffer(payload[:need], dtype="<f4").reshape(count, 3)
     return RawRecording(
         subject_id=subject_id or path.stem,
-        sample_rate_hz=deci_hz / 10.0,
+        sample_rate_hz=sample_rate_hz,
         x=data[:, 0].astype(float),
         y=data[:, 1].astype(float),
         z=data[:, 2].astype(float),
@@ -199,13 +240,14 @@ def label_slug(label: str) -> str:
 
 
 def write_activity_csv(sig: ActivitySignal, path: PathLike) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"# label: {sig.label}\n")
-        fh.write(f"# units: {sig.units}\n")
-        fh.write(f"# epoch_length_s: {_r(sig.epoch_length_s)}\n")
-        fh.write("epoch_index,value\n")
-        for i, v in enumerate(sig.values):
-            fh.write(f"{i},{_r(v)}\n")
+    meta = {"label": sig.label, "units": sig.units,
+            "epoch_length_s": float(sig.epoch_length_s)}
+    _write_rows(path, meta, "epoch_index,value", sig.values, index=True)
+
+
+def write_dataset_csv(series: PreprocessedSeries, path: PathLike) -> None:
+    meta = {"kind": series.kind.value, "sample_rate_hz": float(series.sample_rate_hz)}
+    _write_rows(path, meta, "index,value", series.values, index=True)
 
 
 def _fmt_stat(value: float, decimals: int) -> str:
@@ -256,15 +298,14 @@ def write_matrix_json(summary: CorrelationSummary, path: PathLike) -> None:
 
 
 def write_sweep_csv(curve: SweepCurve, path: PathLike) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"# metric: {curve.metric.value}\n")
-        fh.write(f"# kind: {curve.kind.value}\n")
-        fh.write(f"# sd_marker: {_r(curve.sd_marker)}\n")
-        fh.write(f"# sd_anchor_r_vs_enmo: {_r(curve.sd_anchor_r_vs_enmo)}\n")
-        fh.write(f"# sd_anchor_r_vs_hfen: {_r(curve.sd_anchor_r_vs_hfen)}\n")
-        fh.write("threshold_g,r_vs_enmo,r_vs_hfen,r_vs_sd_anchored\n")
-        for i in range(curve.thresholds.size):
-            fh.write(
-                f"{_r(curve.thresholds[i])},{_r(curve.r_vs_enmo[i])},"
-                f"{_r(curve.r_vs_hfen[i])},{_r(curve.r_vs_sd_anchored[i])}\n"
-            )
+    meta = {
+        "metric": curve.metric.value,
+        "kind": curve.kind.value,
+        "sd_marker": float(curve.sd_marker),
+        "sd_anchor_r_vs_enmo": float(curve.sd_anchor_r_vs_enmo),
+        "sd_anchor_r_vs_hfen": float(curve.sd_anchor_r_vs_hfen),
+    }
+    _write_rows(
+        path, meta, "threshold_g,r_vs_enmo,r_vs_hfen,r_vs_sd_anchored",
+        curve.thresholds, curve.r_vs_enmo, curve.r_vs_hfen, curve.r_vs_sd_anchored,
+    )

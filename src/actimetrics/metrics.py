@@ -119,7 +119,9 @@ def sd_threshold(series: PreprocessedSeries) -> float:
     """Population SD of the whole series; +1 g for UFM.
 
     One threshold per (subject, dataset): epochs computed from the same
-    series all share it.
+    series all share it. It is a whole-series pass, so callers get it once
+    per series: the catalog memoizes it per (dataset, squared input,
+    policy) for one subject's datasets (see ``combine.compute_activity``).
     """
     if series.n_samples == 0:
         raise EmptySeries("cannot take the SD of an empty series")
@@ -308,7 +310,7 @@ def mad_values(mat) -> np.ndarray:
     """Mean absolute deviation from the epoch mean, per epoch."""
     mat = _as_matrix(mat)
     centered = mat - mat.mean(axis=1, keepdims=True)
-    return np.abs(centered).mean(axis=1)
+    return np.abs(centered, out=centered).mean(axis=1)
 
 
 def enmo_values(mat) -> np.ndarray:

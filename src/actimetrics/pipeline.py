@@ -53,6 +53,7 @@ def process_subject(
     variants = catalog(config.catalog_options())
     if not variants:
         raise ConfigError("empty catalog: include/exclude filters left no variants")
+    thresholds = {}  # resolved ZCM/TAT thresholds of this subject's datasets
     signals: dict[str, ActivitySignal] = {}
     for variant in variants:
         signals[variant.label] = compute_activity(
@@ -61,6 +62,7 @@ def process_subject(
             config.epoch_s,
             noise=noise,
             ai_subtract_per_axis=config.ai.subtract_per_axis,
+            thresholds=thresholds,
         )
     return signals
 

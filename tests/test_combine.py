@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from actimetrics import (
     PreprocessedSeries,
     ThresholdPolicy,
     VariantDescriptor,
+    PipelineConfig,
     catalog,
     combine_axial,
     compute_activity,
     metric_on_squared_axis,
+    metrics,
+    process_subject,
     vm3,
 )
 from actimetrics.errors import InapplicableMetric, MissingDataset
@@ -395,3 +400,35 @@ class TestCatalog:
             out = compute_activity(variant, bout_datasets, 60.0)
             assert (out.values >= 0).all(), variant.label
             assert out.n_epochs == 10
+
+
+class TestThresholdMemo:
+    def test_catalog_resolves_each_threshold_once(self, bout_datasets, monkeypatch):
+        resolved = Counter()
+        real = metrics.sd_threshold
+
+        def counting(series):
+            resolved[series.kind] += 1
+            return real(series)
+
+        monkeypatch.setattr(metrics, "sd_threshold", counting)
+        thresholds = {}
+        shared = {v.label: compute_activity(v, bout_datasets, 60.0, thresholds=thresholds)
+                  for v in catalog()}
+        # 4 magnitudes, 3 filtered axes and their 3 squared series; ZCM and
+        # TAT share each one
+        assert sum(resolved.values()) == len(thresholds) == 10
+        assert resolved == Counter({DatasetKind.UFM: 1, DatasetKind.UFNM: 1,
+                                    DatasetKind.FMPRE: 1, DatasetKind.FMPOST: 1,
+                                    DatasetKind.FX: 2, DatasetKind.FY: 2,
+                                    DatasetKind.FZ: 2})
+        for variant in catalog():
+            alone = compute_activity(variant, bout_datasets, 60.0)
+            assert shared[variant.label].values.tobytes() == alone.values.tobytes()
+
+    def test_process_subject_resolves_ten_thresholds(self, bout_recording, monkeypatch):
+        calls = []
+        real = metrics.sd_threshold
+        monkeypatch.setattr(metrics, "sd_threshold", lambda s: calls.append(s) or real(s))
+        process_subject(bout_recording, PipelineConfig())
+        assert len(calls) == 10

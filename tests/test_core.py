@@ -8,7 +8,7 @@ from actimetrics import (
     slice_epochs,
     validate_recording,
 )
-from actimetrics.core import epoch_matrix, epoch_sample_count
+from actimetrics.core import as_float_array, epoch_matrix, epoch_sample_count
 from actimetrics.errors import EmptySeries, EpochTooShort
 
 
@@ -108,6 +108,16 @@ class TestTypes:
         rec = RawRecording("s", 10.0, [0.0, 1.0], [0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             rec.x[0] = 5.0
+
+    def test_callers_arrays_stay_writeable(self):
+        a = np.zeros(3)
+        frozen = as_float_array(a)
+        assert a.flags.writeable and not frozen.flags.writeable
+        x = np.zeros(4)
+        RawRecording("s", 10.0, x, x, x)
+        PreprocessedSeries(DatasetKind.UFM, x, 10.0)
+        x[0] = 1.0
+        assert x.flags.writeable
 
     def test_recording_rejects_bad_rate(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from actimetrics import RawRecording, SyntheticSpec, synthesize
+from actimetrics import formats
+from actimetrics.core import ActivitySignal
 from actimetrics.errors import (
     BadMagic,
     MissingSampleRate,
@@ -17,6 +21,7 @@ from actimetrics.formats import (
     read_recording,
     read_recording_bin,
     read_recording_csv,
+    write_activity_csv,
     write_recording_bin,
     write_recording_csv,
 )
@@ -56,6 +61,26 @@ class TestCsvReader:
         path = tmp_path / "rec.csv"
         path.write_text("x,y,z\n0.1,0.2,0.3\n")
         with pytest.raises(MissingSampleRate):
+            read_recording_csv(path)
+
+    @pytest.mark.parametrize("sidecar, shown", [
+        ("{not json", "invalid JSON sidecar"),
+        ("[10.0]", "expected a JSON object, got list"),
+    ])
+    def test_malformed_sidecar_names_the_sidecar(self, tmp_path, sidecar, shown):
+        path = tmp_path / "r.csv"
+        path.write_text("x,y,z\n0.1,0.2,0.3\n")
+        (tmp_path / "r.csv.json").write_text(sidecar)
+        with pytest.raises(ParseError) as err:
+            read_recording_csv(path)
+        assert "r.csv.json" in str(err.value) and shown in str(err.value)
+
+    @pytest.mark.parametrize("rate", [0, -10.0, "fast", float("inf")])
+    def test_unusable_sidecar_rate_rejected(self, tmp_path, rate):
+        path = tmp_path / "r.csv"
+        path.write_text("x,y,z\n0.1,0.2,0.3\n")
+        (tmp_path / "r.csv.json").write_text(json.dumps({"sample_rate_hz": rate}))
+        with pytest.raises(MissingSampleRate, match="r.csv"):
             read_recording_csv(path)
 
     def test_sidecar_supplies_rate_and_subject(self, tmp_path):
@@ -118,6 +143,15 @@ class TestBinaryFormat:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 24])
         with pytest.raises(TruncatedPayload):
+            read_recording_bin(path)
+
+    def test_zero_sample_rate_names_the_file(self, tmp_path):
+        path = tmp_path / "rec.actm"
+        write_recording_bin(self._recording(10), path)
+        blob = bytearray(path.read_bytes())
+        blob[6:8] = (0).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MissingSampleRate, match="rec.actm"):
             read_recording_bin(path)
 
     def test_header_too_short(self, tmp_path):
@@ -196,3 +230,52 @@ class TestResultFormatting:
         assert len(set(slugs)) == len(slugs)
         for slug in slugs:
             assert "/" not in slug and " " not in slug and "²" not in slug
+
+
+def _old_rows(*columns, index=False):
+    """The per-row formula the writers used to apply, one value at a time."""
+    r = lambda v: repr(float(v))  # noqa: E731
+    rows = zip(*columns)
+    if index:
+        return "".join(f"{i},{r(row[0])}\n" for i, row in enumerate(rows))
+    return "".join(",".join(r(v) for v in row) + "\n" for row in rows)
+
+
+_floats = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16, 1e-5, 3.0]
+) | st.floats(allow_nan=True, allow_infinity=True)
+_fixture_ok = settings(
+    database=None, deadline=None, max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestRowWriter:
+    @_fixture_ok
+    @given(values=st.lists(_floats, max_size=30), epoch_s=_floats)
+    def test_activity_csv_equals_per_row_formula(self, tmp_path, values, epoch_s):
+        sig = ActivitySignal("PIM(UFNM)", epoch_s, np.array(values, dtype=float), "g*s")
+        write_activity_csv(sig, tmp_path / "a.csv")
+        head = (f"# label: PIM(UFNM)\n# units: g*s\n"
+                f"# epoch_length_s: {float(epoch_s)!r}\nepoch_index,value\n")
+        expected = head + _old_rows(values, index=True)
+        assert (tmp_path / "a.csv").read_text(encoding="utf-8") == expected
+
+    @_fixture_ok
+    @given(rows=st.lists(st.tuples(_floats, _floats, _floats), max_size=30),
+           block=st.integers(1, 8))
+    def test_blocks_join_to_per_row_formula(self, tmp_path, monkeypatch, rows, block):
+        monkeypatch.setattr(formats, "_ROWS_PER_WRITE", block)
+        cols = [np.array(c, dtype=float) for c in zip(*rows)] or [np.empty(0)] * 3
+        formats._write_rows(tmp_path / "r.csv", {}, "x,y,z", *cols)
+        expected = "x,y,z\n" + _old_rows(*cols)
+        assert (tmp_path / "r.csv").read_text(encoding="utf-8") == expected
+
+    def test_integer_values_print_as_floats(self, tmp_path):
+        formats._write_rows(tmp_path / "i.csv", {}, "i,v", np.arange(3), index=True)
+        assert (tmp_path / "i.csv").read_text() == "i,v\n0,0.0\n1,1.0\n2,2.0\n"
+
+    def test_rows_stop_at_shortest_column(self, tmp_path):
+        rec = RawRecording("s", 10.0, [1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 7.0, 8.0])
+        write_recording_csv(rec, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text() == "x,y,z\n1.0,4.0,6.0\n2.0,5.0,7.0\n"

@@ -28,7 +28,7 @@ from actimetrics import (
     zcm,
 )
 from actimetrics.errors import EmptySeries, InapplicableMetric, RecordingTooShort
-from actimetrics.metrics import pim_values, tat_values, zcm_values
+from actimetrics.metrics import mad_values, pim_values, tat_values, zcm_values
 
 RIEMANN = IntegrationMethod.RIEMANN_SUM
 SIMPSON = IntegrationMethod.SIMPSON38
@@ -226,6 +226,19 @@ class TestMad:
         rng = np.random.default_rng(2)
         x = rng.normal(size=100)
         assert abs(mad(ep(x + 123.456)) - mad(ep(x))) < 1e-12
+
+    @pytest.mark.parametrize("mat", [
+        np.random.default_rng(3).normal(1.0, 0.4, size=(40, 600)),
+        np.random.default_rng(4).uniform(-8.0, 8.0, size=(7, 3)),
+        np.full((5, 600), 0.3),
+        np.zeros((2, 2)),
+    ])
+    def test_matrix_kernel_equals_two_temporary_formula_bitwise(self, mat):
+        before = mat.copy()
+        centered = mat - mat.mean(axis=1, keepdims=True)
+        expected = np.abs(centered).mean(axis=1)
+        assert mad_values(mat).tobytes() == expected.tobytes()
+        assert mat.tobytes() == before.tobytes()
 
 
 class TestEnmo:

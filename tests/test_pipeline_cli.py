@@ -3,11 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from actimetrics import PipelineConfig, SyntheticSpec, config_from_dict, synthesize
+from actimetrics import (
+    DatasetKind,
+    PipelineConfig,
+    SyntheticSpec,
+    config_from_dict,
+    preprocess_all,
+    synthesize,
+)
 from actimetrics.cli import main
 from actimetrics.config import SweepConfig, SyntheticConfig, load_config
 from actimetrics.errors import ConfigError
-from actimetrics.formats import write_recording_bin, write_recording_csv
+from actimetrics.formats import read_recording, write_recording_bin, write_recording_csv
 from actimetrics.pipeline import run_pipeline
 
 import dataclasses
@@ -184,6 +191,20 @@ class TestRunPipeline:
         for rel in sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file()):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
+    def test_thresholds_do_not_leak_between_subjects(self, tmp_path):
+        # one threshold memo per subject: two subjects on two threads write
+        # what each writes alone
+        config = small_config()
+        recs = corpus()
+        run_pipeline(config, recs, tmp_path / "both", jobs=2)
+        for rec in recs:
+            run_pipeline(config, [rec], tmp_path / rec.subject_id, jobs=1)
+            alone = sorted((tmp_path / rec.subject_id / rec.subject_id / "activity").iterdir())
+            assert len(alone) == 83
+            for path in alone:
+                together = tmp_path / "both" / rec.subject_id / "activity" / path.name
+                assert path.read_bytes() == together.read_bytes(), path.name
+
     def test_sweep_csvs_match_threshold_sweep(self, tmp_path):
         from actimetrics import DatasetKind, MetricId, threshold_sweep
         from actimetrics.formats import write_sweep_csv
@@ -295,6 +316,10 @@ class TestCli:
         names = sorted(p.name for p in (out / "s00" / "datasets").glob("*.csv"))
         assert len(names) == 11
         assert "FMpre.csv" in names
+        ufm = preprocess_all(read_recording(paths[0]))[DatasetKind.UFM].values
+        lines = (out / "s00" / "datasets" / "UFM.csv").read_text().splitlines()
+        assert lines[:3] == ["# kind: UFM", "# sample_rate_hz: 10.0", "index,value"]
+        assert lines[3:] == [f"{i},{v!r}" for i, v in enumerate(ufm.tolist())]
 
     def test_sweep_subcommand(self, tmp_path):
         config = self._config_file(tmp_path)
@@ -326,6 +351,26 @@ class TestCli:
         missing = tmp_path / "missing.actm"
         missing.write_bytes(b"XXXX" + b"\x00" * 12)
         assert main(["correlate", str(missing)]) == 2
+
+    @pytest.mark.parametrize("command", ["convert", "correlate"])
+    def test_zero_sample_rate_header_exits_2_naming_file(self, tmp_path, capsys, command):
+        path = self._write_corpus(tmp_path, n=1)[0]
+        blob = bytearray(path.read_bytes())
+        blob[6:8] = (0).to_bytes(2, "little")  # deci-hertz field of the header
+        path.write_bytes(bytes(blob))
+        args = [str(path), str(tmp_path / "r.csv")] if command == "convert" else [str(path)]
+        assert main(["--out", str(tmp_path / "out"), command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "s00.actm" in err
+
+    @pytest.mark.parametrize("sidecar", ["{not json", "[10.0]"])
+    def test_malformed_sidecar_exits_2_naming_sidecar(self, tmp_path, capsys, sidecar):
+        csv_path = tmp_path / "r.csv"
+        write_recording_csv(corpus(1, duration_s=30.0)[0], csv_path)
+        (tmp_path / "r.csv.json").write_text(sidecar)
+        assert main(["convert", str(csv_path), str(tmp_path / "r.actm")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "r.csv.json" in err
 
     def test_mixed_sample_rates_design_filters_per_recording(self, tmp_path):
         config = tmp_path / "config.json"
