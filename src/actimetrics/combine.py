@@ -277,29 +277,33 @@ def _single_values(
 ) -> np.ndarray:
     """Per-epoch activity of one metric on one series, corrections applied.
 
-    A ZCM/TAT threshold is resolved once per key of ``thresholds``.
+    A ZCM/TAT threshold is resolved once per key of ``thresholds``. A
+    squared input is squared block by block inside the kernel; the whole
+    squared series exists only while its threshold is being resolved.
     """
     mode, reason = applicability(metric, series.kind)
     if mode is Applicability.INAPPLICABLE:
         raise InapplicableMetric(f"{metric}({series.kind}): {reason}")
-    if squared_input:
-        series = _squared_series(series)
     n = epoch_sample_count(te_s, series.sample_rate_hz)
     mat = epoch_matrix(series.values, n)
     ts = series.ts
     if metric is MetricId.PIM:
-        return pim_corrected_values(mat, ts, series.kind, integration)
+        return pim_corrected_values(
+            mat, ts, series.kind, integration, squared=squared_input
+        )
     if metric in THRESHOLD_METRICS:
         policy = policy or ThresholdPolicy.adaptive()
         key = (series.kind, squared_input, policy)
         threshold = thresholds.get(key)
         if threshold is None:
-            threshold = thresholds[key] = policy.resolve(series)
+            threshold = thresholds[key] = policy.resolve(
+                _squared_series(series) if squared_input else series
+            )
         if metric is MetricId.ZCM:
-            return zcm_values(mat, threshold).astype(float)
-        return tat_values(mat, threshold, ts)
+            return zcm_values(mat, threshold, squared=squared_input).astype(float)
+        return tat_values(mat, threshold, ts, squared=squared_input)
     if metric is MetricId.MAD:
-        return mad_values(mat)
+        return mad_values(mat, squared=squared_input)
     if metric is MetricId.ENMO:
         return enmo_values(mat)
     if metric is MetricId.HFEN:

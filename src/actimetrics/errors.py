@@ -81,5 +81,9 @@ class TruncatedPayload(ActimetricsError):
     """Binary payload holds fewer samples than its header declares."""
 
 
+class UnrepresentableSampleRate(ActimetricsError):
+    """The sample rate does not fit the binary header's whole deci-hertz field."""
+
+
 class ConfigError(ActimetricsError):
     """Configuration failed validation."""

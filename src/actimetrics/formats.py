@@ -31,6 +31,7 @@ from .errors import (
     MissingSampleRate,
     ParseError,
     TruncatedPayload,
+    UnrepresentableSampleRate,
     VersionUnsupported,
 )
 
@@ -179,13 +180,15 @@ def read_recording_bin(path: PathLike, subject_id: Optional[str] = None) -> RawR
         raise VersionUnsupported(f"{path}: version {version}, supported: {BIN_VERSION}")
     sample_rate_hz = _sample_rate(deci_hz / 10.0, path)
     need = count * 3 * 4
-    payload = blob[_HEADER.size :]
-    if len(payload) < need:
+    have = len(blob) - _HEADER.size
+    if have < need:
         raise TruncatedPayload(
             f"{path}: header declares {count} samples ({need} bytes), payload has "
-            f"{len(payload)}"
+            f"{have}"
         )
-    data = np.frombuffer(payload[:need], dtype="<f4").reshape(count, 3)
+    data = np.frombuffer(
+        blob, dtype="<f4", count=3 * count, offset=_HEADER.size
+    ).reshape(count, 3)
     return RawRecording(
         subject_id=subject_id or path.stem,
         sample_rate_hz=sample_rate_hz,
@@ -199,8 +202,9 @@ def write_recording_bin(rec: RawRecording, path: PathLike) -> None:
     """Write the native binary format (samples quantized to float32)."""
     deci = rec.sample_rate_hz * 10.0
     if abs(deci - round(deci)) > 1e-9 or not 0 < round(deci) < 2 ** 16:
-        raise ValueError(
-            f"sample rate {rec.sample_rate_hz} Hz is not representable in deci-hertz"
+        raise UnrepresentableSampleRate(
+            f"{path}: sample rate {rec.sample_rate_hz} Hz is not a whole number of "
+            "deci-hertz below 6553.6 Hz, so the .actm header cannot hold it"
         )
     n = rec.n_samples
     interleaved = np.empty((n, 3), dtype="<f4")

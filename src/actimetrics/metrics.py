@@ -12,8 +12,8 @@ Each metric maps one epoch of (preprocessed) acceleration to a scalar:
 
 Per-epoch operations accept an :class:`~actimetrics.core.Epoch`; the
 ``*_values`` variants run the same computation over an epoch matrix (one
-row per epoch) and are the batch fast path. Both share kernels, so they
-agree exactly.
+row per epoch), in cache-sized blocks of rows, and are the batch fast
+path. Both share kernels, so they agree exactly.
 
 Not every metric applies to every dataset kind; :func:`applicability`
 encodes which cells are direct, which need a correction, and why the rest
@@ -206,6 +206,41 @@ def _as_matrix(mat) -> np.ndarray:
     return arr
 
 
+# Byte budget of one row block. A block and the temporaries a kernel makes
+# from it (about 1 MiB each) stay in the CPU cache, where the same
+# temporaries of a whole recording (48 MB per array for a week at 10 Hz)
+# stream through main memory, and are page-faulted in afresh, once per
+# numpy operation.
+_BLOCK_BYTES = 1 << 20
+
+
+def _by_row_blocks(kernel, *mats: np.ndarray, squared: bool = False) -> np.ndarray:
+    """``kernel(*blocks)`` over consecutive row blocks of ``mats``, joined.
+
+    A block holds about ``_BLOCK_BYTES`` of float64 rows, so the row count
+    is that budget over 8 bytes times the samples per row. Every row is
+    reduced exactly as on the whole matrix; the kernel must be row-wise.
+    ``squared`` hands the kernel ``b * b`` (bitwise ``values ** 2``) for
+    each block ``b``, written into one scratch block per input that the
+    kernel may overwrite. A matrix that fits in one block is passed
+    through whole.
+    """
+    m, n = mats[0].shape
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    if m <= rows:
+        return kernel(*((b * b for b in mats) if squared else mats))
+    # one scratch block reused for every block: a fresh one per block can
+    # cost more in page faults than the squaring itself
+    scratch = [np.empty((rows, n)) for _ in mats] if squared else None
+    parts = []
+    for lo in range(0, m, rows):
+        blocks = [mat[lo : lo + rows] for mat in mats]
+        if squared:
+            blocks = [np.multiply(b, b, out=s[: len(b)]) for b, s in zip(blocks, scratch)]
+        parts.append(kernel(*blocks))
+    return np.concatenate(parts)
+
+
 @lru_cache(maxsize=64)
 def _simpson38_weights(n: int) -> np.ndarray:
     # Composite 3/8 rule over the n-1 inter-sample intervals; the 1-2
@@ -228,12 +263,16 @@ def _simpson38_weights(n: int) -> np.ndarray:
 def pim_values(
     mat, ts: float, method: IntegrationMethod = IntegrationMethod.RIEMANN_SUM
 ) -> np.ndarray:
-    """Numerical integral per epoch, in g*s (no corrections)."""
+    """Numerical integral per epoch, in g*s (no corrections).
+
+    Both rules sum each row on its own (numpy's pairwise sum), so a row's
+    integral does not depend on how many rows share the call.
+    """
     mat = _as_matrix(mat)
     if method is IntegrationMethod.RIEMANN_SUM:
         return ts * mat.sum(axis=1)
     if method is IntegrationMethod.SIMPSON38:
-        return ts * (mat @ _simpson38_weights(mat.shape[1]))
+        return ts * (mat * _simpson38_weights(mat.shape[1])).sum(axis=1)
     raise ValueError(f"unknown integration method {method}")
 
 
@@ -242,29 +281,39 @@ def pim_corrected_values(
     ts: float,
     kind: DatasetKind,
     method: IntegrationMethod = IntegrationMethod.RIEMANN_SUM,
+    *,
+    squared: bool = False,
 ) -> np.ndarray:
     """PIM with the per-kind correction, always >= 0.
 
     UFNM and FMpre integrate directly. Filtered axes and FMpost oscillate
     around 0 g, so their absolute values are integrated. UFM still carries
     gravity: the integral of a constant 1 g over the epoch is subtracted
-    and the absolute difference taken. Raw axes are rejected.
+    and the absolute difference taken. Raw axes are rejected. ``squared``
+    integrates the elementwise square of ``mat`` instead.
     """
     mat = _as_matrix(mat)
     mode, reason = applicability(MetricId.PIM, kind)
     if mode is Applicability.INAPPLICABLE:
         raise InapplicableMetric(f"PIM({kind}): {reason}")
     if kind in (DatasetKind.UFNM, DatasetKind.FMPRE):
-        return pim_values(mat, ts, method)
-    if kind in FILTERED_AXES or kind is DatasetKind.FMPOST:
-        return pim_values(np.abs(mat), ts, method)
-    if kind is DatasetKind.UFM:
+        def kernel(b):
+            return pim_values(b, ts, method)
+    elif kind in FILTERED_AXES or kind is DatasetKind.FMPOST:
+        def kernel(b):
+            # a squared block is already a temporary of our own
+            return pim_values(np.abs(b, out=b if squared else None), ts, method)
+    elif kind is DatasetKind.UFM:
         gravity = float(pim_values(np.ones((1, mat.shape[1])), ts, method)[0])
-        return np.abs(pim_values(mat, ts, method) - gravity)
-    raise InapplicableMetric(f"PIM({kind}): no correction rule")
+
+        def kernel(b):
+            return np.abs(pim_values(b, ts, method) - gravity)
+    else:
+        raise InapplicableMetric(f"PIM({kind}): no correction rule")
+    return _by_row_blocks(kernel, mat, squared=squared)
 
 
-def zcm_values(mat, threshold: float) -> np.ndarray:
+def zcm_values(mat, threshold: float, *, squared: bool = False) -> np.ndarray:
     """Crossing count of (x - threshold) per epoch.
 
     Strict sign changes only: samples exactly on the threshold take no
@@ -276,9 +325,15 @@ def zcm_values(mat, threshold: float) -> np.ndarray:
     holding a sample that is neither above nor below it (exactly on the
     threshold, or NaN) go through the carry-forward fill, which gives each
     on-threshold sample the side of the last off-threshold sample before
-    it.
+    it. ``squared`` counts the crossings of the elementwise square of
+    ``mat``.
     """
-    mat = _as_matrix(mat)
+    return _by_row_blocks(
+        lambda b: _zcm_block(b, threshold), _as_matrix(mat), squared=squared
+    )
+
+
+def _zcm_block(mat: np.ndarray, threshold: float) -> np.ndarray:
     above = mat > threshold
     counts = np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1)
     on_threshold = ~(above | (mat < threshold)).all(axis=1)
@@ -300,29 +355,50 @@ def _zcm_carry_forward(mat: np.ndarray, threshold: float) -> np.ndarray:
     return ((filled[:, :-1] * filled[:, 1:]) == -1.0).sum(axis=1)
 
 
-def tat_values(mat, threshold: float, ts: float) -> np.ndarray:
-    """Time per epoch with samples strictly above the threshold, in s."""
-    mat = _as_matrix(mat)
-    return ts * (mat > threshold).sum(axis=1)
+def tat_values(mat, threshold: float, ts: float, *, squared: bool = False) -> np.ndarray:
+    """Time per epoch with samples strictly above the threshold, in s.
+
+    ``squared`` measures the elementwise square of ``mat`` instead.
+    """
+    return _by_row_blocks(
+        lambda b: ts * (b > threshold).sum(axis=1), _as_matrix(mat), squared=squared
+    )
 
 
-def mad_values(mat) -> np.ndarray:
-    """Mean absolute deviation from the epoch mean, per epoch."""
-    mat = _as_matrix(mat)
-    centered = mat - mat.mean(axis=1, keepdims=True)
+def mad_values(mat, *, squared: bool = False) -> np.ndarray:
+    """Mean absolute deviation from the epoch mean, per epoch.
+
+    ``squared`` takes it of the elementwise square of ``mat`` instead.
+    """
+    # a squared block is scratch of our own, so it is centered in place
+    kernel = (lambda b: _mad_block(b, out=b)) if squared else _mad_block
+    return _by_row_blocks(kernel, _as_matrix(mat), squared=squared)
+
+
+def _mad_block(mat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    centered = np.subtract(mat, mat.mean(axis=1, keepdims=True), out=out)
     return np.abs(centered, out=centered).mean(axis=1)
 
 
 def enmo_values(mat) -> np.ndarray:
     """Mean positive part of (x - 1 g), per epoch."""
-    mat = _as_matrix(mat)
-    return np.maximum(mat - 1.0, 0.0).mean(axis=1)
+    return _by_row_blocks(_enmo_block, _as_matrix(mat))
+
+
+def _enmo_block(mat: np.ndarray) -> np.ndarray:
+    excess = mat - 1.0
+    return np.maximum(excess, 0.0, out=excess).mean(axis=1)
 
 
 def hfen_values(mat) -> np.ndarray:
     """Mean of the (already high-pass-filtered) magnitudes, per epoch."""
     mat = _as_matrix(mat)
     return mat.mean(axis=1)
+
+
+def _summed_variance(mx: np.ndarray, my: np.ndarray, mz: np.ndarray) -> np.ndarray:
+    """Per-row variance of x, plus that of y, plus that of z."""
+    return mx.var(axis=1) + my.var(axis=1) + mz.var(axis=1)
 
 
 def ai_values(
@@ -341,7 +417,7 @@ def ai_values(
     mx, my, mz = _as_matrix(mat_x), _as_matrix(mat_y), _as_matrix(mat_z)
     if not (mx.shape == my.shape == mz.shape):
         raise SeriesMismatch("axis epoch matrices differ in shape")
-    var_sum = mx.var(axis=1) + my.var(axis=1) + mz.var(axis=1)
+    var_sum = _by_row_blocks(_summed_variance, mx, my, mz)
     noise = 3.0 * sigma_bar_sq if subtract_per_axis else sigma_bar_sq
     return np.sqrt(np.maximum((var_sum - noise) / 3.0, 0.0))
 
@@ -421,9 +497,9 @@ def noise_variance_from_axes(
             f"recording of {n} samples is shorter than one {window_s} s window"
         )
     k = n // w
-    total = np.zeros(k)
-    for axis in (x, y, z):
-        total += axis[: k * w].reshape(k, w).var(axis=1)
+    total = _by_row_blocks(
+        _summed_variance, *(axis[: k * w].reshape(k, w) for axis in (x, y, z))
+    )
     i = int(np.argmin(total))
     return NoiseVarianceEstimate(float(total[i]), window_s, i)
 

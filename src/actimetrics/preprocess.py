@@ -148,8 +148,9 @@ def filter_values(
     values: np.ndarray, realization: FilterRealization, zero_phase: bool = False
 ) -> np.ndarray:
     """Filter a bare array; causal with zero initial state unless zero_phase."""
-    # sosfilt wants writable buffers; our arrays are read-only by contract
-    x = np.array(values, dtype=float)
+    # sosfilt and sosfiltfilt copy x into their own output, so a read-only
+    # series goes in as it is; the compiled kernel needs a writable sos
+    x = np.asarray(values, dtype=float)
     sos = np.array(realization.sos)
     if zero_phase:
         return spsignal.sosfiltfilt(sos, x)
@@ -198,16 +199,30 @@ def magnitude(x, y, z, sample_rate_hz: float) -> PreprocessedSeries:
         raise SeriesMismatch(
             f"axis lengths differ: x={ax.size} y={ay.size} z={az.size}"
         )
-    values = np.sqrt(ax * ax + ay * ay + az * az)
+    values = _norm(a * a for a in (ax, ay, az))
     return PreprocessedSeries(DatasetKind.UFM, values, sample_rate_hz)
+
+
+def _norm(squares) -> np.ndarray:
+    """sqrt((s0 + s1) + s2) of the squared axes, summed in s0's own memory.
+
+    ``squares`` may be a generator, so that only the running sum and the
+    next square are alive at once; each square must be a fresh array.
+    """
+    squares = iter(squares)
+    total = next(squares)
+    for sq in squares:
+        total += sq
+    return np.sqrt(total, out=total)
 
 
 def normalize_magnitude(ufm: PreprocessedSeries) -> PreprocessedSeries:
     """UFNM[k] = |UFM[k] - 1 g|: gravity removed without filtering."""
     if ufm.kind is not DatasetKind.UFM:
         raise SeriesMismatch(f"normalization expects UFM input, got {ufm.kind}")
+    values = ufm.values - 1.0
     return PreprocessedSeries(
-        DatasetKind.UFNM, np.abs(ufm.values - 1.0), ufm.sample_rate_hz
+        DatasetKind.UFNM, np.abs(values, out=values), ufm.sample_rate_hz
     )
 
 
@@ -221,7 +236,7 @@ def fmpre(
         raise SeriesMismatch(f"expected kinds {expected}, got {kinds}")
     if not (fx.n_samples == fy.n_samples == fz.n_samples):
         raise SeriesMismatch("filtered axes differ in length")
-    values = np.sqrt(fx.values ** 2 + fy.values ** 2 + fz.values ** 2)
+    values = _norm(s.values * s.values for s in (fx, fy, fz))
     return PreprocessedSeries(
         DatasetKind.FMPRE, values, fx.sample_rate_hz, provenance=fx.provenance
     )
@@ -235,14 +250,13 @@ def hfen_preprocess(
     """High-pass each raw axis, then take the elementwise magnitude.
 
     Gravity is eliminated per axis by the highpass before the norm, so the
-    output decays toward zero on a motionless recording.
+    output decays toward zero on a motionless recording. One axis is
+    filtered at a time and squared in its own output buffer.
     """
     spec = spec or hfen_highpass(rec.sample_rate_hz)
     realization = design_filter(spec)
-    hx = filter_values(rec.x, realization, zero_phase)
-    hy = filter_values(rec.y, realization, zero_phase)
-    hz = filter_values(rec.z, realization, zero_phase)
-    values = np.sqrt(hx * hx + hy * hy + hz * hz)
+    filtered = (filter_values(a, realization, zero_phase) for a in (rec.x, rec.y, rec.z))
+    values = _norm(np.multiply(h, h, out=h) for h in filtered)
     return PreprocessedSeries(
         DatasetKind.HFEN_SPECIAL, values, rec.sample_rate_hz, provenance=spec
     )

@@ -13,6 +13,7 @@ from actimetrics.errors import (
     MissingSampleRate,
     ParseError,
     TruncatedPayload,
+    UnrepresentableSampleRate,
     VersionUnsupported,
 )
 from actimetrics.formats import (
@@ -171,8 +172,9 @@ class TestBinaryFormat:
 
     def test_non_deci_hz_rate_rejected_on_write(self, tmp_path):
         rec = RawRecording("s", 10.01, [0.0], [0.0], [0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(UnrepresentableSampleRate, match="10.01 Hz"):
             write_recording_bin(rec, tmp_path / "r.actm")
+        assert not (tmp_path / "r.actm").exists()
 
 
 class TestSynthesize:

@@ -93,6 +93,19 @@ class TestPim:
         assert abs(simpson - exact) < abs(riemann - exact)
         assert simpson == pytest.approx(exact, abs=1e-8)
 
+    def test_simpson_rows_match_an_exactly_rounded_weighted_sum(self):
+        # each row is summed pairwise, not in the order of this loop; the
+        # tolerance is a few float64 ulps
+        from actimetrics.metrics import _simpson38_weights
+
+        rng = np.random.default_rng(15)
+        mat = rng.normal(size=(7, 600))
+        w = _simpson38_weights(600)
+        out = pim_values(mat, 0.1, SIMPSON)
+        for i in range(7):
+            exact = 0.1 * math.fsum(a * b for a, b in zip(mat[i], w))
+            assert out[i] == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
     def test_simpson_tail_handles_all_remainders(self):
         for n in (4, 5, 6, 7, 99, 100, 101):
             epoch = ep(np.ones(n), ts=0.5)

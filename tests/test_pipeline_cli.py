@@ -363,6 +363,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "s00.actm" in err
 
+    @pytest.mark.parametrize("rate", ["10.01", "7000"])
+    def test_convert_to_actm_at_unstorable_rate_exits_2(self, tmp_path, capsys, rate):
+        csv_path = tmp_path / "r.csv"
+        write_recording_csv(corpus(1, duration_s=30.0)[0], csv_path)
+        dst = tmp_path / "r.actm"
+        assert main(["convert", str(csv_path), str(dst), "--sample-rate-hz", rate]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{float(rate)} Hz" in err
+        assert not dst.exists()
+
     @pytest.mark.parametrize("sidecar", ["{not json", "[10.0]"])
     def test_malformed_sidecar_exits_2_naming_sidecar(self, tmp_path, capsys, sidecar):
         csv_path = tmp_path / "r.csv"

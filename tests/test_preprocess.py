@@ -201,6 +201,17 @@ class TestApplyFilter:
         assert causal == pytest.approx(gain, rel=0.02)
         assert both_ways == pytest.approx(gain * gain, rel=0.02)
 
+    @pytest.mark.parametrize("zero_phase", [False, True])
+    def test_frozen_series_filters_like_a_writable_copy(self, bout_recording, zero_phase):
+        frozen = bout_recording.x
+        assert not frozen.flags.writeable
+        filt = design_filter(default_bandpass(FS))
+        out = filter_values(frozen, filt, zero_phase)
+        expected = filter_values(frozen.copy(), filt, zero_phase)
+        assert out.tobytes() == expected.tobytes()
+        assert out.flags.writeable and not np.shares_memory(out, frozen)
+        assert not frozen.flags.writeable
+
     def test_kind_without_filtered_counterpart_rejected(self):
         filt = design_filter(default_bandpass(FS))
         series = PreprocessedSeries(DatasetKind.UFNM, np.zeros(10), FS)
@@ -267,6 +278,38 @@ class TestHfenPreprocess:
         tail = out.values[3000:]
         measured = math.sqrt(2.0 * float(np.mean(tail * tail)))
         assert measured == pytest.approx(expected, rel=0.01)
+
+
+class TestMagnitudesMatchTheDirectFormula:
+    """UFM, FMpre and the HFEN input equal sqrt(x*x + y*y + z*z) bit for bit."""
+
+    @staticmethod
+    def _norm(x, y, z):
+        return np.sqrt(x * x + y * y + z * z)
+
+    def test_ufm(self, bout_recording):
+        rec = bout_recording
+        out = magnitude(rec.x, rec.y, rec.z, FS).values
+        assert out.tobytes() == self._norm(rec.x, rec.y, rec.z).tobytes()
+
+    def test_fmpre(self, bout_datasets):
+        fx, fy, fz = (bout_datasets[k].values for k in
+                      (DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ))
+        expected = np.sqrt(fx ** 2 + fy ** 2 + fz ** 2)
+        assert bout_datasets[DatasetKind.FMPRE].values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("zero_phase", [False, True])
+    def test_hfen(self, bout_recording, zero_phase):
+        rec = bout_recording
+        filt = design_filter(hfen_highpass(FS))
+        hx, hy, hz = (filter_values(a, filt, zero_phase) for a in (rec.x, rec.y, rec.z))
+        out = hfen_preprocess(rec, zero_phase=zero_phase).values
+        assert out.tobytes() == self._norm(hx, hy, hz).tobytes()
+
+    def test_ufnm(self, bout_datasets):
+        ufm = bout_datasets[DatasetKind.UFM].values
+        expected = np.abs(ufm - 1.0)
+        assert bout_datasets[DatasetKind.UFNM].values.tobytes() == expected.tobytes()
 
 
 class TestPreprocessAll:
