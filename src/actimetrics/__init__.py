@@ -23,9 +23,7 @@ from .combine import (
     CombinationRule,
     VariantDescriptor,
     catalog,
-    combine_axial,
     compute_activity,
-    metric_on_squared_axis,
     vm3,
 )
 from .config import PipelineConfig, config_from_dict, load_config

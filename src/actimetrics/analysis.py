@@ -24,13 +24,12 @@ from .core import (
     epoch_matrix,
     epoch_sample_count,
 )
-from .errors import DegenerateInput, InapplicableMetric, LabelMismatch, SignalTooShort
+from .errors import DegenerateInput, LabelMismatch, SignalTooShort
 from .metrics import (
-    Applicability,
     MetricId,
-    applicability,
     enmo_values,
     hfen_values,
+    require_applicable,
     sd_threshold,
     tat_values,
     zcm_values,
@@ -263,9 +262,7 @@ def _sweep_grid(
     """The ascending threshold grid of one sweep; rejects non-level metrics."""
     if metric not in (MetricId.ZCM, MetricId.TAT):
         raise ValueError("threshold sweeps are defined for ZCM and TAT only")
-    mode, reason = applicability(metric, kind)
-    if mode is Applicability.INAPPLICABLE:
-        raise InapplicableMetric(f"{metric}({kind}): {reason}")
+    require_applicable(metric, kind)
     start = 1.0 if kind is DatasetKind.UFM else 0.0
     return start + step_g * np.arange(max_steps)
 

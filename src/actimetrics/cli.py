@@ -12,14 +12,16 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import formats
-from .analysis import threshold_sweep
 from .combine import catalog
-from .config import PipelineConfig, check_epoch_alignment, load_config
-from .core import DatasetKind
+from .config import PipelineConfig, load_config
 from .errors import ActimetricsError, ConfigError
-from .metrics import MetricId
-from .pipeline import process_subject, run_pipeline
-from .preprocess import preprocess_all
+from .pipeline import (
+    preprocess_subject,
+    process_subject,
+    run_pipeline,
+    write_activity_files,
+    write_sweeps,
+)
 from .synthetic import SyntheticSpec, synthesize
 
 EXIT_OK = 0
@@ -115,13 +117,7 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
     out: Path = args.out
     for rec in recordings:
-        check_epoch_alignment(config, rec.sample_rate_hz)
-        datasets = preprocess_all(
-            rec,
-            config.bandpass_spec(rec.sample_rate_hz),
-            config.hfen_spec(rec.sample_rate_hz),
-            config.zero_phase,
-        )
+        datasets = preprocess_subject(rec, config)
         subject_dir = out / rec.subject_id / "datasets"
         subject_dir.mkdir(parents=True, exist_ok=True)
         for kind, series in datasets.items():
@@ -143,12 +139,7 @@ def _cmd_activity(args, config: PipelineConfig) -> int:
             print(f"{rec.subject_id}: FAILED: {exc}", file=sys.stderr)
             failed += 1
             continue
-        subject_dir = out / rec.subject_id / "activity"
-        subject_dir.mkdir(parents=True, exist_ok=True)
-        for label, sig in signals.items():
-            formats.write_activity_csv(
-                sig, subject_dir / f"{formats.label_slug(label)}.csv"
-            )
+        write_activity_files(signals, out, rec.subject_id)
         print(f"{rec.subject_id}: wrote {len(signals)} activity signals")
     if failed == len(recordings):
         return EXIT_DATA
@@ -159,22 +150,8 @@ def _cmd_sweep(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    fs = recordings[0].sample_rate_hz
-    for metric_name, kind_name in config.sweep_requests():
-        curve = threshold_sweep(
-            MetricId(metric_name),
-            DatasetKind(kind_name),
-            recordings,
-            config.epoch_s,
-            bandpass=config.bandpass_spec(fs),
-            hfen_spec=config.hfen_spec(fs),
-            zero_phase=config.zero_phase,
-            step_g=config.sweep.step_g,
-            max_steps=config.sweep.max_steps,
-        )
-        path = out / f"sweep_{metric_name}_{kind_name}.csv"
-        formats.write_sweep_csv(curve, path)
-        print(f"wrote {path.name} ({curve.thresholds.size} thresholds)")
+    for name, curve in write_sweeps(config, recordings, out):
+        print(f"wrote {name} ({curve.thresholds.size} thresholds)")
     return EXIT_OK
 
 

@@ -4,7 +4,16 @@ A :class:`VariantDescriptor` names one legal activity computation: a
 metric, the dataset (or axis triple) it runs on, an optional combination
 rule collapsing per-axis activities into one signal, plus the threshold
 policy (ZCM/TAT) and integration method (PIM). Illegal combinations cannot
-be constructed.
+be constructed: whether a metric may run on a dataset kind comes from the
+applicability table in :mod:`actimetrics.metrics`, and the rules add only
+which kinds they take (one axis, or the filtered axis triple).
+
+:func:`compute_activity` is the one evaluation path. Every variant except
+AI takes its metric's base values on each of its series (one kind, or
+FX/FY/FZ), on the squared series where the label says so, then applies its
+rule's post-op: none, ``²``, SUM, SQRTSUM, SUMSQ or VM3. :func:`catalog`
+enumerates the single-series rows from the table; only the AI rows and the
+combination families are listed by hand.
 
 Label grammar, stable across versions::
 
@@ -20,7 +29,7 @@ because each can be computed in exactly one way.)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fnmatch import fnmatch
 from typing import Mapping, Optional, Union
@@ -39,19 +48,19 @@ from .core import (
 from .errors import InapplicableMetric, MissingDataset, SeriesMismatch
 from .metrics import (
     AXIAL_METRICS,
-    Applicability,
     IntegrationMethod,
     MetricId,
     NoiseVarianceEstimate,
     THRESHOLD_METRICS,
     ThresholdPolicy,
     ai_values,
-    applicability,
+    applicable_kinds,
     enmo_values,
     hfen_values,
     mad_values,
     noise_variance_from_axes,
     pim_corrected_values,
+    require_applicable,
     tat_values,
     zcm_values,
 )
@@ -85,6 +94,7 @@ class CombinationRule(Enum):
     METRIC_ON_SQUARED_AXIS = "squared_axis"
 
 
+# The rules that combine the three filtered axes, with their label tokens.
 _RULE_TOKEN = {
     CombinationRule.SUM_AXES: "SUM",
     CombinationRule.SQRT_OF_SUM_AXES: "SQRTSUM",
@@ -119,6 +129,9 @@ def _metric_token(metric: MetricId, integration: Optional[IntegrationMethod]) ->
 class VariantDescriptor:
     """One cataloged activity computation; construction enforces legality.
 
+    The metric must be legal, by the applicability table, on the kind or on
+    each axis of the triple, and the rule must take that kind.
+
     ``squared_axes`` marks the combined families built from squared-series
     per-axis activities (``SUM[PIM,FXYZ2]``); the single-axis squared-series
     rows use ``combination=METRIC_ON_SQUARED_AXIS`` instead.
@@ -152,10 +165,7 @@ class VariantDescriptor:
                 if rule is not CombinationRule.NONE or self.squared_axes:
                     raise InapplicableMetric("AI takes the plain axis triple")
                 return
-            if metric not in AXIAL_METRICS:
-                raise InapplicableMetric(f"{metric} is not applied per axis")
-            if rule in (CombinationRule.NONE, CombinationRule.SQUARE_EACH_AXIS,
-                        CombinationRule.METRIC_ON_SQUARED_AXIS):
+            if rule not in _RULE_TOKEN:
                 raise InapplicableMetric(
                     f"rule {rule.value} needs a single axis, not {kind}"
                 )
@@ -169,25 +179,25 @@ class VariantDescriptor:
                 raise InapplicableMetric(
                     f"squared-series inputs are not combined with {rule.value}"
                 )
-            return
-
-        if self.squared_axes:
-            raise ValueError("squared_axes applies to triple kinds only")
-        if metric is MetricId.AI:
-            raise InapplicableMetric(
-                "AI needs the three axial signals separately (use an axis triple)"
-            )
-        if rule in (CombinationRule.SQUARE_EACH_AXIS,
-                    CombinationRule.METRIC_ON_SQUARED_AXIS):
-            if metric not in AXIAL_METRICS:
-                raise InapplicableMetric(f"{metric} is not applied per axis")
-            if not kind.is_axis:
+            kinds = kind.axes
+        else:
+            if self.squared_axes:
+                raise ValueError("squared_axes applies to triple kinds only")
+            if rule in _RULE_TOKEN:
+                raise InapplicableMetric(f"rule {rule.value} needs the axis triple")
+            if rule is not CombinationRule.NONE and not kind.is_axis:
                 raise InapplicableMetric(f"rule {rule.value} needs an axis kind")
-        elif rule is not CombinationRule.NONE:
-            raise InapplicableMetric(f"rule {rule.value} needs the axis triple")
-        mode, reason = applicability(metric, kind)
-        if mode is Applicability.INAPPLICABLE:
-            raise InapplicableMetric(f"{metric}({kind}): {reason}")
+            kinds = (kind,)
+        for series_kind in kinds:
+            require_applicable(metric, series_kind)
+
+    @property
+    def squared_input(self) -> bool:
+        """Whether the metric runs on the elementwise-squared series."""
+        return (
+            self.squared_axes
+            or self.combination is CombinationRule.METRIC_ON_SQUARED_AXIS
+        )
 
     @property
     def label(self) -> str:
@@ -209,7 +219,7 @@ class VariantDescriptor:
     @property
     def units(self) -> str:
         base = _METRIC_UNITS[self.metric]
-        if self.combination is CombinationRule.METRIC_ON_SQUARED_AXIS or self.squared_axes:
+        if self.squared_input:
             base = f"({base}) on g{SQ} input"
         if self.combination in (CombinationRule.SQUARE_EACH_AXIS,
                                 CombinationRule.SUM_OF_SQUARES):
@@ -223,7 +233,12 @@ def vm3(a_x, a_y, a_z):
     return np.sqrt(ax * ax + ay * ay + az * az)
 
 
-_COMBINERS = {
+# The post-op of each rule, over the base values of the variant's series:
+# one array for a single kind, three (x, y, z) for the filtered triple.
+_POST_OPS = {
+    CombinationRule.NONE: lambda a: a,
+    CombinationRule.METRIC_ON_SQUARED_AXIS: lambda a: a,
+    CombinationRule.SQUARE_EACH_AXIS: lambda a: a ** 2,
     CombinationRule.SUM_AXES: lambda a, b, c: a + b + c,
     CombinationRule.SQRT_OF_SUM_AXES: lambda a, b, c: np.sqrt(a + b + c),
     CombinationRule.SUM_OF_SQUARES: lambda a, b, c: a * a + b * b + c * c,
@@ -231,122 +246,44 @@ _COMBINERS = {
 }
 
 
-def combine_axial(
-    ax: ActivitySignal,
-    ay: ActivitySignal,
-    az: ActivitySignal,
-    rule: CombinationRule,
-    label: Optional[str] = None,
-) -> ActivitySignal:
-    """Collapse three per-axis activity signals into one, epoch by epoch."""
-    combiner = _COMBINERS.get(rule)
-    if combiner is None:
-        raise ValueError(f"rule {rule.value} does not combine three signals")
-    if not (ax.n_epochs == ay.n_epochs == az.n_epochs):
-        raise SeriesMismatch("per-axis activity signals differ in length")
-    if not (ax.epoch_length_s == ay.epoch_length_s == az.epoch_length_s):
-        raise SeriesMismatch("per-axis activity signals differ in epoch length")
-    values = combiner(ax.values, ay.values, az.values)
-    if label is None:
-        label = f"{_RULE_TOKEN[rule]}[{ax.label},{ay.label},{az.label}]"
-    return ActivitySignal(
-        label=label,
-        epoch_length_s=ax.epoch_length_s,
-        values=values,
-        units=ax.units,
-    )
-
-
-def _squared_series(series: PreprocessedSeries) -> PreprocessedSeries:
-    return PreprocessedSeries(
-        kind=series.kind,
-        values=series.values ** 2,
-        sample_rate_hz=series.sample_rate_hz,
-        provenance=series.provenance,
-    )
-
-
 def _single_values(
-    metric: MetricId,
+    variant: VariantDescriptor,
     series: PreprocessedSeries,
     te_s: float,
-    policy: Optional[ThresholdPolicy],
-    integration: Optional[IntegrationMethod],
-    squared_input: bool,
     thresholds: ThresholdMemo,
 ) -> np.ndarray:
-    """Per-epoch activity of one metric on one series, corrections applied.
+    """Per-epoch activity of ``variant``'s metric (not AI) on one series.
 
+    The descriptor has already checked the cell against the applicability
+    table; the kernel applies the metric's correction for ``series.kind``.
     A ZCM/TAT threshold is resolved once per key of ``thresholds``. A
     squared input is squared block by block inside the kernel; the whole
     squared series exists only while its threshold is being resolved.
     """
-    mode, reason = applicability(metric, series.kind)
-    if mode is Applicability.INAPPLICABLE:
-        raise InapplicableMetric(f"{metric}({series.kind}): {reason}")
+    metric, squared = variant.metric, variant.squared_input
     n = epoch_sample_count(te_s, series.sample_rate_hz)
     mat = epoch_matrix(series.values, n)
     ts = series.ts
     if metric is MetricId.PIM:
         return pim_corrected_values(
-            mat, ts, series.kind, integration, squared=squared_input
+            mat, ts, series.kind, variant.integration, squared=squared
         )
     if metric in THRESHOLD_METRICS:
-        policy = policy or ThresholdPolicy.adaptive()
-        key = (series.kind, squared_input, policy)
+        policy = variant.threshold_policy
+        key = (series.kind, squared, policy)
         threshold = thresholds.get(key)
         if threshold is None:
             threshold = thresholds[key] = policy.resolve(
-                _squared_series(series) if squared_input else series
+                replace(series, values=series.values ** 2) if squared else series
             )
         if metric is MetricId.ZCM:
-            return zcm_values(mat, threshold, squared=squared_input).astype(float)
-        return tat_values(mat, threshold, ts, squared=squared_input)
+            return zcm_values(mat, threshold, squared=squared).astype(float)
+        return tat_values(mat, threshold, ts, squared=squared)
     if metric is MetricId.MAD:
-        return mad_values(mat, squared=squared_input)
+        return mad_values(mat, squared=squared)
     if metric is MetricId.ENMO:
         return enmo_values(mat)
-    if metric is MetricId.HFEN:
-        return hfen_values(mat)
-    raise InapplicableMetric(f"{metric} cannot run on a single series")
-
-
-def metric_on_squared_axis(
-    metric: MetricId,
-    axis_series: PreprocessedSeries,
-    te_s: float,
-    policy: Optional[ThresholdPolicy] = None,
-    integration: IntegrationMethod = IntegrationMethod.RIEMANN_SUM,
-) -> ActivitySignal:
-    """Apply an axial metric to the elementwise-squared axis series.
-
-    For ZCM/TAT the adaptive threshold resolves to the SD of the squared
-    series, keeping the threshold in the squared units.
-    """
-    if metric not in AXIAL_METRICS:
-        raise InapplicableMetric(f"{metric} is not applied per axis")
-    if not axis_series.kind.is_axis:
-        raise InapplicableMetric(
-            f"squared-series variants need an axis kind, got {axis_series.kind}"
-        )
-    descriptor = VariantDescriptor(
-        metric=metric,
-        kind=axis_series.kind,
-        combination=CombinationRule.METRIC_ON_SQUARED_AXIS,
-        threshold_policy=policy if metric in THRESHOLD_METRICS else None,
-        integration=integration if metric is MetricId.PIM else None,
-    )
-    values = _single_values(
-        metric, axis_series, te_s, policy, descriptor.integration,
-        squared_input=True, thresholds={},
-    )
-    return ActivitySignal(
-        label=descriptor.label,
-        epoch_length_s=te_s,
-        values=values,
-        units=descriptor.units,
-        variant=descriptor,
-    )
+    return hfen_values(mat)
 
 
 def compute_activity(
@@ -360,6 +297,10 @@ def compute_activity(
     thresholds: Optional[ThresholdMemo] = None,
 ) -> ActivitySignal:
     """Evaluate one variant against a preprocessed dataset map.
+
+    Every variant except AI is the base values of its metric on each of its
+    series, then its rule's post-op; the three axes of a combination must
+    give the same number of epochs (:class:`SeriesMismatch` otherwise).
 
     AI variants need a noise-variance estimate; when ``noise`` is None it
     is derived from the raw axes in ``datasets`` with ``noise_window_s``
@@ -379,48 +320,33 @@ def compute_activity(
             raise MissingDataset(f"{variant.label} needs dataset {kind}")
         return series
 
-    if isinstance(variant.kind, AxisTriple):
-        if variant.metric is MetricId.AI:
-            sx, sy, sz = (_series(k) for k in variant.kind.axes)
-            if noise is None:
-                rx, ry, rz = (_series(k) for k in UNFILTERED_AXES)
-                noise = noise_variance_from_axes(
-                    rx.values, ry.values, rz.values, rx.sample_rate_hz, noise_window_s
-                )
-            n = epoch_sample_count(te_s, sx.sample_rate_hz)
-            values = ai_values(
-                epoch_matrix(sx.values, n),
-                epoch_matrix(sy.values, n),
-                epoch_matrix(sz.values, n),
-                noise.sigma_bar_sq,
-                ai_subtract_per_axis,
+    if variant.metric is MetricId.AI:
+        sx, sy, sz = (_series(k) for k in variant.kind.axes)
+        if noise is None:
+            rx, ry, rz = (_series(k) for k in UNFILTERED_AXES)
+            noise = noise_variance_from_axes(
+                rx.values, ry.values, rz.values, rx.sample_rate_hz, noise_window_s
             )
-        else:
-            per_axis = [
-                _single_values(
-                    variant.metric,
-                    _series(kind),
-                    te_s,
-                    variant.threshold_policy,
-                    variant.integration,
-                    variant.squared_axes,
-                    thresholds,
-                )
-                for kind in variant.kind.axes
-            ]
-            values = _COMBINERS[variant.combination](*per_axis)
-    else:
-        values = _single_values(
-            variant.metric,
-            _series(variant.kind),
-            te_s,
-            variant.threshold_policy,
-            variant.integration,
-            variant.combination is CombinationRule.METRIC_ON_SQUARED_AXIS,
-            thresholds,
+        n = epoch_sample_count(te_s, sx.sample_rate_hz)
+        values = ai_values(
+            epoch_matrix(sx.values, n),
+            epoch_matrix(sy.values, n),
+            epoch_matrix(sz.values, n),
+            noise.sigma_bar_sq,
+            ai_subtract_per_axis,
         )
-        if variant.combination is CombinationRule.SQUARE_EACH_AXIS:
-            values = values ** 2
+    else:
+        kinds = (
+            variant.kind.axes if isinstance(variant.kind, AxisTriple)
+            else (variant.kind,)
+        )
+        base = [_single_values(variant, _series(kind), te_s, thresholds) for kind in kinds]
+        epochs = [v.size for v in base]
+        if len(set(epochs)) > 1:
+            raise SeriesMismatch(
+                f"{variant.label}: per-axis epoch counts differ: {epochs}"
+            )
+        values = _POST_OPS[variant.combination](*base)
 
     return ActivitySignal(
         label=variant.label,
@@ -441,65 +367,57 @@ class CatalogOptions:
     exclude: tuple[str, ...] = ()
 
 
-_MAGNITUDES = (DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPRE, DatasetKind.FMPOST)
-
-
 def catalog(options: Optional[CatalogOptions] = None) -> list[VariantDescriptor]:
     """Enumerate every legal variant in a fixed, deterministic order.
 
-    Single-series variants come first (PIM, ZCM, TAT, MAD, ENMO, HFEN, AI),
-    then the per-metric combination families over the filtered axes.
-    Include/exclude shell-style patterns filter by label.
+    Single-series variants come first: per metric (PIM per integration,
+    ZCM, TAT, MAD, ENMO, HFEN), every kind the applicability table allows,
+    in its column order. Then AI on both axis triples, then the per-metric
+    combination families over the filtered axes. Include/exclude
+    shell-style patterns filter by label.
     """
     opts = options or CatalogOptions()
-    policy = opts.threshold_policy
-    out: list[VariantDescriptor] = []
+    # (metric, constructor keywords): PIM once per integration method
+    settings: list[tuple[MetricId, dict]] = []
+    for metric in MetricId:
+        if metric is MetricId.PIM:
+            settings += [(metric, {"integration": i}) for i in opts.integrations]
+        elif metric in THRESHOLD_METRICS:
+            settings.append((metric, {"threshold_policy": opts.threshold_policy}))
+        else:
+            settings.append((metric, {}))
 
-    for integration in opts.integrations:
-        for kind in _MAGNITUDES + FILTERED_AXES:
-            out.append(VariantDescriptor(MetricId.PIM, kind, integration=integration))
-
-    for metric in THRESHOLD_METRICS:
-        for kind in _MAGNITUDES + FILTERED_AXES:
-            out.append(VariantDescriptor(metric, kind, threshold_policy=policy))
-
-    for kind in _MAGNITUDES + UNFILTERED_AXES + FILTERED_AXES:
-        out.append(VariantDescriptor(MetricId.MAD, kind))
-
-    out.append(VariantDescriptor(MetricId.ENMO, DatasetKind.UFM))
-    out.append(VariantDescriptor(MetricId.HFEN, DatasetKind.HFEN_SPECIAL))
+    out = [
+        VariantDescriptor(metric, kind, **kwargs)
+        for metric, kwargs in settings
+        for kind in applicable_kinds(metric)
+    ]
     out.append(VariantDescriptor(MetricId.AI, AxisTriple.UFXYZ))
     out.append(VariantDescriptor(MetricId.AI, AxisTriple.FXYZ))
 
-    for metric in AXIAL_METRICS:
-        integrations = opts.integrations if metric is MetricId.PIM else (None,)
-        for integration in integrations:
-            kwargs = {}
-            if metric is MetricId.PIM:
-                kwargs["integration"] = integration
-            if metric in THRESHOLD_METRICS:
-                kwargs["threshold_policy"] = policy
-            triple = AxisTriple.FXYZ
-
+    triple = AxisTriple.FXYZ
+    for metric, kwargs in settings:
+        if metric not in AXIAL_METRICS:
+            continue
+        out.append(VariantDescriptor(
+            metric, triple, CombinationRule.SUM_AXES, **kwargs))
+        out.append(VariantDescriptor(
+            metric, triple, CombinationRule.SQRT_OF_SUM_AXES, **kwargs))
+        for axis in FILTERED_AXES:
             out.append(VariantDescriptor(
-                metric, triple, CombinationRule.SUM_AXES, **kwargs))
+                metric, axis, CombinationRule.SQUARE_EACH_AXIS, **kwargs))
+        out.append(VariantDescriptor(
+            metric, triple, CombinationRule.SUM_OF_SQUARES, **kwargs))
+        out.append(VariantDescriptor(
+            metric, triple, CombinationRule.VM3, **kwargs))
+        for axis in FILTERED_AXES:
             out.append(VariantDescriptor(
-                metric, triple, CombinationRule.SQRT_OF_SUM_AXES, **kwargs))
-            for axis in FILTERED_AXES:
-                out.append(VariantDescriptor(
-                    metric, axis, CombinationRule.SQUARE_EACH_AXIS, **kwargs))
-            out.append(VariantDescriptor(
-                metric, triple, CombinationRule.SUM_OF_SQUARES, **kwargs))
-            out.append(VariantDescriptor(
-                metric, triple, CombinationRule.VM3, **kwargs))
-            for axis in FILTERED_AXES:
-                out.append(VariantDescriptor(
-                    metric, axis, CombinationRule.METRIC_ON_SQUARED_AXIS, **kwargs))
-            out.append(VariantDescriptor(
-                metric, triple, CombinationRule.SUM_AXES, squared_axes=True, **kwargs))
-            out.append(VariantDescriptor(
-                metric, triple, CombinationRule.SQRT_OF_SUM_AXES, squared_axes=True,
-                **kwargs))
+                metric, axis, CombinationRule.METRIC_ON_SQUARED_AXIS, **kwargs))
+        out.append(VariantDescriptor(
+            metric, triple, CombinationRule.SUM_AXES, squared_axes=True, **kwargs))
+        out.append(VariantDescriptor(
+            metric, triple, CombinationRule.SQRT_OF_SUM_AXES, squared_axes=True,
+            **kwargs))
 
     labels = [v.label for v in out]
     if len(set(labels)) != len(labels):

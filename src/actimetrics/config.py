@@ -16,13 +16,12 @@ from typing import Any, Mapping, Optional
 from .analysis import PsdParams
 from .combine import CatalogOptions
 from .core import DatasetKind
-from .errors import ConfigError
+from .errors import ConfigError, InapplicableMetric
 from .metrics import (
-    Applicability,
     IntegrationMethod,
     MetricId,
     ThresholdPolicy,
-    applicability,
+    require_applicable,
 )
 from .preprocess import FilterSpec, default_bandpass, hfen_highpass
 
@@ -293,9 +292,10 @@ def validate_config(config: PipelineConfig) -> None:
                 f"sweep.kinds: {kind!r} is not one of {sorted(_DATASET_KINDS)}"
             )
     for metric, kind in config.sweep_requests():
-        mode, reason = applicability(MetricId(metric), DatasetKind(kind))
-        if mode is Applicability.INAPPLICABLE:
-            raise ConfigError(f"sweep: {metric}({kind}) is inapplicable: {reason}")
+        try:
+            require_applicable(MetricId(metric), DatasetKind(kind))
+        except InapplicableMetric as exc:
+            raise ConfigError(f"sweep: {exc}") from None
     if config.sweep.step_g <= 0:
         raise ConfigError("sweep.step_g must be positive")
     if config.sweep.max_steps < 1:

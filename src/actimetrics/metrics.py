@@ -15,9 +15,12 @@ Per-epoch operations accept an :class:`~actimetrics.core.Epoch`; the
 row per epoch), in cache-sized blocks of rows, and are the batch fast
 path. Both share kernels, so they agree exactly.
 
-Not every metric applies to every dataset kind; :func:`applicability`
-encodes which cells are direct, which need a correction, and why the rest
-are rejected.
+Not every metric applies to every dataset kind. One table (metric × dataset
+kind) holds which cells are direct, which need a correction, and why the
+rest are rejected; :func:`applicability` looks a cell up,
+:func:`require_applicable` raises :class:`~actimetrics.errors.InapplicableMetric`
+for a rejected one, and :func:`applicable_kinds` lists a metric's legal
+kinds in the table's column order, from which the variant catalog is built.
 """
 from __future__ import annotations
 
@@ -52,7 +55,6 @@ class MetricId(Enum):
         return self.value
 
 
-AXIAL_METRICS = (MetricId.PIM, MetricId.ZCM, MetricId.TAT, MetricId.MAD)
 THRESHOLD_METRICS = (MetricId.ZCM, MetricId.TAT)
 
 
@@ -134,30 +136,48 @@ def sd_threshold(series: PreprocessedSeries) -> float:
 # ---------------------------------------------------------------------------
 # applicability matrix
 
-_INAPPLICABLE_REASONS = {
-    (MetricId.PIM, "uf_axis"): (
-        "the unknown orientation-dependent share of gravity on a single raw "
-        "axis integrates into uncorrectable plateaus"
-    ),
-    (MetricId.ZCM, "uf_axis"): (
-        "no threshold can be placed relative to the unknown "
-        "orientation-dependent gravity level of a raw axis"
-    ),
-    (MetricId.TAT, "uf_axis"): (
-        "no threshold can be placed relative to the unknown "
-        "orientation-dependent gravity level of a raw axis"
-    ),
-    (MetricId.ENMO, "other"): (
-        "ENMO subtracts gravity itself, so it needs magnitudes that still "
-        "contain the 1 g offset (UFM only)"
-    ),
-    (MetricId.HFEN, "other"): (
-        "HFEN is defined on its dedicated high-pass preprocessed magnitude"
-    ),
-    (MetricId.AI, "magnitude"): "AI needs the three axial signals separately",
-    ("any", "hfen_special"): (
-        "the high-pass magnitude dataset is reserved for the HFEN metric"
-    ),
+_RAW_AXIS_PIM = (
+    "the unknown orientation-dependent share of gravity on a single raw "
+    "axis integrates into uncorrectable plateaus"
+)
+_RAW_AXIS_LEVEL = (
+    "no threshold can be placed relative to the unknown "
+    "orientation-dependent gravity level of a raw axis"
+)
+_ENMO_UFM_ONLY = (
+    "ENMO subtracts gravity itself, so it needs magnitudes that still "
+    "contain the 1 g offset (UFM only)"
+)
+_HFEN_OWN = "HFEN is defined on its dedicated high-pass preprocessed magnitude"
+_AI_TRIPLE = "AI needs the three axial signals separately"
+_HFEN_RESERVED = "the high-pass magnitude dataset is reserved for the HFEN metric"
+
+# The column order of the table, which is also the catalog's kind order.
+_TABLE_KINDS = (
+    DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPRE, DatasetKind.FMPOST,
+    *UNFILTERED_AXES, *FILTERED_AXES, DatasetKind.HFEN_SPECIAL,
+)
+
+_D, _C = Applicability.DIRECT, Applicability.CORRECTED
+
+# One row per metric, one cell per kind of _TABLE_KINDS (UFM, UFNM, FMpre,
+# FMpost, UFX, UFY, UFZ, FX, FY, FZ, HFEN_SPECIAL): DIRECT, CORRECTED, or
+# the reason the metric cannot run on that kind.
+_ROWS = {
+    MetricId.PIM: (_C, _D, _D, _C, *[_RAW_AXIS_PIM] * 3, _C, _C, _C, _HFEN_RESERVED),
+    MetricId.ZCM: (_D, _D, _D, _D, *[_RAW_AXIS_LEVEL] * 3, _D, _D, _D, _HFEN_RESERVED),
+    MetricId.TAT: (_D, _D, _D, _D, *[_RAW_AXIS_LEVEL] * 3, _D, _D, _D, _HFEN_RESERVED),
+    MetricId.MAD: (_D, _D, _D, _D, _D, _D, _D, _D, _D, _D, _HFEN_RESERVED),
+    MetricId.ENMO: (_D, *[_ENMO_UFM_ONLY] * 9, _HFEN_RESERVED),
+    MetricId.HFEN: (*[_HFEN_OWN] * 10, _D),
+    MetricId.AI: (*[_AI_TRIPLE] * 10, _HFEN_RESERVED),
+}
+
+_TABLE: dict[tuple[MetricId, DatasetKind], tuple[Applicability, str]] = {
+    (metric, kind): (cell, "") if isinstance(cell, Applicability)
+    else (Applicability.INAPPLICABLE, cell)
+    for metric, row in _ROWS.items()
+    for kind, cell in zip(_TABLE_KINDS, row, strict=True)
 }
 
 
@@ -167,32 +187,33 @@ def applicability(metric: MetricId, kind: DatasetKind) -> tuple[Applicability, s
     Covers single-series kinds only; AI runs on an axis triple and is
     handled by the variant layer.
     """
-    if kind is DatasetKind.HFEN_SPECIAL:
-        if metric is MetricId.HFEN:
-            return Applicability.DIRECT, ""
-        return Applicability.INAPPLICABLE, _INAPPLICABLE_REASONS[("any", "hfen_special")]
+    return _TABLE[(metric, kind)]
 
-    if metric is MetricId.PIM:
-        if kind in UNFILTERED_AXES:
-            return Applicability.INAPPLICABLE, _INAPPLICABLE_REASONS[(metric, "uf_axis")]
-        if kind in (DatasetKind.UFNM, DatasetKind.FMPRE):
-            return Applicability.DIRECT, ""
-        return Applicability.CORRECTED, ""
-    if metric in (MetricId.ZCM, MetricId.TAT):
-        if kind in UNFILTERED_AXES:
-            return Applicability.INAPPLICABLE, _INAPPLICABLE_REASONS[(metric, "uf_axis")]
-        return Applicability.DIRECT, ""
-    if metric is MetricId.MAD:
-        return Applicability.DIRECT, ""
-    if metric is MetricId.ENMO:
-        if kind is DatasetKind.UFM:
-            return Applicability.DIRECT, ""
-        return Applicability.INAPPLICABLE, _INAPPLICABLE_REASONS[(metric, "other")]
-    if metric is MetricId.HFEN:
-        return Applicability.INAPPLICABLE, _INAPPLICABLE_REASONS[(metric, "other")]
-    if metric is MetricId.AI:
-        return Applicability.INAPPLICABLE, _INAPPLICABLE_REASONS[(metric, "magnitude")]
-    raise ValueError(f"unknown metric {metric}")
+
+def require_applicable(metric: MetricId, kind: DatasetKind) -> Applicability:
+    """The table's mode for ``metric`` on ``kind``; raises if it has none.
+
+    The one place that turns an inapplicable cell into
+    :class:`~actimetrics.errors.InapplicableMetric`, with the cell's reason.
+    """
+    mode, reason = _TABLE[(metric, kind)]
+    if mode is Applicability.INAPPLICABLE:
+        raise InapplicableMetric(f"{metric}({kind}): {reason}")
+    return mode
+
+
+def applicable_kinds(metric: MetricId) -> tuple[DatasetKind, ...]:
+    """The kinds ``metric`` may run on, in the table's column order."""
+    return tuple(
+        kind for kind in _TABLE_KINDS
+        if _TABLE[(metric, kind)][0] is not Applicability.INAPPLICABLE
+    )
+
+
+# The metrics applied per axis: those legal on every filtered axis.
+AXIAL_METRICS = tuple(
+    metric for metric in MetricId if set(FILTERED_AXES) <= set(applicable_kinds(metric))
+)
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +314,18 @@ def pim_corrected_values(
     integrates the elementwise square of ``mat`` instead.
     """
     mat = _as_matrix(mat)
-    mode, reason = applicability(MetricId.PIM, kind)
-    if mode is Applicability.INAPPLICABLE:
-        raise InapplicableMetric(f"PIM({kind}): {reason}")
-    if kind in (DatasetKind.UFNM, DatasetKind.FMPRE):
+    if require_applicable(MetricId.PIM, kind) is Applicability.DIRECT:
         def kernel(b):
             return pim_values(b, ts, method)
-    elif kind in FILTERED_AXES or kind is DatasetKind.FMPOST:
-        def kernel(b):
-            # a squared block is already a temporary of our own
-            return pim_values(np.abs(b, out=b if squared else None), ts, method)
     elif kind is DatasetKind.UFM:
         gravity = float(pim_values(np.ones((1, mat.shape[1])), ts, method)[0])
 
         def kernel(b):
             return np.abs(pim_values(b, ts, method) - gravity)
     else:
-        raise InapplicableMetric(f"PIM({kind}): no correction rule")
+        def kernel(b):
+            # a squared block is already a temporary of our own
+            return pim_values(np.abs(b, out=b if squared else None), ts, method)
     return _by_row_blocks(kernel, mat, squared=squared)
 
 
@@ -335,7 +351,10 @@ def zcm_values(mat, threshold: float, *, squared: bool = False) -> np.ndarray:
 
 def _zcm_block(mat: np.ndarray, threshold: float) -> np.ndarray:
     above = mat > threshold
-    counts = np.count_nonzero(above[:, 1:] != above[:, :-1], axis=1)
+    # summing booleans into int32 skips numpy's slow bool-to-intp loop; int32
+    # because an epoch may hold more than 65,535 samples. Counts are intp.
+    changes = (above[:, 1:] != above[:, :-1]).sum(axis=1, dtype=np.int32)
+    counts = changes.astype(np.intp)
     on_threshold = ~(above | (mat < threshold)).all(axis=1)
     if on_threshold.any():
         counts[on_threshold] = _zcm_carry_forward(mat[on_threshold], threshold)
@@ -361,7 +380,9 @@ def tat_values(mat, threshold: float, ts: float, *, squared: bool = False) -> np
     ``squared`` measures the elementwise square of ``mat`` instead.
     """
     return _by_row_blocks(
-        lambda b: ts * (b > threshold).sum(axis=1), _as_matrix(mat), squared=squared
+        lambda b: ts * (b > threshold).sum(axis=1, dtype=np.int32),
+        _as_matrix(mat),
+        squared=squared,
     )
 
 

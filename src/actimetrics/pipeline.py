@@ -7,6 +7,10 @@ threshold sweeps (computed per subject at the subject's own sample rate,
 then averaged over the successful subjects in input order), and a
 manifest tying everything to the config hash and catalog.
 
+The CLI's ``preprocess``, ``activity`` and ``sweep`` subcommands run the
+same steps through :func:`preprocess_subject`, :func:`write_activity_files`
+and :func:`write_sweeps`.
+
 Failures of one subject are reported in the manifest and do not stop the
 others. Output is deterministic: rerunning with the same config and
 inputs produces byte-identical files.
@@ -16,13 +20,19 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import formats
-from .analysis import Domain, correlation_matrix, threshold_sweep
+from .analysis import Domain, SweepCurve, correlation_matrix, threshold_sweep
 from .combine import catalog, compute_activity
 from .config import PipelineConfig, check_epoch_alignment
-from .core import ActivitySignal, DatasetKind, RawRecording, validate_recording
+from .core import (
+    ActivitySignal,
+    DatasetKind,
+    PreprocessedSeries,
+    RawRecording,
+    validate_recording,
+)
 from .errors import ActimetricsError, ConfigError, InvalidRecording
 from .metrics import MetricId, NoiseVarianceEstimate, estimate_noise_variance
 from .preprocess import preprocess_all
@@ -30,21 +40,32 @@ from .preprocess import preprocess_all
 MANIFEST_SCHEMA = 1
 
 
-def process_subject(
+def preprocess_subject(
     rec: RawRecording, config: PipelineConfig
-) -> dict[str, ActivitySignal]:
-    """All cataloged activity signals for one recording, keyed by label."""
-    check_epoch_alignment(config, rec.sample_rate_hz)
-    report = validate_recording(rec, config.full_scale_g)
-    if not report.ok:
-        raise InvalidRecording(f"{rec.subject_id}: {report.summary()}")
+) -> dict[DatasetKind, PreprocessedSeries]:
+    """Every dataset kind of one recording, filtered as configured at its rate.
 
-    datasets = preprocess_all(
+    Rejects a rate at which the configured epoch is not a whole number of
+    samples before any filtering.
+    """
+    check_epoch_alignment(config, rec.sample_rate_hz)
+    return preprocess_all(
         rec,
         config.bandpass_spec(rec.sample_rate_hz),
         config.hfen_spec(rec.sample_rate_hz),
         config.zero_phase,
     )
+
+
+def process_subject(
+    rec: RawRecording, config: PipelineConfig
+) -> dict[str, ActivitySignal]:
+    """All cataloged activity signals for one recording, keyed by label."""
+    report = validate_recording(rec, config.full_scale_g)
+    if not report.ok:
+        raise InvalidRecording(f"{rec.subject_id}: {report.summary()}")
+
+    datasets = preprocess_subject(rec, config)
     if config.ai.sigma_sq_override is not None:
         noise = NoiseVarianceEstimate(config.ai.sigma_sq_override, 0.0, -1)
     else:
@@ -65,6 +86,48 @@ def process_subject(
             thresholds=thresholds,
         )
     return signals
+
+
+def write_activity_files(
+    signals: Mapping[str, ActivitySignal], out_dir: Path, subject: str
+) -> list[str]:
+    """One CSV per signal under ``subject/activity/``, in the mapping's order.
+
+    Returns the written paths relative to ``out_dir``.
+    """
+    (out_dir / subject / "activity").mkdir(parents=True, exist_ok=True)
+    written = []
+    for label, signal in signals.items():
+        rel = f"{subject}/activity/{formats.label_slug(label)}.csv"
+        formats.write_activity_csv(signal, out_dir / rel)
+        written.append(rel)
+    return written
+
+
+def write_sweeps(
+    config: PipelineConfig, recordings: Sequence[RawRecording], out_dir: Path
+) -> Iterator[tuple[str, SweepCurve]]:
+    """Compute and write each configured threshold sweep over ``recordings``.
+
+    Yields (file name relative to ``out_dir``, curve) once each file is
+    written, so a caller can report progress; nothing runs until iterated.
+    """
+    for metric_name, kind_name in config.sweep_requests():
+        curve = threshold_sweep(
+            MetricId(metric_name),
+            DatasetKind(kind_name),
+            recordings,
+            config.epoch_s,
+            # redesigned at each recording's own rate inside the sweep
+            bandpass=config.bandpass_spec(recordings[0].sample_rate_hz),
+            hfen_spec=config.hfen_spec(recordings[0].sample_rate_hz),
+            zero_phase=config.zero_phase,
+            step_g=config.sweep.step_g,
+            max_steps=config.sweep.max_steps,
+        )
+        rel = f"sweep_{metric_name}_{kind_name}.csv"
+        formats.write_sweep_csv(curve, out_dir / rel)
+        yield rel, curve
 
 
 def run_pipeline(
@@ -113,12 +176,7 @@ def run_pipeline(
 
     outputs: list[str] = []
     for subject in sorted(per_subject):
-        subject_dir = out_dir / subject / "activity"
-        subject_dir.mkdir(parents=True, exist_ok=True)
-        for label in labels:
-            rel = f"{subject}/activity/{formats.label_slug(label)}.csv"
-            formats.write_activity_csv(per_subject[subject][label], out_dir / rel)
-            outputs.append(rel)
+        outputs += write_activity_files(per_subject[subject], out_dir, subject)
 
     matrices: dict[str, dict] = {}
     if per_subject:
@@ -135,23 +193,8 @@ def run_pipeline(
     ok_recordings = [rec for rec in recordings if rec.subject_id in per_subject]
     sweeps: list[str] = []
     if ok_recordings:
-        for metric_name, kind_name in config.sweep_requests():
-            curve = threshold_sweep(
-                MetricId(metric_name),
-                DatasetKind(kind_name),
-                ok_recordings,
-                config.epoch_s,
-                # redesigned at each recording's own rate inside the sweep
-                bandpass=config.bandpass_spec(ok_recordings[0].sample_rate_hz),
-                hfen_spec=config.hfen_spec(ok_recordings[0].sample_rate_hz),
-                zero_phase=config.zero_phase,
-                step_g=config.sweep.step_g,
-                max_steps=config.sweep.max_steps,
-            )
-            rel = f"sweep_{metric_name}_{kind_name}.csv"
-            formats.write_sweep_csv(curve, out_dir / rel)
-            outputs.append(rel)
-            sweeps.append(rel)
+        sweeps = [rel for rel, _ in write_sweeps(config, ok_recordings, out_dir)]
+        outputs += sweeps
 
     manifest = {
         "manifest_schema": MANIFEST_SCHEMA,

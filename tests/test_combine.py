@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from actimetrics import (
-    ActivitySignal,
     AxisTriple,
     CatalogOptions,
     CombinationRule,
@@ -16,9 +15,7 @@ from actimetrics import (
     VariantDescriptor,
     PipelineConfig,
     catalog,
-    combine_axial,
     compute_activity,
-    metric_on_squared_axis,
     metrics,
     process_subject,
     vm3,
@@ -26,10 +23,6 @@ from actimetrics import (
 from actimetrics.errors import InapplicableMetric, MissingDataset
 
 SQ = "\N{SUPERSCRIPT TWO}"
-
-
-def sig(label, values, te=60.0):
-    return ActivitySignal(label=label, epoch_length_s=te, values=values)
 
 
 class TestVm3:
@@ -52,101 +45,128 @@ class TestVm3:
         np.testing.assert_allclose(out, [5.0, 1.0])
 
 
+def _axes_with_pim(*per_axis):
+    """FX/FY/FZ series whose PIM per 2 s epoch (at 1 Hz) is the given values.
+
+    Each epoch holds the value and a 0, so the Riemann PIM of |x| returns
+    the value exactly; the axes may differ in length.
+    """
+    return {
+        kind: PreprocessedSeries(
+            kind, np.column_stack([v, np.zeros(len(v))]).ravel(), 1.0
+        )
+        for kind, v in zip((DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ), per_axis)
+    }
+
+
+def _combined(rule, datasets, metric=MetricId.PIM, te=2.0):
+    variant = VariantDescriptor(metric, AxisTriple.FXYZ, rule)
+    return compute_activity(variant, datasets, te).values
+
+
 class TestCombineAxial:
     def test_sum_axes(self):
-        out = combine_axial(sig("a", [1.0]), sig("b", [2.0]), sig("c", [3.0]),
-                            CombinationRule.SUM_AXES)
-        assert out.values[0] == pytest.approx(6.0)
+        out = _combined(CombinationRule.SUM_AXES, _axes_with_pim([1.0], [2.0], [3.0]))
+        assert out[0] == pytest.approx(6.0)
 
     def test_sqrt_of_sum(self):
-        out = combine_axial(sig("a", [1.0]), sig("b", [2.0]), sig("c", [6.0]),
-                            CombinationRule.SQRT_OF_SUM_AXES)
-        assert out.values[0] == pytest.approx(3.0)
+        out = _combined(CombinationRule.SQRT_OF_SUM_AXES,
+                        _axes_with_pim([1.0], [2.0], [6.0]))
+        assert out[0] == pytest.approx(3.0)
 
     def test_sum_of_squares(self):
-        out = combine_axial(sig("a", [1.0]), sig("b", [2.0]), sig("c", [2.0]),
-                            CombinationRule.SUM_OF_SQUARES)
-        assert out.values[0] == pytest.approx(9.0)
+        out = _combined(CombinationRule.SUM_OF_SQUARES,
+                        _axes_with_pim([1.0], [2.0], [2.0]))
+        assert out[0] == pytest.approx(9.0)
 
     def test_vm3_rule(self):
-        out = combine_axial(sig("a", [3.0]), sig("b", [4.0]), sig("c", [12.0]),
-                            CombinationRule.VM3)
-        assert out.values[0] == pytest.approx(13.0)
+        out = _combined(CombinationRule.VM3, _axes_with_pim([3.0], [4.0], [12.0]))
+        assert out[0] == pytest.approx(13.0)
 
     def test_mismatched_lengths_rejected(self):
         from actimetrics.errors import SeriesMismatch
 
-        with pytest.raises(SeriesMismatch):
-            combine_axial(sig("a", [1.0, 2.0]), sig("b", [2.0]), sig("c", [3.0]),
-                          CombinationRule.SUM_AXES)
+        # FY one epoch shorter (broadcast silently) or longer (numpy's own
+        # ValueError) than FX/FZ: every rule must refuse both
+        rng = np.random.default_rng(4)
+        for fy_epochs in (1, 3):
+            datasets = {
+                kind: PreprocessedSeries(
+                    kind, rng.normal(size=20 * (fy_epochs if kind is DatasetKind.FY else 2)),
+                    10.0,
+                )
+                for kind in (DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ)
+            }
+            for rule in (CombinationRule.SUM_AXES, CombinationRule.SQRT_OF_SUM_AXES,
+                         CombinationRule.SUM_OF_SQUARES, CombinationRule.VM3):
+                with pytest.raises(SeriesMismatch):
+                    _combined(rule, datasets, MetricId.MAD)
 
     def test_rule_none_rejected(self):
-        with pytest.raises(ValueError):
-            combine_axial(sig("a", [1.0]), sig("b", [1.0]), sig("c", [1.0]),
-                          CombinationRule.NONE)
+        with pytest.raises(InapplicableMetric):
+            VariantDescriptor(MetricId.PIM, AxisTriple.FXYZ, CombinationRule.NONE)
 
     def test_norm_inequality_sum_vs_vm3(self):
         rng = np.random.default_rng(1)
-        a, b, c = (sig(n, rng.uniform(0, 3, 40)) for n in "abc")
-        total = combine_axial(a, b, c, CombinationRule.SUM_AXES).values
-        norm = combine_axial(a, b, c, CombinationRule.VM3).values
+        datasets = _axes_with_pim(*(rng.uniform(0, 3, 40) for _ in range(3)))
+        total = _combined(CombinationRule.SUM_AXES, datasets)
+        norm = _combined(CombinationRule.VM3, datasets)
         assert (total >= norm - 1e-12).all()
 
     def test_homogeneity_degrees(self):
         rng = np.random.default_rng(2)
         raw = [rng.uniform(0, 3, 20) for _ in range(3)]
         c = 2.5
-        base = [sig(str(i), v) for i, v in enumerate(raw)]
-        scaled = [sig(str(i), c * v) for i, v in enumerate(raw)]
+        base = _axes_with_pim(*raw)
+        scaled = _axes_with_pim(*(c * v for v in raw))
         for rule, degree in ((CombinationRule.SUM_AXES, 1),
                              (CombinationRule.VM3, 1),
                              (CombinationRule.SUM_OF_SQUARES, 2)):
-            lhs = combine_axial(*scaled, rule).values
-            rhs = (c ** degree) * combine_axial(*base, rule).values
+            lhs = _combined(rule, scaled)
+            rhs = (c ** degree) * _combined(rule, base)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 class TestMetricOnSquaredAxis:
-    def _axis(self, values, kind=DatasetKind.FX, fs=10.0):
-        return PreprocessedSeries(kind, values, fs)
+    def _squared(self, metric, values, te, kind=DatasetKind.FX, fs=10.0, policy=None):
+        variant = VariantDescriptor(
+            metric, kind, CombinationRule.METRIC_ON_SQUARED_AXIS, threshold_policy=policy
+        )
+        return compute_activity(variant, {kind: PreprocessedSeries(kind, values, fs)}, te)
 
     def test_mad_on_squared_constant_is_zero(self):
-        series = self._axis([0.5] * 1200)
-        out = metric_on_squared_axis(MetricId.MAD, series, 60.0)
+        out = self._squared(MetricId.MAD, [0.5] * 1200, 60.0)
         np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
 
     def test_pim_on_squared_values(self):
-        series = self._axis([1.0, 2.0], fs=1.0)
-        out = metric_on_squared_axis(MetricId.PIM, series, 2.0)
+        out = self._squared(MetricId.PIM, [1.0, 2.0], 2.0, fs=1.0)
         assert out.values[0] == pytest.approx(5.0)  # 1 + 4, ts = 1
 
     def test_zcm_squared_equals_abs_with_mapped_threshold(self):
         # squaring is monotone on |x|: crossings of x^2 vs T^2 match |x| vs T
         rng = np.random.default_rng(3)
         values = rng.normal(size=600)
-        series = self._axis(values)
         t = 0.6
-        policy = ThresholdPolicy.fixed(t * t)
-        squared = metric_on_squared_axis(MetricId.ZCM, series, 10.0, policy=policy)
+        squared = self._squared(
+            MetricId.ZCM, values, 10.0, policy=ThresholdPolicy.fixed(t * t)
+        )
         from actimetrics.metrics import zcm_values
 
         abs_counts = zcm_values(np.abs(values).reshape(6, 100), t)
         np.testing.assert_array_equal(squared.values, abs_counts)
 
     def test_label_and_units(self):
-        series = self._axis([0.1] * 100)
-        out = metric_on_squared_axis(MetricId.MAD, series, 5.0)
+        out = self._squared(MetricId.MAD, [0.1] * 100, 5.0)
         assert out.label == f"MAD(FX{SQ})"
+        assert out.units == f"(g) on g{SQ} input"
 
     def test_nonaxis_kind_rejected(self):
-        series = PreprocessedSeries(DatasetKind.UFM, [1.0] * 100, 10.0)
         with pytest.raises(InapplicableMetric):
-            metric_on_squared_axis(MetricId.MAD, series, 5.0)
+            self._squared(MetricId.MAD, [1.0] * 100, 5.0, kind=DatasetKind.UFM)
 
     def test_enmo_rejected(self):
-        series = self._axis([0.1] * 100)
         with pytest.raises(InapplicableMetric):
-            metric_on_squared_axis(MetricId.ENMO, series, 5.0)
+            self._squared(MetricId.ENMO, [0.1] * 100, 5.0)
 
 
 class TestVariantDescriptor:
@@ -239,8 +259,8 @@ class TestComputeActivity:
             VariantDescriptor(MetricId.MAD, AxisTriple.FXYZ, CombinationRule.VM3),
             bout_datasets, 60.0,
         )
-        manual = combine_axial(*per_axis, CombinationRule.VM3)
-        np.testing.assert_allclose(combined.values, manual.values, rtol=1e-12)
+        manual = vm3(*(signal.values for signal in per_axis))
+        np.testing.assert_allclose(combined.values, manual, rtol=1e-12)
 
     def test_square_each_axis_squares_activity(self, bout_datasets):
         base = compute_activity(
@@ -355,6 +375,40 @@ class TestApplicabilityMatrixExhaustive:
         assert (out.values >= 0).all()
 
 
+def _family(m):
+    """The combination family of one axial metric token, in catalog order."""
+    return [
+        f"SUM[{m},FXYZ]", f"SQRTSUM[{m},FXYZ]",
+        f"{m}(FX){SQ}", f"{m}(FY){SQ}", f"{m}(FZ){SQ}",
+        f"SUMSQ[{m},FXYZ]", f"VM3[{m},FXYZ]",
+        f"{m}(FX{SQ})", f"{m}(FY{SQ})", f"{m}(FZ{SQ})",
+        f"SUM[{m},FXYZ{SQ}]", f"SQRTSUM[{m},FXYZ{SQ}]",
+    ]
+
+
+# The catalog's labels in order, as the paper's 83-variant bundle names them.
+_SINGLE_KINDS = ["UFM", "UFNM", "FMpre", "FMpost", "FX", "FY", "FZ"]
+_MAD_KINDS = ["UFM", "UFNM", "FMpre", "FMpost", "UFX", "UFY", "UFZ", "FX", "FY", "FZ"]
+_LEVEL_AND_REST = (
+    [f"ZCM({k})" for k in _SINGLE_KINDS]
+    + [f"TAT({k})" for k in _SINGLE_KINDS]
+    + [f"MAD({k})" for k in _MAD_KINDS]
+    + ["ENMO", "HFEN", "AI(UFXYZ)", "AI(FXYZ)"]
+)
+DEFAULT_LABELS = (
+    [f"PIM({k})" for k in _SINGLE_KINDS]
+    + _LEVEL_AND_REST
+    + _family("PIM") + _family("ZCM") + _family("TAT") + _family("MAD")
+)
+BOTH_INTEGRATIONS_LABELS = (
+    [f"PIM({k})" for k in _SINGLE_KINDS]
+    + [f"PIMs({k})" for k in _SINGLE_KINDS]
+    + _LEVEL_AND_REST
+    + _family("PIM") + _family("PIMs")
+    + _family("ZCM") + _family("TAT") + _family("MAD")
+)
+
+
 class TestCatalog:
     def test_exactly_one_enmo_and_hfen(self):
         labels = [v.label for v in catalog()]
@@ -388,6 +442,15 @@ class TestCatalog:
         assert "PIM(UFNM)" in labels and "PIMs(UFNM)" in labels
         assert "VM3[PIM,FXYZ]" in labels and "VM3[PIMs,FXYZ]" in labels
         assert len(labels) == 83 + 19
+
+    def test_default_labels_pinned(self):
+        assert [v.label for v in catalog()] == DEFAULT_LABELS
+
+    def test_both_integrations_labels_pinned(self):
+        opts = CatalogOptions(
+            integrations=(IntegrationMethod.RIEMANN_SUM, IntegrationMethod.SIMPSON38)
+        )
+        assert [v.label for v in catalog(opts)] == BOTH_INTEGRATIONS_LABELS
 
     def test_include_exclude_globs(self):
         only_pim = catalog(CatalogOptions(include=("PIM(*",)))
