@@ -30,11 +30,9 @@ from .config import PipelineConfig, config_from_dict, load_config
 from .core import (
     ActivitySignal,
     DatasetKind,
-    Epoch,
     PreprocessedSeries,
     RawRecording,
     ValidationReport,
-    slice_epochs,
     validate_recording,
 )
 from .metrics import (
@@ -43,17 +41,9 @@ from .metrics import (
     MetricId,
     NoiseVarianceEstimate,
     ThresholdPolicy,
-    ai,
     applicability,
-    enmo,
     estimate_noise_variance,
-    hfen,
-    mad,
-    pim,
-    pim_corrected,
     sd_threshold,
-    tat,
-    zcm,
 )
 from .pipeline import process_subject, run_pipeline
 from .preprocess import (

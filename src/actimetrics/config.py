@@ -1,17 +1,20 @@
 """Pipeline configuration: JSON schema, strict validation, canonical hashing.
 
 The config file is JSON with a ``schema_version`` field. Unknown keys are
-rejected anywhere in the document, and every parameter is validated
-against the invariants of the module that consumes it before any work
-starts.
+rejected anywhere in the document, every value must have its field's
+annotated type (numbers finite, lists lists of strings), and every
+parameter is validated against the invariants of the module that consumes
+it before any work starts. The ``threshold`` and ``psd`` sections are the
+domain types themselves, so their own constructors check them.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 from .analysis import PsdParams
 from .combine import CatalogOptions
@@ -29,11 +32,6 @@ SCHEMA_VERSION = 1
 
 _DATASET_KINDS = {kind.value for kind in DatasetKind}
 
-_INTEGRATIONS = {
-    "riemann": IntegrationMethod.RIEMANN_SUM,
-    "simpson38": IntegrationMethod.SIMPSON38,
-}
-
 
 @dataclass(frozen=True)
 class BandpassConfig:
@@ -49,23 +47,10 @@ class HighpassConfig:
 
 
 @dataclass(frozen=True)
-class ThresholdConfig:
-    mode: str = "adaptive_sd"
-    fixed_g: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class AiConfig:
     noise_window_s: float = 60.0
     subtract_per_axis: bool = False
     sigma_sq_override: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class PsdConfig:
-    segment_epochs: int = 256
-    overlap: float = 0.5
-    window: str = "hann"
 
 
 @dataclass(frozen=True)
@@ -103,9 +88,9 @@ class PipelineConfig:
     pim_integrations: tuple[str, ...] = ("riemann",)
     bandpass: BandpassConfig = field(default_factory=BandpassConfig)
     hfen_highpass: HighpassConfig = field(default_factory=HighpassConfig)
-    threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
+    threshold: ThresholdPolicy = field(default_factory=ThresholdPolicy)
     ai: AiConfig = field(default_factory=AiConfig)
-    psd: PsdConfig = field(default_factory=PsdConfig)
+    psd: PsdParams = field(default_factory=PsdParams)
     catalog: CatalogConfig = field(default_factory=CatalogConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
@@ -133,26 +118,14 @@ class PipelineConfig:
         )
 
     def integration_methods(self) -> tuple[IntegrationMethod, ...]:
-        return tuple(_INTEGRATIONS[name] for name in self.pim_integrations)
-
-    def threshold_policy(self) -> ThresholdPolicy:
-        if self.threshold.mode == "fixed":
-            return ThresholdPolicy.fixed(self.threshold.fixed_g)
-        return ThresholdPolicy.adaptive()
+        return tuple(IntegrationMethod(name) for name in self.pim_integrations)
 
     def catalog_options(self) -> CatalogOptions:
         return CatalogOptions(
             integrations=self.integration_methods(),
-            threshold_policy=self.threshold_policy(),
+            threshold_policy=self.threshold,
             include=self.catalog.include,
             exclude=self.catalog.exclude,
-        )
-
-    def psd_params(self) -> PsdParams:
-        return PsdParams(
-            segment_epochs=self.psd.segment_epochs,
-            overlap=self.psd.overlap,
-            window=self.psd.window,
         )
 
     def sweep_requests(self) -> list[tuple[str, str]]:
@@ -176,67 +149,57 @@ def _tuples_to_lists(obj):
     return obj
 
 
+def _typed(value, hint, path: str):
+    """``value`` as a field annotated ``hint`` takes it, else a ConfigError.
+
+    An int rejects bool, a float takes a finite int or float, a tuple of
+    strings takes a list of strings, and None is only for Optional fields.
+    A dataclass field takes an object, built by :func:`_build_section`.
+    """
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return _build_section(hint, value, path)
+    if hint == tuple[str, ...]:
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        raise ConfigError(f"{path}: expected a list of strings, got {value!r}")
+    if hint is float:
+        # an int compares exactly, so one too large for a float is caught too
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    elif hint is int:
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, hint)
+    if not ok or (hint is not bool and isinstance(value, bool)):
+        noun = "a finite number" if hint is float else f"a {hint.__name__}"
+        raise ConfigError(f"{path}: expected {noun}, got {value!r}")
+    return value
+
+
 def _build_section(cls, data: Mapping[str, Any], path: str):
+    """``cls`` from the JSON object ``data``; ``path`` locates it in errors."""
+    where = path or "config"
     if not isinstance(data, Mapping):
-        raise ConfigError(f"{path}: expected an object")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - fields
+        raise ConfigError(f"{where}: expected an object")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {
+        key: _typed(value, hints[key], f"{path}.{key}" if path else key)
+        for key, value in data.items()
+    }
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-_SECTIONS = {
-    "bandpass": BandpassConfig,
-    "hfen_highpass": HighpassConfig,
-    "threshold": ThresholdConfig,
-    "ai": AiConfig,
-    "psd": PsdConfig,
-    "catalog": CatalogConfig,
-    "sweep": SweepConfig,
-    "synthetic": SyntheticConfig,
-}
-
-_SCALAR_KEYS = {
-    "schema_version",
-    "epoch_s",
-    "full_scale_g",
-    "filter_phase",
-    "pim_integrations",
-    "seed",
-}
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
-    if not isinstance(data, Mapping):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - _SCALAR_KEYS - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-
-    kwargs: dict[str, Any] = {}
-    for key in _SCALAR_KEYS:
-        if key in data:
-            value = data[key]
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-    for key, cls in _SECTIONS.items():
-        if key in data:
-            kwargs[key] = _build_section(cls, data[key], key)
-
-    try:
-        config = PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    config = _build_section(PipelineConfig, data, "")
     validate_config(config)
     return config
 
@@ -265,29 +228,21 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("filter_phase must be causal or zero-phase")
     if not config.pim_integrations:
         raise ConfigError("pim_integrations cannot be empty")
-    for name in config.pim_integrations:
-        if name not in _INTEGRATIONS:
-            raise ConfigError(f"unknown integration method {name!r}")
+    try:
+        config.integration_methods()
+    except ValueError as exc:
+        raise ConfigError(f"pim_integrations: {exc}") from None
     if len(set(config.pim_integrations)) != len(config.pim_integrations):
         raise ConfigError("pim_integrations holds duplicates")
-    if config.threshold.mode not in ("adaptive_sd", "fixed"):
-        raise ConfigError(f"unknown threshold mode {config.threshold.mode!r}")
-    if config.threshold.mode == "fixed":
-        if config.threshold.fixed_g is None or config.threshold.fixed_g < 0:
-            raise ConfigError("fixed threshold needs fixed_g >= 0")
     if config.ai.noise_window_s <= 0:
         raise ConfigError("ai.noise_window_s must be positive")
     if config.ai.sigma_sq_override is not None and config.ai.sigma_sq_override < 0:
         raise ConfigError("ai.sigma_sq_override must be >= 0")
-    try:
-        config.psd_params()
-    except ValueError as exc:
-        raise ConfigError(f"psd: {exc}") from None
     for metric in config.sweep.metrics:
         if metric not in (MetricId.ZCM.value, MetricId.TAT.value):
             raise ConfigError(f"sweep.metrics: {metric!r} is not ZCM or TAT")
     for kind in config.sweep.kinds:
-        if not isinstance(kind, str) or kind not in _DATASET_KINDS:
+        if kind not in _DATASET_KINDS:
             raise ConfigError(
                 f"sweep.kinds: {kind!r} is not one of {sorted(_DATASET_KINDS)}"
             )

@@ -1,4 +1,4 @@
-"""Domain types, recording validation, and epoch slicing.
+"""Domain types, recording validation, and epoch matrices.
 
 All types are immutable after construction (array fields are made
 read-only) and safe to share across threads; every operation here is a
@@ -56,23 +56,6 @@ class DatasetKind(Enum):
     @property
     def is_axis(self) -> bool:
         return self in UNFILTERED_AXES or self in FILTERED_AXES
-
-    @property
-    def is_unfiltered_axis(self) -> bool:
-        return self in UNFILTERED_AXES
-
-    @property
-    def is_filtered_axis(self) -> bool:
-        return self in FILTERED_AXES
-
-    @property
-    def is_magnitude(self) -> bool:
-        return self in (
-            DatasetKind.UFM,
-            DatasetKind.UFNM,
-            DatasetKind.FMPRE,
-            DatasetKind.FMPOST,
-        )
 
 
 UNFILTERED_AXES = (DatasetKind.UFX, DatasetKind.UFY, DatasetKind.UFZ)
@@ -214,30 +197,6 @@ class PreprocessedSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class Epoch:
-    """One fixed-length slot of samples; ``index`` is its ordinal position."""
-
-    values: np.ndarray
-    ts: float
-    index: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", as_float_array(self.values))
-        if self.values.size < 2:
-            raise EpochTooShort(f"epoch needs >= 2 samples, got {self.values.size}")
-        if self.ts <= 0:
-            raise ValueError("ts must be positive")
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def duration_s(self) -> float:
-        return self.n * self.ts
-
-
-@dataclass(frozen=True, eq=False)
 class ActivitySignal:
     """One activity value per epoch for a single variant.
 
@@ -279,11 +238,3 @@ def epoch_matrix(values: np.ndarray, n: int) -> np.ndarray:
     if m == 0:
         raise EmptySeries(f"series of {values.size} samples is shorter than one epoch ({n})")
     return values[: m * n].reshape(m, n)
-
-
-def slice_epochs(series: PreprocessedSeries, te_s: float) -> list[Epoch]:
-    """Cut a series into contiguous, non-overlapping epochs of Te seconds."""
-    n = epoch_sample_count(te_s, series.sample_rate_hz)
-    mat = epoch_matrix(series.values, n)
-    ts = series.ts
-    return [Epoch(values=row, ts=ts, index=i) for i, row in enumerate(mat)]

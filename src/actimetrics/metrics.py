@@ -10,10 +10,9 @@ Each metric maps one epoch of (preprocessed) acceleration to a scalar:
 - HFEN: mean of the high-pass-filtered magnitude, g
 - AI: sqrt of the noise-corrected mean per-axis variance, g
 
-Per-epoch operations accept an :class:`~actimetrics.core.Epoch`; the
-``*_values`` variants run the same computation over an epoch matrix (one
-row per epoch), in cache-sized blocks of rows, and are the batch fast
-path. Both share kernels, so they agree exactly.
+Each ``*_values`` kernel runs its metric over an epoch matrix (one row
+per epoch), in cache-sized blocks of rows; a single epoch is a one-row
+matrix.
 
 Not every metric applies to every dataset kind. One table (metric × dataset
 kind) holds which cells are direct, which need a correction, and why the
@@ -35,7 +34,6 @@ from .core import (
     FILTERED_AXES,
     UNFILTERED_AXES,
     DatasetKind,
-    Epoch,
     PreprocessedSeries,
     RawRecording,
 )
@@ -79,15 +77,15 @@ class ThresholdPolicy:
     """
 
     mode: str = "adaptive_sd"
-    fixed_value: Optional[float] = None
+    fixed_g: Optional[float] = None
 
     def __post_init__(self):
         if self.mode not in ("adaptive_sd", "fixed"):
             raise ValueError(f"unknown threshold mode: {self.mode}")
         if self.mode == "fixed":
-            if self.fixed_value is None or self.fixed_value < 0:
-                raise ValueError("fixed threshold needs a value >= 0")
-        elif self.fixed_value is not None:
+            if self.fixed_g is None or not 0 <= self.fixed_g < np.inf:
+                raise ValueError("fixed threshold needs a finite fixed_g >= 0")
+        elif self.fixed_g is not None:
             raise ValueError("adaptive_sd takes no fixed value")
 
     @classmethod
@@ -100,7 +98,7 @@ class ThresholdPolicy:
 
     def resolve(self, series: PreprocessedSeries) -> float:
         if self.mode == "fixed":
-            return float(self.fixed_value)
+            return float(self.fixed_g)
         return sd_threshold(series)
 
 
@@ -441,68 +439,6 @@ def ai_values(
     var_sum = _by_row_blocks(_summed_variance, mx, my, mz)
     noise = 3.0 * sigma_bar_sq if subtract_per_axis else sigma_bar_sq
     return np.sqrt(np.maximum((var_sum - noise) / 3.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# per-epoch operations
-
-
-def pim(
-    epoch: Epoch, method: IntegrationMethod = IntegrationMethod.RIEMANN_SUM
-) -> float:
-    return float(pim_values(epoch.values[None, :], epoch.ts, method)[0])
-
-
-def pim_corrected(
-    epoch: Epoch,
-    kind: DatasetKind,
-    method: IntegrationMethod = IntegrationMethod.RIEMANN_SUM,
-) -> float:
-    return float(pim_corrected_values(epoch.values[None, :], epoch.ts, kind, method)[0])
-
-
-def zcm(epoch: Epoch, threshold: float) -> int:
-    if not np.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    return int(zcm_values(epoch.values[None, :], threshold)[0])
-
-
-def tat(epoch: Epoch, threshold: float) -> float:
-    if not np.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    return float(tat_values(epoch.values[None, :], threshold, epoch.ts)[0])
-
-
-def mad(epoch: Epoch) -> float:
-    return float(mad_values(epoch.values[None, :])[0])
-
-
-def enmo(epoch: Epoch) -> float:
-    return float(enmo_values(epoch.values[None, :])[0])
-
-
-def hfen(epoch: Epoch) -> float:
-    return float(hfen_values(epoch.values[None, :])[0])
-
-
-def ai(
-    epoch_x: Epoch,
-    epoch_y: Epoch,
-    epoch_z: Epoch,
-    noise: NoiseVarianceEstimate,
-    subtract_per_axis: bool = False,
-) -> float:
-    if not (epoch_x.n == epoch_y.n == epoch_z.n):
-        raise SeriesMismatch("axis epochs differ in length")
-    return float(
-        ai_values(
-            epoch_x.values[None, :],
-            epoch_y.values[None, :],
-            epoch_z.values[None, :],
-            noise.sigma_bar_sq,
-            subtract_per_axis,
-        )[0]
-    )
 
 
 def noise_variance_from_axes(

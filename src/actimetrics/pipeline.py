@@ -154,25 +154,21 @@ def run_pipeline(
     failures: dict[str, str] = {}
 
     def _run(rec: RawRecording):
-        return rec.subject_id, process_subject(rec, config)
+        try:
+            return rec.subject_id, process_subject(rec, config), None
+        except ActimetricsError as exc:
+            return rec.subject_id, None, str(exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run, rec) for rec in recordings]
-            results = []
-            for rec, future in zip(recordings, futures):
-                try:
-                    results.append(future.result())
-                except ActimetricsError as exc:
-                    failures[rec.subject_id] = str(exc)
-            per_subject.update(dict(results))
+            results = list(pool.map(_run, recordings))
     else:
-        for rec in recordings:
-            try:
-                subject, signals = _run(rec)
-                per_subject[subject] = signals
-            except ActimetricsError as exc:
-                failures[rec.subject_id] = str(exc)
+        results = map(_run, recordings)  # lazily, one subject at a time
+    for subject, signals, error in results:
+        if error is None:
+            per_subject[subject] = signals
+        else:
+            failures[subject] = error
 
     outputs: list[str] = []
     for subject in sorted(per_subject):
@@ -182,7 +178,7 @@ def run_pipeline(
     if per_subject:
         for domain, stem in ((Domain.TIME, "correlation_time"),
                              (Domain.FREQUENCY, "correlation_frequency")):
-            summary = correlation_matrix(per_subject, domain, config.psd_params())
+            summary = correlation_matrix(per_subject, domain, config.psd)
             formats.write_matrix_csv(summary, out_dir / f"{stem}.csv")
             formats.write_matrix_json(summary, out_dir / f"{stem}.json")
             outputs += [f"{stem}.csv", f"{stem}.json"]

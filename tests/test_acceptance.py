@@ -22,7 +22,6 @@ from actimetrics import (
     CatalogOptions,
     DatasetKind,
     Domain,
-    Epoch,
     IntegrationMethod,
     MetricId,
     PipelineConfig,
@@ -35,19 +34,16 @@ from actimetrics import (
     design_filter,
     default_bandpass,
     estimate_noise_variance,
-    mad,
     pearson,
     preprocess_all,
     psd,
     synthesize,
-    tat,
     threshold_sweep,
-    zcm,
 )
 from actimetrics.config import SweepConfig, SyntheticConfig
 from actimetrics.core import ActivitySignal, RawRecording
 from actimetrics.errors import InapplicableMetric
-from actimetrics.metrics import tat_values
+from actimetrics.metrics import mad_values, tat_values, zcm_values
 from actimetrics.pipeline import run_pipeline
 
 EPOCH_S = 60.0
@@ -141,9 +137,8 @@ def test_criterion_1_level_crossing_oracle_equivalence():
             n = int(rng.integers(2, 65))
             values = rng.uniform(-2.0, 2.0, n)
             threshold = float(rng.uniform(-2.0, 2.0))
-            epoch = Epoch(values=values, ts=0.1)
-            assert zcm(epoch, threshold) == _zcm_oracle(values, threshold)
-            assert tat(epoch, threshold) == _tat_oracle(values, threshold, 0.1)
+            assert zcm_values([values], threshold)[0] == _zcm_oracle(values, threshold)
+            assert tat_values([values], threshold, 0.1)[0] == _tat_oracle(values, threshold, 0.1)
 
 
 # --- criterion 2: full-rectification identity -------------------------------
@@ -157,9 +152,9 @@ def test_criterion_2_full_rectification(corpus):
             x = rng.normal(size=n)
             t = float(rng.uniform(0.01, 2.0))
             # ts = 1 s keeps the count identity exact in float arithmetic
-            lhs = tat(Epoch(values=np.abs(x), ts=1.0), t)
-            rhs = tat(Epoch(values=x, ts=1.0), t) + tat(Epoch(values=-x, ts=1.0), t)
-            assert lhs == rhs
+            lhs = tat_values([np.abs(x)], t, 1.0)[0]
+            signed = tat_values([x, -x], t, 1.0)
+            assert lhs == signed[0] + signed[1]
 
         # zero-mean symmetric noise: rectification about doubles total TAT
         for i in range(6):
@@ -280,8 +275,8 @@ def test_criterion_6_metric_invariants(corpus, corpus_signals):
         for _ in range(200):
             x = rng.normal(size=64)
             c = float(rng.uniform(-50, 50))
-            delta = mad(Epoch(values=x + c, ts=0.1)) - mad(Epoch(values=x, ts=0.1))
-            assert abs(delta) < 1e-12
+            shifted, plain = mad_values([x + c, x])
+            assert abs(shifted - plain) < 1e-12
 
         # noise-free rest: ENMO exactly zero
         rest = synthesize(SyntheticSpec(

@@ -5,58 +5,52 @@ from actimetrics import (
     DatasetKind,
     PreprocessedSeries,
     RawRecording,
-    slice_epochs,
     validate_recording,
 )
 from actimetrics.core import as_float_array, epoch_matrix, epoch_sample_count
 from actimetrics.errors import EmptySeries, EpochTooShort
 
-
-def _series(values, fs=10.0, kind=DatasetKind.UFM):
-    return PreprocessedSeries(kind=kind, values=values, sample_rate_hz=fs)
+N_60S = epoch_sample_count(60.0, 10.0)  # 600 samples per 60 s epoch at 10 Hz
 
 
 class TestSliceEpochs:
     def test_1200_samples_give_2_epochs(self):
-        epochs = slice_epochs(_series(np.arange(1200.0)), 60.0)
-        assert len(epochs) == 2
-        assert all(e.n == 600 for e in epochs)
+        assert epoch_matrix(np.arange(1200.0), N_60S).shape == (2, 600)
 
     def test_trailing_partial_epoch_dropped(self):
-        epochs = slice_epochs(_series(np.arange(1199.0)), 60.0)
-        assert len(epochs) == 1
-        assert epochs[0].n == 600
+        assert epoch_matrix(np.arange(1199.0), N_60S).shape == (1, 600)
 
     def test_identity_case(self):
         values = np.arange(600.0)
-        epochs = slice_epochs(_series(values), 60.0)
-        assert len(epochs) == 1
-        np.testing.assert_array_equal(epochs[0].values, values)
+        mat = epoch_matrix(values, N_60S)
+        assert len(mat) == 1
+        np.testing.assert_array_equal(mat[0], values)
 
     def test_concatenation_recovers_prefix(self):
         values = np.random.default_rng(0).normal(size=1234)
-        epochs = slice_epochs(_series(values), 10.0)  # n = 100
-        joined = np.concatenate([e.values for e in epochs])
-        np.testing.assert_array_equal(joined, values[: 12 * 100])
+        mat = epoch_matrix(values, epoch_sample_count(10.0, 10.0))  # n = 100
+        np.testing.assert_array_equal(mat.ravel(), values[: 12 * 100])
 
     def test_epoch_count_monotone_in_te(self):
         values = np.zeros(5000)
-        counts = [len(slice_epochs(_series(values), te)) for te in (10, 20, 30, 60, 120)]
+        counts = [
+            len(epoch_matrix(values, epoch_sample_count(te, 10.0)))
+            for te in (10, 20, 30, 60, 120)
+        ]
         assert counts == sorted(counts, reverse=True)
 
     def test_epochs_are_contiguous_and_indexed(self):
-        epochs = slice_epochs(_series(np.arange(300.0)), 10.0)
-        for i, e in enumerate(epochs):
-            assert e.index == i
-            assert e.values[0] == i * 100
+        mat = epoch_matrix(np.arange(300.0), epoch_sample_count(10.0, 10.0))
+        for i, row in enumerate(mat):
+            assert row[0] == i * 100
 
     def test_too_short_epoch_rejected(self):
         with pytest.raises(EpochTooShort):
-            slice_epochs(_series(np.zeros(100), fs=10.0), 0.1)
+            epoch_sample_count(0.1, 10.0)
 
     def test_series_shorter_than_epoch_rejected(self):
         with pytest.raises(EmptySeries):
-            slice_epochs(_series(np.zeros(10)), 60.0)
+            epoch_matrix(np.zeros(10), N_60S)
 
     def test_sample_count_rounding(self):
         assert epoch_sample_count(60.0, 10.0) == 600

@@ -6,36 +6,35 @@ import pytest
 from actimetrics import (
     Applicability,
     DatasetKind,
-    Epoch,
     IntegrationMethod,
     MetricId,
-    NoiseVarianceEstimate,
     PreprocessedSeries,
     RawRecording,
     SyntheticSpec,
     ThresholdPolicy,
-    ai,
     applicability,
-    enmo,
     estimate_noise_variance,
-    hfen,
-    mad,
-    pim,
-    pim_corrected,
     sd_threshold,
     synthesize,
-    tat,
-    zcm,
 )
 from actimetrics.errors import EmptySeries, InapplicableMetric, RecordingTooShort
-from actimetrics.metrics import mad_values, pim_values, tat_values, zcm_values
+from actimetrics.metrics import (
+    ai_values,
+    enmo_values,
+    hfen_values,
+    mad_values,
+    pim_corrected_values,
+    pim_values,
+    tat_values,
+    zcm_values,
+)
 
 RIEMANN = IntegrationMethod.RIEMANN_SUM
 SIMPSON = IntegrationMethod.SIMPSON38
 
-
-def ep(values, ts=0.1, index=0):
-    return Epoch(values=values, ts=ts, index=index)
+# Single epochs go through the kernels as one-row matrices, ``[x]``, with
+# 0.1 s sampling unless a test says otherwise.
+TS = 0.1
 
 
 # --- independent brute-force oracles ---------------------------------------
@@ -60,26 +59,28 @@ def tat_oracle(values, threshold, ts):
 
 class TestPim:
     def test_simple_riemann_sum(self):
-        assert pim(ep([0.1, 0.2, 0.3])) == pytest.approx(0.06)
+        assert pim_values([[0.1, 0.2, 0.3]], TS)[0] == pytest.approx(0.06)
 
     def test_zero_epoch(self):
-        assert pim(ep([0.0, 0.0, 0.0])) == 0.0
+        assert pim_values([[0.0, 0.0, 0.0]], TS)[0] == 0.0
 
     def test_both_rules_exact_on_constants(self):
-        epoch = ep(np.ones(600))
-        assert pim(epoch, RIEMANN) == pytest.approx(60.0, abs=1e-9)
-        assert pim(epoch, SIMPSON) == pytest.approx(60.0, abs=1e-9)
+        epoch = [np.ones(600)]
+        assert pim_values(epoch, TS, RIEMANN)[0] == pytest.approx(60.0, abs=1e-9)
+        assert pim_values(epoch, TS, SIMPSON)[0] == pytest.approx(60.0, abs=1e-9)
 
     def test_riemann_linearity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=50)
-        assert pim(ep(4.2 * x)) == pytest.approx(4.2 * pim(ep(x)), rel=1e-12)
+        scaled = pim_values([4.2 * x], TS)[0]
+        assert scaled == pytest.approx(4.2 * pim_values([x], TS)[0], rel=1e-12)
 
     def test_riemann_concatenation_sums(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(2, 30))
-        total = pim(ep(np.concatenate([a, b])))
-        assert total == pytest.approx(pim(ep(a)) + pim(ep(b)), rel=1e-12)
+        total = pim_values([np.concatenate([a, b])], TS)[0]
+        halves = pim_values([a, b], TS)
+        assert total == pytest.approx(halves[0] + halves[1], rel=1e-12)
 
     def test_simpson_beats_riemann_on_smooth_curve(self):
         # integral of sin on [0, pi]: exact value 2 after rescaling to the
@@ -88,8 +89,8 @@ class TestPim:
         ts = math.pi / n
         x = np.sin(np.arange(n) * ts)
         exact = 1.0 - math.cos((n - 1) * ts)  # integral over the sampled span
-        simpson = pim(ep(x, ts=ts), SIMPSON) * (n - 1) / n
-        riemann = pim(ep(x, ts=ts), RIEMANN) * (n - 1) / n
+        simpson = pim_values([x], ts, SIMPSON)[0] * (n - 1) / n
+        riemann = pim_values([x], ts, RIEMANN)[0] * (n - 1) / n
         assert abs(simpson - exact) < abs(riemann - exact)
         assert simpson == pytest.approx(exact, abs=1e-8)
 
@@ -108,31 +109,28 @@ class TestPim:
 
     def test_simpson_tail_handles_all_remainders(self):
         for n in (4, 5, 6, 7, 99, 100, 101):
-            epoch = ep(np.ones(n), ts=0.5)
-            assert pim(epoch, SIMPSON) == pytest.approx(0.5 * n, rel=1e-12)
+            assert pim_values([np.ones(n)], 0.5, SIMPSON)[0] == pytest.approx(0.5 * n, rel=1e-12)
 
 
 class TestPimCorrected:
     def test_ufm_rest_gives_zero(self):
-        epoch = ep(np.ones(600))
-        assert pim_corrected(epoch, DatasetKind.UFM) == pytest.approx(0.0, abs=1e-12)
+        out = pim_corrected_values([np.ones(600)], TS, DatasetKind.UFM)[0]
+        assert out == pytest.approx(0.0, abs=1e-12)
 
     def test_fmpost_abs_first(self):
-        epoch = ep([-0.2, 0.2, -0.2, 0.2])
-        assert pim_corrected(epoch, DatasetKind.FMPOST) == pytest.approx(0.08)
+        out = pim_corrected_values([[-0.2, 0.2, -0.2, 0.2]], TS, DatasetKind.FMPOST)[0]
+        assert out == pytest.approx(0.08)
 
     def test_raw_axis_rejected(self):
         with pytest.raises(InapplicableMetric):
-            pim_corrected(ep([0.1, 0.2]), DatasetKind.UFX)
+            pim_corrected_values([[0.1, 0.2]], TS, DatasetKind.UFX)
 
     def test_direct_kinds_equal_plain_pim(self):
-        epoch = ep([0.1, 0.4, 0.2])
+        epoch = [[0.1, 0.4, 0.2]]
         for kind in (DatasetKind.UFNM, DatasetKind.FMPRE):
-            assert pim_corrected(epoch, kind) == pim(epoch)
+            assert pim_corrected_values(epoch, TS, kind)[0] == pim_values(epoch, TS)[0]
 
     def test_results_nonnegative_on_random_data(self):
-        from actimetrics.metrics import pim_corrected_values
-
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(50, 40))
         # signed kinds take signed data; UFNM/FMpre are non-negative by construction
@@ -142,25 +140,25 @@ class TestPimCorrected:
             assert (pim_corrected_values(np.abs(mat), 0.1, kind) >= 0).all()
 
     def test_ufm_simpson_rest_zero_too(self):
-        epoch = ep(np.ones(600))
-        assert pim_corrected(epoch, DatasetKind.UFM, SIMPSON) == pytest.approx(0.0, abs=1e-12)
+        out = pim_corrected_values([np.ones(600)], TS, DatasetKind.UFM, SIMPSON)[0]
+        assert out == pytest.approx(0.0, abs=1e-12)
 
 
 class TestZcm:
     def test_constant_epoch_no_crossings(self):
-        assert zcm(ep([0.3] * 10), 0.1) == 0
-        assert zcm(ep([0.3] * 10), 0.5) == 0
+        assert zcm_values([[0.3] * 10], 0.1)[0] == 0
+        assert zcm_values([[0.3] * 10], 0.5)[0] == 0
 
     def test_alternating_crossings(self):
-        assert zcm(ep([0.0, 0.2, 0.0, 0.2]), 0.1) == 3
+        assert zcm_values([[0.0, 0.2, 0.0, 0.2]], 0.1)[0] == 3
 
     def test_on_threshold_sample_takes_no_side(self):
-        assert zcm(ep([0.05, 0.15, 0.1, 0.15, 0.05]), 0.1) == 2
+        assert zcm_values([[0.05, 0.15, 0.1, 0.15, 0.05]], 0.1)[0] == 2
 
     def test_count_bounded_by_n_minus_1(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=64)
-        assert 0 <= zcm(ep(x), 0.0) <= 63
+        assert 0 <= zcm_values([x], 0.0)[0] <= 63
 
     def test_oracle_agreement_on_random_epochs(self):
         rng = np.random.default_rng(42)
@@ -168,7 +166,7 @@ class TestZcm:
             n = rng.integers(2, 65)
             x = rng.uniform(-2.0, 2.0, n)
             t = rng.uniform(-2.0, 2.0)
-            assert zcm(ep(x), t) == zcm_oracle(x, t)
+            assert zcm_values([x], t)[0] == zcm_oracle(x, t)
 
     def test_oracle_agreement_with_exact_threshold_hits(self):
         rng = np.random.default_rng(43)
@@ -176,23 +174,23 @@ class TestZcm:
             n = int(rng.integers(2, 33))
             x = rng.choice([-0.2, -0.1, 0.0, 0.1, 0.2], size=n)
             t = float(rng.choice([-0.2, -0.1, 0.0, 0.1, 0.2]))
-            assert zcm(ep(x), t) == zcm_oracle(x, t)
+            assert zcm_values([x], t)[0] == zcm_oracle(x, t)
 
 
 class TestTat:
     def test_counts_strictly_above(self):
-        assert tat(ep([0.2, 0.05, 0.3, 0.3]), 0.1) == pytest.approx(0.3)
+        assert tat_values([[0.2, 0.05, 0.3, 0.3]], 0.1, TS)[0] == pytest.approx(0.3)
 
     def test_samples_equal_threshold_do_not_count(self):
-        assert tat(ep([0.1, 0.1, 0.1]), 0.1) == 0.0
+        assert tat_values([[0.1, 0.1, 0.1]], 0.1, TS)[0] == 0.0
 
     def test_saturation(self):
-        assert tat(ep([0.5] * 40), 0.1) == pytest.approx(4.0)
+        assert tat_values([[0.5] * 40], 0.1, TS)[0] == pytest.approx(4.0)
 
     def test_monotone_non_increasing_in_threshold(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=200)
-        values = [tat(ep(x), t) for t in np.linspace(-2, 2, 20)]
+        values = [tat_values([x], t, TS)[0] for t in np.linspace(-2, 2, 20)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_oracle_agreement_on_random_epochs(self):
@@ -201,7 +199,7 @@ class TestTat:
             n = rng.integers(2, 65)
             x = rng.uniform(-2.0, 2.0, n)
             t = rng.uniform(-2.0, 2.0)
-            assert tat(ep(x), t) == pytest.approx(tat_oracle(x, t, 0.1), rel=1e-12)
+            assert tat_values([x], t, TS)[0] == pytest.approx(tat_oracle(x, t, 0.1), rel=1e-12)
 
     def test_full_rectification_identity_exact(self):
         # exact when ts scales counts without rounding (ts = 1 s here);
@@ -211,34 +209,37 @@ class TestTat:
             n = rng.integers(2, 65)
             x = rng.normal(size=n)
             t = float(rng.uniform(0.01, 2.0))
-            epoch_abs = tat(ep(np.abs(x), ts=1.0), t)
-            assert epoch_abs == tat(ep(x, ts=1.0), t) + tat(ep(-x, ts=1.0), t)
+            epoch_abs = tat_values([np.abs(x)], t, 1.0)[0]
+            signed = tat_values([x, -x], t, 1.0)
+            assert epoch_abs == signed[0] + signed[1]
 
     def test_full_rectification_identity_at_10hz(self):
         rng = np.random.default_rng(46)
         for _ in range(100):
             x = rng.normal(size=60)
             t = float(rng.uniform(0.01, 2.0))
-            lhs = tat(ep(np.abs(x)), t)
-            rhs = tat(ep(x), t) + tat(ep(-x), t)
+            lhs = tat_values([np.abs(x)], t, TS)[0]
+            signed = tat_values([x, -x], t, TS)
+            rhs = signed[0] + signed[1]
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestMad:
     def test_constant_epoch(self):
-        assert mad(ep([1.0, 1.0, 1.0, 1.0])) == 0.0
+        assert mad_values([[1.0, 1.0, 1.0, 1.0]])[0] == 0.0
 
     def test_two_points(self):
-        assert mad(ep([0.0, 2.0])) == pytest.approx(1.0)
+        assert mad_values([[0.0, 2.0]])[0] == pytest.approx(1.0)
 
     def test_hand_oracle(self):
         # mean 2.5, deviations 1.5, 0.5, 0.5, 1.5 -> mean 1.0
-        assert mad(ep([1.0, 2.0, 3.0, 4.0])) == pytest.approx(1.0)
+        assert mad_values([[1.0, 2.0, 3.0, 4.0]])[0] == pytest.approx(1.0)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=100)
-        assert abs(mad(ep(x + 123.456)) - mad(ep(x))) < 1e-12
+        shifted, plain = mad_values([x + 123.456, x])
+        assert abs(shifted - plain) < 1e-12
 
     @pytest.mark.parametrize("mat", [
         np.random.default_rng(3).normal(1.0, 0.4, size=(40, 600)),
@@ -256,33 +257,33 @@ class TestMad:
 
 class TestEnmo:
     def test_rest(self):
-        assert enmo(ep([1.0, 1.0, 1.0])) == 0.0
+        assert enmo_values([[1.0, 1.0, 1.0]])[0] == 0.0
 
     def test_only_positive_part_survives(self):
-        assert enmo(ep([1.5, 0.5, 1.0])) == pytest.approx(0.5 / 3.0)
+        assert enmo_values([[1.5, 0.5, 1.0]])[0] == pytest.approx(0.5 / 3.0)
 
     def test_free_fall_clamped(self):
-        assert enmo(ep([0.8] * 10)) == 0.0
+        assert enmo_values([[0.8] * 10])[0] == 0.0
 
     def test_equals_mean_minus_one_when_all_above_1(self):
         rng = np.random.default_rng(3)
         x = 1.0 + rng.uniform(0.0, 1.0, 50)
-        assert enmo(ep(x)) == pytest.approx(float(x.mean()) - 1.0, rel=1e-12)
+        assert enmo_values([x])[0] == pytest.approx(float(x.mean()) - 1.0, rel=1e-12)
 
     def test_nonnegative_always(self):
         rng = np.random.default_rng(4)
-        assert enmo(ep(rng.normal(size=100))) >= 0.0
+        assert enmo_values([rng.normal(size=100)])[0] >= 0.0
 
 
 class TestHfen:
     def test_zero_series(self):
-        assert hfen(ep([0.0, 0.0])) == 0.0
+        assert hfen_values([[0.0, 0.0]])[0] == 0.0
 
     def test_constant(self):
-        assert hfen(ep([0.25] * 8)) == pytest.approx(0.25)
+        assert hfen_values([[0.25] * 8])[0] == pytest.approx(0.25)
 
     def test_alternating(self):
-        assert hfen(ep([0.0, 1.0, 0.0, 1.0])) == pytest.approx(0.5)
+        assert hfen_values([[0.0, 1.0, 0.0, 1.0]])[0] == pytest.approx(0.5)
 
 
 class TestNoiseVariance:
@@ -320,44 +321,36 @@ class TestNoiseVariance:
 
 
 class TestAi:
-    def _epochs(self, x, y, z):
-        return ep(x), ep(y), ep(z)
-
     def test_constant_axes_zero_noise(self):
-        e = self._epochs([0.25] * 10, [0.5] * 10, [0.75] * 10)
-        assert ai(*e, NoiseVarianceEstimate(0.0, 60.0, 0)) == 0.0
+        assert ai_values([[0.25] * 10], [[0.5] * 10], [[0.75] * 10], 0.0)[0] == 0.0
 
     def test_noise_cancels_signal_variance(self):
         # per-axis variances 1, noise 3: max(0, (3-3)/3) = 0
         rng = np.random.default_rng(8)
         axes = [rng.normal(size=4000) for _ in range(3)]
-        axes = [a / a.std() for a in axes]  # exact unit population variance
-        e = self._epochs(*axes)
-        assert ai(*e, NoiseVarianceEstimate(3.0, 60.0, 0)) == pytest.approx(0.0, abs=1e-7)
+        x, y, z = ([a / a.std()] for a in axes)  # exact unit population variance
+        assert ai_values(x, y, z, 3.0)[0] == pytest.approx(0.0, abs=1e-7)
 
     def test_direct_formula_evaluation(self):
         # variances (4, 4, 4), noise 1: sqrt((12 - 1)/3) = sqrt(11/3)
         rng = np.random.default_rng(9)
         axes = [rng.normal(size=5000) for _ in range(3)]
-        axes = [2.0 * a / a.std() for a in axes]
-        e = self._epochs(*axes)
-        out = ai(*e, NoiseVarianceEstimate(1.0, 60.0, 0))
+        x, y, z = ([2.0 * a / a.std()] for a in axes)
+        out = ai_values(x, y, z, 1.0)[0]
         assert out == pytest.approx(math.sqrt(11.0 / 3.0), rel=1e-9)
 
     def test_per_axis_subtraction_variant(self):
         rng = np.random.default_rng(10)
         axes = [rng.normal(size=5000) for _ in range(3)]
-        axes = [2.0 * a / a.std() for a in axes]
-        e = self._epochs(*axes)
-        out = ai(*e, NoiseVarianceEstimate(1.0, 60.0, 0), subtract_per_axis=True)
+        x, y, z = ([2.0 * a / a.std()] for a in axes)
+        out = ai_values(x, y, z, 1.0, subtract_per_axis=True)[0]
         assert out == pytest.approx(math.sqrt((12.0 - 3.0) / 3.0), rel=1e-9)
 
     def test_axis_relabeling_invariance(self):
         rng = np.random.default_rng(11)
-        x, y, z = (rng.normal(size=100) for _ in range(3))
-        noise = NoiseVarianceEstimate(0.01, 60.0, 0)
-        a = ai(ep(x), ep(y), ep(z), noise)
-        b = ai(ep(z), ep(x), ep(y), noise)
+        x, y, z = ([rng.normal(size=100)] for _ in range(3))
+        a = ai_values(x, y, z, 0.01)[0]
+        b = ai_values(z, x, y, 0.01)[0]
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -385,8 +378,9 @@ class TestSdThreshold:
         assert ThresholdPolicy.fixed(0.15).resolve(series) == 0.15
 
     def test_fixed_policy_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdPolicy.fixed(-0.1)
+        for value in (-0.1, math.nan, math.inf, None):
+            with pytest.raises(ValueError):
+                ThresholdPolicy.fixed(value)
 
 
 class TestApplicabilityTable:
@@ -430,12 +424,14 @@ class TestVectorKernelsMatchScalarOps:
             assert out[i] == pytest.approx(tat_oracle(mat[i], 0.1, 0.1))
 
     def test_pim_matrix_matches_scalar(self):
+        # a row integrates the same whether alone or among other rows
         rng = np.random.default_rng(14)
         mat = rng.normal(size=(5, 25))
         for method in (RIEMANN, SIMPSON):
             out = pim_values(mat, 0.1, method)
             for i in range(5):
-                assert out[i] == pytest.approx(pim(ep(mat[i]), method), rel=1e-12)
+                alone = pim_values(mat[i : i + 1], 0.1, method)[0]
+                assert out[i] == pytest.approx(alone, rel=1e-12)
 
 
 class TestAdaptiveTatOnRest:

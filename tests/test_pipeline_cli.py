@@ -87,6 +87,19 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    @pytest.mark.parametrize("data, digest", [
+        ({}, "fa7c13c81b5969ac73f90c4a83de9c0c0384008afb9397cd5d6a9e51835a40bd"),
+        ({"threshold": {"mode": "fixed", "fixed_g": 0.15},
+          "psd": {"segment_epochs": 8},
+          "pim_integrations": ["riemann", "simpson38"],
+          "sweep": {"metrics": []}},
+         "205e94971040e6b655949781f2f1a988763c7fd9bbbbd27d60b2f623b923c0e8"),
+    ])
+    def test_hash_pinned(self, data, digest):
+        # manifests of earlier runs carry these hashes; the config's types
+        # may change, its canonical form may not
+        assert config_from_dict(data).config_hash() == digest
+
     def test_non_integer_epoch_sample_count_rejected(self):
         from actimetrics.config import check_epoch_alignment
 
@@ -123,7 +136,7 @@ class TestConfig:
         datasets = preprocess_all(rec)
         variant = VariantDescriptor(
             MetricId.TAT, DatasetKind.FY,
-            threshold_policy=config.threshold_policy(),
+            threshold_policy=config.threshold,
         )
         out = compute_activity(variant, datasets, 60.0)
         mat = datasets[DatasetKind.FY].values[:6000].reshape(10, 600)
@@ -242,11 +255,13 @@ class TestRunPipeline:
         good = corpus(1)[0]
         bad = RawRecording("broken", 10.0, np.full(12000, np.nan),
                            np.zeros(12000), np.ones(12000))
-        manifest = run_pipeline(small_config(), [good, bad], tmp_path)
-        by_id = {s["subject_id"]: s for s in manifest["subjects"]}
-        assert by_id["s00"]["status"] == "ok"
-        assert by_id["broken"]["status"] == "failed"
-        assert "non-finite" in by_id["broken"]["error"]
+        for jobs in (1, 2):
+            manifest = run_pipeline(small_config(), [good, bad], tmp_path / str(jobs),
+                                    jobs=jobs)
+            by_id = {s["subject_id"]: s for s in manifest["subjects"]}
+            assert by_id["s00"]["status"] == "ok"
+            assert by_id["broken"]["status"] == "failed"
+            assert "non-finite" in by_id["broken"]["error"]
 
 
 class TestCli:
@@ -334,6 +349,30 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mystery": True}))
         assert main(["--config", str(bad), "catalog"]) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"threshold": {"mode": "fixed", "fixed_g": NaN}}',
+        '{"full_scale_g": NaN}',
+        '{"epoch_s": NaN}',
+        '{"ai": {"noise_window_s": NaN}}',
+        '{"sweep": {"step_g": NaN}}',
+        '{"ai": {"sigma_sq_override": Infinity}}',
+        pytest.param('{"full_scale_g": 1%s}' % ("0" * 400), id="int-beyond-float"),
+        '{"epoch_s": "60"}',
+        '{"epoch_s": true}',
+        '{"epoch_s": null}',
+        '{"catalog": {"include": "PIM*"}}',
+        '{"catalog": {"include": "*"}}',
+        '{"sweep": {"max_steps": 2.5}}',
+        '{"bandpass": {"order": true}}',
+        '{"ai": {"subtract_per_axis": "yes"}}',
+        '{"seed": "a"}',
+    ])
+    def test_non_finite_or_wrong_typed_value_is_config_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["--config", str(bad), "catalog"]) == 1
+        assert "config error:" in capsys.readouterr().err
 
     def test_bad_sweep_kind_exits_1_before_any_output(self, tmp_path):
         bad = tmp_path / "bad.json"
