@@ -47,13 +47,12 @@ from .metrics import (
 )
 from .pipeline import process_subject, run_pipeline
 from .preprocess import (
+    Bandpass,
     FilterRealization,
-    FilterSpec,
+    Highpass,
     apply_filter,
-    default_bandpass,
     design_filter,
     fmpre,
-    hfen_highpass,
     hfen_preprocess,
     magnitude,
     normalize_magnitude,

@@ -9,7 +9,7 @@ is computed from its preprocessed datasets, then the parts are averaged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -34,7 +34,7 @@ from .metrics import (
     tat_values,
     zcm_values,
 )
-from .preprocess import FilterSpec, preprocess_all
+from .preprocess import Bandpass, Highpass, preprocess_all
 
 
 class Domain(Enum):
@@ -77,13 +77,16 @@ class PsdParams:
             raise ValueError("segment_epochs must be >= 2")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError("overlap must be in [0, 1)")
+        try:
+            spsignal.get_window(self.window, self.segment_epochs)
+        except ValueError as exc:
+            raise ValueError(f"window {self.window!r}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
 class PsdEstimate:
     frequencies: np.ndarray
     power: np.ndarray
-    params: PsdParams
 
 
 def psd(signal: ActivitySignal, params: Optional[PsdParams] = None) -> PsdEstimate:
@@ -109,7 +112,7 @@ def psd(signal: ActivitySignal, params: Optional[PsdParams] = None) -> PsdEstima
         noverlap=int(params.segment_epochs * params.overlap),
         detrend="constant",
     )
-    return PsdEstimate(frequencies=freqs, power=power, params=params)
+    return PsdEstimate(frequencies=freqs, power=power)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,8 +398,8 @@ def threshold_sweep(
     recordings: Sequence[RawRecording],
     te_s: float = 60.0,
     *,
-    bandpass: Optional[FilterSpec] = None,
-    hfen_spec: Optional[FilterSpec] = None,
+    bandpass: Bandpass = Bandpass(),
+    hfen_spec: Highpass = Highpass(),
     zero_phase: bool = False,
     step_g: float = 0.05,
     max_steps: int = 200,
@@ -407,25 +410,14 @@ def threshold_sweep(
     0 g otherwise, ascending in ``step_g`` increments, capped at
     ``max_steps`` points. Preprocesses each recording, then runs
     :func:`subject_sweep` on it and :func:`reduce_sweeps` over all of
-    them, in the order given. ``bandpass`` and ``hfen_spec`` are
-    redesigned at each recording's own sample rate (order and cutoffs
-    kept), so a corpus may mix rates.
+    them, in the order given. The filters are designed at each
+    recording's own sample rate, so a corpus may mix rates.
     """
     _sweep_grid(metric, kind, step_g, max_steps)  # reject before preprocessing
     parts = []
     for rec in recordings:
-        fs = rec.sample_rate_hz
-        datasets = preprocess_all(
-            rec, _at_rate(bandpass, fs), _at_rate(hfen_spec, fs), zero_phase
-        )
+        datasets = preprocess_all(rec, bandpass, hfen_spec, zero_phase)
         parts.append(
             subject_sweep(metric, kind, datasets, te_s, step_g=step_g, max_steps=max_steps)
         )
     return reduce_sweeps(metric, kind, parts, step_g=step_g, max_steps=max_steps)
-
-
-def _at_rate(spec: Optional[FilterSpec], sample_rate_hz: float) -> Optional[FilterSpec]:
-    """``spec`` designed for ``sample_rate_hz`` instead of its own rate."""
-    if spec is None or spec.sample_rate_hz == sample_rate_hz:
-        return spec
-    return replace(spec, sample_rate_hz=sample_rate_hz)

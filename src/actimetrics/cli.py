@@ -22,7 +22,7 @@ from .pipeline import (
     write_activity_files,
     write_sweeps,
 )
-from .synthetic import SyntheticSpec, synthesize
+from .synthetic import synthesize
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,19 +91,8 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     n_subjects = args.subjects or config.synthetic.subjects
-    synth = config.synthetic
     for i in range(n_subjects):
-        spec = SyntheticSpec(
-            subject_id=f"subject{i + 1:02d}",
-            duration_s=synth.duration_s,
-            rest_s=synth.rest_s,
-            active_s=synth.active_s,
-            active_freq_hz=synth.active_freq_hz,
-            active_amp_g=synth.active_amp_g,
-            amp_jitter=synth.amp_jitter,
-            noise_sd_g=synth.noise_sd_g,
-            seed=config.seed + i,
-        )
+        spec = config.synthetic.subject_spec(i, config.seed)
         rec = synthesize(spec)
         if args.format == "csv":
             formats.write_recording_csv(rec, out / f"{spec.subject_id}.csv")

@@ -353,7 +353,6 @@ def compute_activity(
         epoch_length_s=te_s,
         values=values,
         units=variant.units,
-        variant=variant,
     )
 
 

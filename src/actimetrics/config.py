@@ -4,8 +4,9 @@ The config file is JSON with a ``schema_version`` field. Unknown keys are
 rejected anywhere in the document, every value must have its field's
 annotated type (numbers finite, lists lists of strings), and every
 parameter is validated against the invariants of the module that consumes
-it before any work starts. The ``threshold`` and ``psd`` sections are the
-domain types themselves, so their own constructors check them.
+it before any work starts. The ``threshold``, ``psd``, ``bandpass`` and
+``hfen_highpass`` sections are the domain types themselves, so their own
+constructors check them.
 """
 from __future__ import annotations
 
@@ -19,31 +20,18 @@ from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type
 from .analysis import PsdParams
 from .combine import CatalogOptions
 from .core import DatasetKind
-from .errors import ConfigError, InapplicableMetric
+from .errors import ActimetricsError, ConfigError, InapplicableMetric, InvalidCutoffs
 from .metrics import (
     IntegrationMethod,
     MetricId,
     ThresholdPolicy,
     require_applicable,
 )
-from .preprocess import FilterSpec, default_bandpass, hfen_highpass
+from .preprocess import Bandpass, Highpass, design_filter
 
 SCHEMA_VERSION = 1
 
 _DATASET_KINDS = {kind.value for kind in DatasetKind}
-
-
-@dataclass(frozen=True)
-class BandpassConfig:
-    order: int = 3
-    f_low_hz: float = 0.25
-    f_high_hz: float = 2.5
-
-
-@dataclass(frozen=True)
-class HighpassConfig:
-    order: int = 4
-    cutoff_hz: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -78,6 +66,14 @@ class SyntheticConfig:
     amp_jitter: float = 0.3
     noise_sd_g: float = 0.02
 
+    def subject_spec(self, i: int, seed: int):
+        """The ``SyntheticSpec`` of subject ``i`` (from 0), seeded ``seed + i``."""
+        from .synthetic import SyntheticSpec
+
+        params = asdict(self)
+        del params["subjects"]
+        return SyntheticSpec(subject_id=f"subject{i + 1:02d}", seed=seed + i, **params)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -86,8 +82,8 @@ class PipelineConfig:
     full_scale_g: float = 8.0
     filter_phase: str = "causal"
     pim_integrations: tuple[str, ...] = ("riemann",)
-    bandpass: BandpassConfig = field(default_factory=BandpassConfig)
-    hfen_highpass: HighpassConfig = field(default_factory=HighpassConfig)
+    bandpass: Bandpass = field(default_factory=Bandpass)
+    hfen_highpass: Highpass = field(default_factory=Highpass)
     threshold: ThresholdPolicy = field(default_factory=ThresholdPolicy)
     ai: AiConfig = field(default_factory=AiConfig)
     psd: PsdParams = field(default_factory=PsdParams)
@@ -101,21 +97,6 @@ class PipelineConfig:
     @property
     def zero_phase(self) -> bool:
         return self.filter_phase == "zero-phase"
-
-    def bandpass_spec(self, sample_rate_hz: float) -> FilterSpec:
-        return default_bandpass(
-            sample_rate_hz,
-            order=self.bandpass.order,
-            f_low_hz=self.bandpass.f_low_hz,
-            f_high_hz=self.bandpass.f_high_hz,
-        )
-
-    def hfen_spec(self, sample_rate_hz: float) -> FilterSpec:
-        return hfen_highpass(
-            sample_rate_hz,
-            order=self.hfen_highpass.order,
-            cutoff_hz=self.hfen_highpass.cutoff_hz,
-        )
 
     def integration_methods(self) -> tuple[IntegrationMethod, ...]:
         return tuple(IntegrationMethod(name) for name in self.pim_integrations)
@@ -194,7 +175,7 @@ def _build_section(cls, data: Mapping[str, Any], path: str):
     }
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except (ValueError, InvalidCutoffs) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -257,14 +238,19 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("sweep.max_steps must be >= 1")
     if config.synthetic.subjects < 1:
         raise ConfigError("synthetic.subjects must be >= 1")
-
-    # filter specs and epoch length are rate-dependent; check at a nominal
-    # 10 Hz here and again per recording in the pipeline
     try:
-        config.bandpass_spec(10.0)
-        config.hfen_spec(10.0)
-    except Exception as exc:
-        raise ConfigError(f"filter spec: {exc}") from None
+        config.synthetic.subject_spec(0, config.seed)
+    except ValueError as exc:
+        raise ConfigError(f"synthetic: {exc}") from None
+
+    # cutoffs are checked against Nyquist at a nominal 10 Hz here and again
+    # at each recording's own rate in the pipeline
+    for name, spec in (("bandpass", config.bandpass),
+                       ("hfen_highpass", config.hfen_highpass)):
+        try:
+            design_filter(spec, 10.0)
+        except (ActimetricsError, ArithmeticError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
 
 
 def check_epoch_alignment(config: PipelineConfig, sample_rate_hz: float) -> int:

@@ -200,16 +200,14 @@ class PreprocessedSeries:
 class ActivitySignal:
     """One activity value per epoch for a single variant.
 
-    ``label`` is the variant's canonical name; ``variant`` optionally holds
-    the full descriptor that produced the signal. Values are non-negative
-    for every cataloged variant.
+    ``label`` is the variant's canonical name. Values are non-negative for
+    every cataloged variant.
     """
 
     label: str
     epoch_length_s: float
     values: np.ndarray
     units: str = ""
-    variant: Optional[object] = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", as_float_array(self.values))

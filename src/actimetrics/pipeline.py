@@ -49,12 +49,7 @@ def preprocess_subject(
     samples before any filtering.
     """
     check_epoch_alignment(config, rec.sample_rate_hz)
-    return preprocess_all(
-        rec,
-        config.bandpass_spec(rec.sample_rate_hz),
-        config.hfen_spec(rec.sample_rate_hz),
-        config.zero_phase,
-    )
+    return preprocess_all(rec, config.bandpass, config.hfen_highpass, config.zero_phase)
 
 
 def process_subject(
@@ -118,9 +113,8 @@ def write_sweeps(
             DatasetKind(kind_name),
             recordings,
             config.epoch_s,
-            # redesigned at each recording's own rate inside the sweep
-            bandpass=config.bandpass_spec(recordings[0].sample_rate_hz),
-            hfen_spec=config.hfen_spec(recordings[0].sample_rate_hz),
+            bandpass=config.bandpass,
+            hfen_spec=config.hfen_highpass,
             zero_phase=config.zero_phase,
             step_g=config.sweep.step_g,
             max_steps=config.sweep.max_steps,

@@ -6,6 +6,11 @@ the raw axes pass through, the axes and the raw magnitude are bandpassed
 gravity-normalized magnitude, and the HFEN input gets its own high-pass
 pipeline.
 
+A filter is specified without a sample rate, as a :class:`Bandpass` or a
+:class:`Highpass`, and :func:`design_filter` realizes it at the rate of the
+recording it is applied to; a cutoff at or above that rate's Nyquist
+frequency is rejected there.
+
 Filtering is causal (forward-only, zero initial state) by default to mirror
 what in-device processing can do; set ``zero_phase=True`` for
 forward-backward filtering.
@@ -13,7 +18,7 @@ forward-backward filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Union
 
 import numpy as np
 from scipy import signal as spsignal
@@ -28,75 +33,49 @@ from .core import (
 )
 from .errors import InvalidCutoffs, SeriesMismatch, UnstableDesign
 
-BANDPASS = "bandpass"
-HIGHPASS = "highpass"
+
+@dataclass(frozen=True)
+class Bandpass:
+    """Butterworth bandpass, applied to the axes and to the raw magnitude.
+
+    ``order`` counts analog prototype poles; the realization carries twice
+    that many. The cutoffs are checked against Nyquist when the filter is
+    designed at a recording's rate.
+    """
+
+    order: int = 3
+    f_low_hz: float = 0.25
+    f_high_hz: float = 2.5
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
+        if not 0.0 < self.f_low_hz < self.f_high_hz:
+            raise InvalidCutoffs(
+                f"need 0 < f_low < f_high, got ({self.f_low_hz}, {self.f_high_hz})"
+            )
 
 
 @dataclass(frozen=True)
-class FilterSpec:
-    """Butterworth filter parameters.
+class Highpass:
+    """Butterworth highpass applied per axis ahead of the HFEN magnitude."""
 
-    ``order`` counts analog prototype poles; a bandpass realization carries
-    twice that many. For a highpass, ``f_low_hz`` is the cutoff and
-    ``f_high_hz`` must be None.
-    """
-
-    topology: str
-    order: int
-    f_low_hz: float
-    f_high_hz: Optional[float]
-    sample_rate_hz: float
-    family: str = "butterworth"
+    order: int = 4
+    cutoff_hz: float = 0.2
 
     def __post_init__(self):
-        if self.family != "butterworth":
-            raise ValueError(f"unsupported filter family: {self.family}")
-        if self.topology not in (BANDPASS, HIGHPASS):
-            raise ValueError(f"unsupported topology: {self.topology}")
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        nyquist = self.sample_rate_hz / 2.0
-        if self.topology == BANDPASS:
-            if self.f_high_hz is None:
-                raise InvalidCutoffs("bandpass needs both cutoffs")
-            if not (0.0 < self.f_low_hz < self.f_high_hz < nyquist):
-                raise InvalidCutoffs(
-                    f"need 0 < f_low < f_high < {nyquist} Hz, got "
-                    f"({self.f_low_hz}, {self.f_high_hz})"
-                )
-        else:
-            if self.f_high_hz is not None:
-                raise InvalidCutoffs("highpass takes a single cutoff in f_low_hz")
-            if not (0.0 < self.f_low_hz < nyquist):
-                raise InvalidCutoffs(
-                    f"need 0 < cutoff < {nyquist} Hz, got {self.f_low_hz}"
-                )
-
-
-def default_bandpass(
-    sample_rate_hz: float,
-    order: int = 3,
-    f_low_hz: float = 0.25,
-    f_high_hz: float = 2.5,
-) -> FilterSpec:
-    """The shared bandpass applied to axes and to the raw magnitude."""
-    return FilterSpec(BANDPASS, order, f_low_hz, f_high_hz, sample_rate_hz)
-
-
-def hfen_highpass(
-    sample_rate_hz: float, order: int = 4, cutoff_hz: float = 0.2
-) -> FilterSpec:
-    """The per-axis highpass feeding the HFEN magnitude."""
-    return FilterSpec(HIGHPASS, order, cutoff_hz, None, sample_rate_hz)
+        if not self.cutoff_hz > 0.0:
+            raise InvalidCutoffs(f"need 0 < cutoff, got {self.cutoff_hz}")
 
 
 @dataclass(frozen=True, eq=False)
 class FilterRealization:
     """Cascade of second-order sections; state starts at zero each call."""
 
-    spec: FilterSpec
+    spec: Union[Bandpass, Highpass]
+    sample_rate_hz: float
     sos: np.ndarray
 
     def __post_init__(self):
@@ -119,28 +98,36 @@ class FilterRealization:
     def magnitude_response(self, freqs_hz) -> np.ndarray:
         """|H| evaluated at the given frequencies."""
         _, h = spsignal.sosfreqz(
-            self.sos, worN=np.atleast_1d(freqs_hz), fs=self.spec.sample_rate_hz
+            self.sos, worN=np.atleast_1d(freqs_hz), fs=self.sample_rate_hz
         )
         return np.abs(h)
 
 
-def design_filter(spec: FilterSpec) -> FilterRealization:
-    """Design the Butterworth realization for ``spec``.
+def design_filter(
+    spec: Union[Bandpass, Highpass], sample_rate_hz: float
+) -> FilterRealization:
+    """Design the Butterworth realization of ``spec`` at ``sample_rate_hz``.
 
     Bilinear transform of the analog prototype with frequency prewarping,
     returned as a second-order-section cascade. Deterministic: the same
-    spec always yields bitwise-identical coefficients.
+    spec and rate always yield bitwise-identical coefficients.
     """
-    if spec.topology == BANDPASS:
-        wn = (spec.f_low_hz, spec.f_high_hz)
+    if isinstance(spec, Bandpass):
+        btype, wn, top = "bandpass", (spec.f_low_hz, spec.f_high_hz), spec.f_high_hz
     else:
-        wn = spec.f_low_hz
-    sos = spsignal.butter(
-        spec.order, wn, btype=spec.topology, fs=spec.sample_rate_hz, output="sos"
-    )
-    realization = FilterRealization(spec=spec, sos=sos)
+        btype, wn, top = "highpass", spec.cutoff_hz, spec.cutoff_hz
+    nyquist = sample_rate_hz / 2.0
+    if not top < nyquist:
+        raise InvalidCutoffs(
+            f"{spec}: cutoffs must lie below {nyquist} Hz, the Nyquist "
+            f"frequency at {sample_rate_hz} Hz"
+        )
+    sos = spsignal.butter(spec.order, wn, btype=btype, fs=sample_rate_hz, output="sos")
+    realization = FilterRealization(spec, sample_rate_hz, sos)
     if realization.max_pole_magnitude() >= 1.0:
-        raise UnstableDesign(f"pole on or outside the unit circle for {spec}")
+        raise UnstableDesign(
+            f"pole on or outside the unit circle for {spec} at {sample_rate_hz} Hz"
+        )
     return realization
 
 
@@ -175,10 +162,10 @@ def apply_filter(
     Raw axes map to FX/FY/FZ, the raw magnitude to FMpost. The startup
     transient is kept in the output; trimming is the caller's business.
     """
-    if abs(series.sample_rate_hz - realization.spec.sample_rate_hz) > 1e-9:
+    if abs(series.sample_rate_hz - realization.sample_rate_hz) > 1e-9:
         raise SeriesMismatch(
             f"series at {series.sample_rate_hz} Hz vs filter designed for "
-            f"{realization.spec.sample_rate_hz} Hz"
+            f"{realization.sample_rate_hz} Hz"
         )
     out_kind = _FILTERED_KIND.get(series.kind)
     if out_kind is None:
@@ -243,9 +230,7 @@ def fmpre(
 
 
 def hfen_preprocess(
-    rec: RawRecording,
-    spec: Optional[FilterSpec] = None,
-    zero_phase: bool = False,
+    rec: RawRecording, spec: Highpass = Highpass(), zero_phase: bool = False
 ) -> PreprocessedSeries:
     """High-pass each raw axis, then take the elementwise magnitude.
 
@@ -253,8 +238,7 @@ def hfen_preprocess(
     output decays toward zero on a motionless recording. One axis is
     filtered at a time and squared in its own output buffer.
     """
-    spec = spec or hfen_highpass(rec.sample_rate_hz)
-    realization = design_filter(spec)
+    realization = design_filter(spec, rec.sample_rate_hz)
     filtered = (filter_values(a, realization, zero_phase) for a in (rec.x, rec.y, rec.z))
     values = _norm(np.multiply(h, h, out=h) for h in filtered)
     return PreprocessedSeries(
@@ -264,14 +248,13 @@ def hfen_preprocess(
 
 def preprocess_all(
     rec: RawRecording,
-    bandpass: Optional[FilterSpec] = None,
-    hfen_spec: Optional[FilterSpec] = None,
+    bandpass: Bandpass = Bandpass(),
+    hfen_spec: Highpass = Highpass(),
     zero_phase: bool = False,
 ) -> dict[DatasetKind, PreprocessedSeries]:
     """Produce every dataset kind from one recording (11 in total)."""
-    bandpass = bandpass or default_bandpass(rec.sample_rate_hz)
-    realization = design_filter(bandpass)
     fs = rec.sample_rate_hz
+    realization = design_filter(bandpass, fs)
 
     out: dict[DatasetKind, PreprocessedSeries] = {}
     for kind, values in zip(UNFILTERED_AXES, (rec.x, rec.y, rec.z)):

@@ -19,6 +19,7 @@ import pytest
 
 from actimetrics import (
     AxisTriple,
+    Bandpass,
     CatalogOptions,
     DatasetKind,
     Domain,
@@ -32,7 +33,6 @@ from actimetrics import (
     compute_activity,
     correlation_matrix,
     design_filter,
-    default_bandpass,
     estimate_noise_variance,
     pearson,
     preprocess_all,
@@ -198,7 +198,7 @@ def _butter_bandpass_mag(f_hz, f_low, f_high, order, fs):
 def test_criterion_4_filter_correctness():
     with criterion(4, "bandpass within 0.2 dB of the analytic response; DC and settling"):
         fs = 10.0
-        filt = design_filter(default_bandpass(fs))
+        filt = design_filter(Bandpass(), fs)
         for f in (0.1, 0.25, 0.79, 2.5, 4.0):
             measured = 20 * math.log10(float(filt.magnitude_response([f])[0]))
             oracle = 20 * math.log10(_butter_bandpass_mag(f, 0.25, 2.5, 3, fs))

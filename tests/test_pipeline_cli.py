@@ -142,6 +142,22 @@ class TestConfig:
         mat = datasets[DatasetKind.FY].values[:6000].reshape(10, 600)
         np.testing.assert_array_equal(out.values, tat_values(mat, 0.15, 0.1))
 
+    def test_filters_designed_at_the_recordings_own_rate(self):
+        from actimetrics import design_filter
+        from actimetrics.pipeline import preprocess_subject
+        from actimetrics.preprocess import filter_values
+
+        config = config_from_dict(
+            {"bandpass": {"order": 4, "f_low_hz": 0.3, "f_high_hz": 2.0}})
+        rec = synthesize(SyntheticSpec(
+            subject_id="r20", duration_s=600.0, sample_rate_hz=20.0,
+            noise_sd_g=0.02, seed=20,
+        ))
+        fx = preprocess_subject(rec, config)[DatasetKind.FX]
+        expected = filter_values(rec.x, design_filter(config.bandpass, 20.0))
+        assert fx.values.tobytes() == expected.tobytes()
+        assert fx.provenance == config.bandpass
+
     def test_ai_sigma_override_changes_only_ai(self, tmp_path):
         from actimetrics.pipeline import process_subject
 
@@ -231,7 +247,7 @@ class TestRunPipeline:
         for metric, kind in config.sweep_requests():
             curve = threshold_sweep(
                 MetricId(metric), DatasetKind(kind), recordings, config.epoch_s,
-                bandpass=config.bandpass_spec(10.0), hfen_spec=config.hfen_spec(10.0),
+                bandpass=config.bandpass, hfen_spec=config.hfen_highpass,
                 zero_phase=config.zero_phase, step_g=config.sweep.step_g,
                 max_steps=config.sweep.max_steps,
             )
@@ -365,6 +381,11 @@ class TestCli:
         '{"catalog": {"include": "*"}}',
         '{"sweep": {"max_steps": 2.5}}',
         '{"bandpass": {"order": true}}',
+        '{"bandpass": {"f_low_hz": 3.0, "f_high_hz": 2.5}}',
+        '{"bandpass": {"f_high_hz": 5.0}}',
+        '{"bandpass": {"order": 0}}',
+        '{"hfen_highpass": {"cutoff_hz": 0.0}}',
+        '{"hfen_highpass": {"order": 0}}',
         '{"ai": {"subtract_per_axis": "yes"}}',
         '{"seed": "a"}',
     ])
@@ -373,6 +394,33 @@ class TestCli:
         bad.write_text(text)
         assert main(["--config", str(bad), "catalog"]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_unknown_psd_window_exits_1_before_any_output(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"psd": {"window": "bogus"}}))
+        paths = self._write_corpus(tmp_path, n=1)
+        out = tmp_path / "out"
+        assert main(["--config", str(bad), "--out", str(out), "correlate",
+                     str(paths[0])]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("rest_s", -1.0),
+        ("duration_s", 0.0),
+        ("active_freq_hz", 0.0),
+        ("noise_sd_g", -1.0),
+        ("amp_jitter", 2.0),
+    ])
+    def test_bad_synthetic_value_exits_1_before_any_recording(
+        self, tmp_path, capsys, field, value
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"synthetic": {field: value}}))
+        out = tmp_path / "data"
+        assert main(["--config", str(bad), "--out", str(out), "synth"]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_sweep_kind_exits_1_before_any_output(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from actimetrics import (
+    Bandpass,
     DatasetKind,
-    FilterSpec,
+    Highpass,
     PreprocessedSeries,
     RawRecording,
     apply_filter,
-    default_bandpass,
     design_filter,
     fmpre,
-    hfen_highpass,
     hfen_preprocess,
     magnitude,
     normalize_magnitude,
@@ -92,8 +91,7 @@ class TestNormalizeMagnitude:
 
 class TestDesignFilter:
     def test_bandpass_cutoffs_within_02db_of_oracle(self):
-        spec = default_bandpass(FS)
-        filt = design_filter(spec)
+        filt = design_filter(Bandpass(), FS)
         for f in (0.25, 2.5):
             measured = to_db(float(filt.magnitude_response([f])[0]))
             oracle = to_db(butter_bandpass_mag(f, 0.25, 2.5, 3, FS))
@@ -101,30 +99,30 @@ class TestDesignFilter:
             assert oracle == pytest.approx(to_db(1 / math.sqrt(2)), abs=1e-9)
 
     def test_bandpass_matches_oracle_across_band(self):
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         for f in (0.1, 0.25, 0.79, 2.5, 4.0):
             measured = to_db(float(filt.magnitude_response([f])[0]))
             oracle = to_db(butter_bandpass_mag(f, 0.25, 2.5, 3, FS))
             assert measured == pytest.approx(oracle, abs=0.2), f
 
     def test_bandpass_dc_gain_below_1e6(self):
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         assert filt.dc_gain() < 1e-6
 
     def test_hfen_highpass_cutoff(self):
-        filt = design_filter(hfen_highpass(FS))
+        filt = design_filter(Highpass(), FS)
         measured = to_db(float(filt.magnitude_response([0.2])[0]))
         oracle = to_db(butter_highpass_mag(0.2, 0.2, 4, FS))
         assert measured == pytest.approx(oracle, abs=0.2)
         assert oracle == pytest.approx(to_db(1 / math.sqrt(2)), abs=1e-9)
 
     def test_design_is_stable(self):
-        for spec in (default_bandpass(FS), hfen_highpass(FS), default_bandpass(FS, order=30)):
-            assert design_filter(spec).max_pole_magnitude() < 1.0
+        for spec in (Bandpass(), Highpass(), Bandpass(order=30)):
+            assert design_filter(spec, FS).max_pole_magnitude() < 1.0
 
     def test_design_is_deterministic(self):
-        a = design_filter(default_bandpass(FS))
-        b = design_filter(default_bandpass(FS))
+        a = design_filter(Bandpass(), FS)
+        b = design_filter(Bandpass(), FS)
         assert a.sos.tobytes() == b.sos.tobytes()
 
     @pytest.mark.parametrize(
@@ -132,12 +130,12 @@ class TestDesignFilter:
     )
     def test_invalid_cutoffs_rejected(self, low, high):
         with pytest.raises(InvalidCutoffs):
-            FilterSpec("bandpass", 3, low, high, FS)
+            design_filter(Bandpass(3, low, high), FS)
 
 
 class TestApplyFilter:
     def test_constant_input_settles_below_1e3_after_60s(self):
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         series = PreprocessedSeries(DatasetKind.UFM, np.ones(1200), FS)
         out = apply_filter(series, filt)
         assert out.kind is DatasetKind.FMPOST
@@ -147,7 +145,7 @@ class TestApplyFilter:
         assert rho ** 600 < 1e-6
 
     def test_zero_input_gives_zero_output(self):
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         series = PreprocessedSeries(DatasetKind.UFX, np.zeros(100), FS)
         out = apply_filter(series, filt)
         np.testing.assert_array_equal(out.values, 0.0)
@@ -156,7 +154,7 @@ class TestApplyFilter:
     def test_scaling_linearity_to_machine_precision(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=500)
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         y = filter_values(x, filt)
         y_scaled = filter_values(3.5 * x, filt)
         np.testing.assert_allclose(y_scaled, 3.5 * y, rtol=1e-12, atol=1e-15)
@@ -164,7 +162,7 @@ class TestApplyFilter:
     def test_superposition(self):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(2, 400))
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         lhs = filter_values(2.0 * x + 0.5 * y, filt)
         rhs = 2.0 * filter_values(x, filt) + 0.5 * filter_values(y, filt)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
@@ -172,13 +170,13 @@ class TestApplyFilter:
     def test_shift_invariance_on_zero_padded_input(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=300)
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         y = filter_values(x, filt)
         shifted = filter_values(np.concatenate([np.zeros(7), x]), filt)
         np.testing.assert_allclose(shifted[7:], y, rtol=1e-9, atol=1e-12)
 
     def test_rate_mismatch_rejected(self):
-        filt = design_filter(default_bandpass(20.0))
+        filt = design_filter(Bandpass(), 20.0)
         series = PreprocessedSeries(DatasetKind.UFX, np.zeros(10), FS)
         with pytest.raises(SeriesMismatch):
             apply_filter(series, filt)
@@ -189,7 +187,7 @@ class TestApplyFilter:
         # over whole periods)
         t = np.arange(8000) / FS
         x = np.sin(2 * np.pi * 0.25 * t)
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
 
         def amplitude(y):
             tail = y[4000:]
@@ -205,7 +203,7 @@ class TestApplyFilter:
     def test_frozen_series_filters_like_a_writable_copy(self, bout_recording, zero_phase):
         frozen = bout_recording.x
         assert not frozen.flags.writeable
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         out = filter_values(frozen, filt, zero_phase)
         expected = filter_values(frozen.copy(), filt, zero_phase)
         assert out.tobytes() == expected.tobytes()
@@ -213,7 +211,7 @@ class TestApplyFilter:
         assert not frozen.flags.writeable
 
     def test_kind_without_filtered_counterpart_rejected(self):
-        filt = design_filter(default_bandpass(FS))
+        filt = design_filter(Bandpass(), FS)
         series = PreprocessedSeries(DatasetKind.UFNM, np.zeros(10), FS)
         with pytest.raises(SeriesMismatch):
             apply_filter(series, filt)
@@ -301,7 +299,7 @@ class TestMagnitudesMatchTheDirectFormula:
     @pytest.mark.parametrize("zero_phase", [False, True])
     def test_hfen(self, bout_recording, zero_phase):
         rec = bout_recording
-        filt = design_filter(hfen_highpass(FS))
+        filt = design_filter(Highpass(), FS)
         hx, hy, hz = (filter_values(a, filt, zero_phase) for a in (rec.x, rec.y, rec.z))
         out = hfen_preprocess(rec, zero_phase=zero_phase).values
         assert out.tobytes() == self._norm(hx, hy, hz).tobytes()
@@ -335,6 +333,6 @@ class TestPreprocessAll:
         assert all(s.n_samples == n for s in bout_datasets.values())
 
     def test_provenance_carries_filter_spec(self, bout_datasets):
-        assert bout_datasets[DatasetKind.FX].provenance.topology == "bandpass"
-        assert bout_datasets[DatasetKind.HFEN_SPECIAL].provenance.topology == "highpass"
+        assert bout_datasets[DatasetKind.FX].provenance == Bandpass()
+        assert bout_datasets[DatasetKind.HFEN_SPECIAL].provenance == Highpass()
         assert bout_datasets[DatasetKind.UFX].provenance is None
