@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .combine import (
     AxisTriple,
-    CatalogOptions,
     CombinationRule,
     VariantDescriptor,
     catalog,

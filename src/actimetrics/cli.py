@@ -1,7 +1,8 @@
 """Command-line interface chaining synth -> preprocess -> activity -> analysis.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 partial
-failure (some subjects failed, others were processed).
+failure (some subjects failed, others were processed). In ``activity`` and
+``correlate`` any exception in one subject fails that subject only.
 """
 from __future__ import annotations
 
@@ -12,13 +13,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import formats
-from .combine import catalog
 from .config import PipelineConfig, load_config
 from .errors import ActimetricsError, ConfigError
 from .pipeline import (
     preprocess_subject,
     process_subject,
     run_pipeline,
+    subject_error,
     write_activity_files,
     write_sweeps,
 )
@@ -124,8 +125,9 @@ def _cmd_activity(args, config: PipelineConfig) -> int:
     for rec in recordings:
         try:
             signals = process_subject(rec, config)
-        except ActimetricsError as exc:
-            print(f"{rec.subject_id}: FAILED: {exc}", file=sys.stderr)
+        except Exception as exc:
+            print(f"{rec.subject_id}: FAILED: {subject_error(rec.subject_id, exc)}",
+                  file=sys.stderr)
             failed += 1
             continue
         write_activity_files(signals, out, rec.subject_id)
@@ -157,7 +159,7 @@ def _cmd_correlate(args, config: PipelineConfig, jobs: int) -> int:
 
 
 def _cmd_catalog(config: PipelineConfig) -> int:
-    variants = catalog(config.catalog_options())
+    variants = config.variants()
     for variant in variants:
         print(variant.label)
     print(f"total: {len(variants)} variants")

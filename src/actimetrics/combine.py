@@ -1,19 +1,22 @@
 """Variant descriptors, axial-combination indicators, and the catalog.
 
 A :class:`VariantDescriptor` names one legal activity computation: a
-metric, the dataset (or axis triple) it runs on, an optional combination
-rule collapsing per-axis activities into one signal, plus the threshold
-policy (ZCM/TAT) and integration method (PIM). Illegal combinations cannot
-be constructed: whether a metric may run on a dataset kind comes from the
-applicability table in :mod:`actimetrics.metrics`, and the rules add only
-which kinds they take (one axis, or the filtered axis triple).
+metric, the dataset (or axis triple) it runs on, whether the metric runs
+on the elementwise-squared series, and a combination rule collapsing
+per-axis activities into one signal, plus the threshold policy (ZCM/TAT)
+and integration method (PIM). Illegal combinations cannot be constructed:
+whether a metric may run on a dataset kind comes from the applicability
+table in :mod:`actimetrics.metrics`, and which (squared, rule) pairs exist
+beyond the plain metric comes from one family table, ``_FAMILIES``. A
+triple rule takes the filtered axis triple; every other family takes one
+axis.
 
 :func:`compute_activity` is the one evaluation path. Every variant except
 AI takes its metric's base values on each of its series (one kind, or
-FX/FY/FZ), on the squared series where the label says so, then applies its
-rule's post-op: none, ``²``, SUM, SQRTSUM, SUMSQ or VM3. :func:`catalog`
-enumerates the single-series rows from the table; only the AI rows and the
-combination families are listed by hand.
+FX/FY/FZ), squared where ``squared`` says so, then applies its rule's
+post-op: none, ``²``, SUM, SQRTSUM, SUMSQ or VM3. :func:`catalog`
+enumerates the single-series rows from the applicability table, the two AI
+rows, then ``_FAMILIES`` for each axial metric.
 
 Label grammar, stable across versions::
 
@@ -29,10 +32,10 @@ because each can be computed in exactly one way.)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fnmatch import fnmatch
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -91,7 +94,6 @@ class CombinationRule(Enum):
     SQUARE_EACH_AXIS = "square_each"
     SUM_OF_SQUARES = "sum_sq"
     VM3 = "vm3"
-    METRIC_ON_SQUARED_AXIS = "squared_axis"
 
 
 # The rules that combine the three filtered axes, with their label tokens.
@@ -101,6 +103,19 @@ _RULE_TOKEN = {
     CombinationRule.SUM_OF_SQUARES: "SUMSQ",
     CombinationRule.VM3: "VM3",
 }
+
+# Every (squared, rule) pair beyond the plain metric, in catalog order. A
+# triple rule gives one FXYZ row; the others give one row per axis.
+_FAMILIES = (
+    (False, CombinationRule.SUM_AXES),
+    (False, CombinationRule.SQRT_OF_SUM_AXES),
+    (False, CombinationRule.SQUARE_EACH_AXIS),
+    (False, CombinationRule.SUM_OF_SQUARES),
+    (False, CombinationRule.VM3),
+    (True, CombinationRule.NONE),
+    (True, CombinationRule.SUM_AXES),
+    (True, CombinationRule.SQRT_OF_SUM_AXES),
+)
 
 _METRIC_UNITS = {
     MetricId.PIM: "g*s",
@@ -130,17 +145,17 @@ class VariantDescriptor:
     """One cataloged activity computation; construction enforces legality.
 
     The metric must be legal, by the applicability table, on the kind or on
-    each axis of the triple, and the rule must take that kind.
-
-    ``squared_axes`` marks the combined families built from squared-series
-    per-axis activities (``SUM[PIM,FXYZ2]``); the single-axis squared-series
-    rows use ``combination=METRIC_ON_SQUARED_AXIS`` instead.
+    each axis of the triple. A (squared, rule) pair other than the plain
+    ``(False, NONE)`` must be in ``_FAMILIES``: a triple rule needs the
+    filtered triple, every other family one axis. ``squared=True`` runs
+    the metric on the elementwise-squared series (``PIM(FX²)``,
+    ``SUM[PIM,FXYZ²]``).
     """
 
     metric: MetricId
     kind: VariantKind
     combination: CombinationRule = CombinationRule.NONE
-    squared_axes: bool = False
+    squared: bool = False
     threshold_policy: Optional[ThresholdPolicy] = None
     integration: Optional[IntegrationMethod] = None
 
@@ -159,67 +174,42 @@ class VariantDescriptor:
 
     def _check_legality(self) -> None:
         metric, kind, rule = self.metric, self.kind, self.combination
-
-        if isinstance(kind, AxisTriple):
-            if metric is MetricId.AI:
-                if rule is not CombinationRule.NONE or self.squared_axes:
-                    raise InapplicableMetric("AI takes the plain axis triple")
-                return
-            if rule not in _RULE_TOKEN:
-                raise InapplicableMetric(
-                    f"rule {rule.value} needs a single axis, not {kind}"
-                )
-            if kind is not AxisTriple.FXYZ:
-                raise InapplicableMetric(
-                    "combination indicators are defined on the filtered axes"
-                )
-            if self.squared_axes and rule not in (
-                CombinationRule.SUM_AXES, CombinationRule.SQRT_OF_SUM_AXES
-            ):
-                raise InapplicableMetric(
-                    f"squared-series inputs are not combined with {rule.value}"
-                )
-            kinds = kind.axes
-        else:
-            if self.squared_axes:
-                raise ValueError("squared_axes applies to triple kinds only")
-            if rule in _RULE_TOKEN:
-                raise InapplicableMetric(f"rule {rule.value} needs the axis triple")
-            if rule is not CombinationRule.NONE and not kind.is_axis:
-                raise InapplicableMetric(f"rule {rule.value} needs an axis kind")
-            kinds = (kind,)
-        for series_kind in kinds:
+        triple = isinstance(kind, AxisTriple)
+        if (self.squared, rule) == (False, CombinationRule.NONE):
+            if triple:
+                if metric is not MetricId.AI:
+                    raise InapplicableMetric(f"{kind} needs a combination rule")
+                return  # AI reads the plain triple itself
+        # a triple rule takes the filtered triple, any other family one axis
+        elif (self.squared, rule) not in _FAMILIES or (
+            kind is not AxisTriple.FXYZ if rule in _RULE_TOKEN
+            else triple or not kind.is_axis
+        ):
+            raise InapplicableMetric(
+                f"no variant family takes {kind} with rule {rule.value} "
+                f"and squared={self.squared}"
+            )
+        for series_kind in kind.axes if triple else (kind,):
             require_applicable(metric, series_kind)
-
-    @property
-    def squared_input(self) -> bool:
-        """Whether the metric runs on the elementwise-squared series."""
-        return (
-            self.squared_axes
-            or self.combination is CombinationRule.METRIC_ON_SQUARED_AXIS
-        )
 
     @property
     def label(self) -> str:
         token = _metric_token(self.metric, self.integration)
-        rule = self.combination
+        suffix = SQ if self.squared else ""
         if isinstance(self.kind, AxisTriple):
             if self.metric is MetricId.AI:
                 return f"AI({self.kind})"
-            suffix = SQ if self.squared_axes else ""
-            return f"{_RULE_TOKEN[rule]}[{token},{self.kind}{suffix}]"
-        if rule is CombinationRule.METRIC_ON_SQUARED_AXIS:
-            return f"{token}({self.kind}{SQ})"
-        if rule is CombinationRule.SQUARE_EACH_AXIS:
+            return f"{_RULE_TOKEN[self.combination]}[{token},{self.kind}{suffix}]"
+        if self.combination is CombinationRule.SQUARE_EACH_AXIS:
             return f"{token}({self.kind}){SQ}"
         if self.metric in (MetricId.ENMO, MetricId.HFEN):
             return self.metric.value
-        return f"{token}({self.kind})"
+        return f"{token}({self.kind}{suffix})"
 
     @property
     def units(self) -> str:
         base = _METRIC_UNITS[self.metric]
-        if self.squared_input:
+        if self.squared:
             base = f"({base}) on g{SQ} input"
         if self.combination in (CombinationRule.SQUARE_EACH_AXIS,
                                 CombinationRule.SUM_OF_SQUARES):
@@ -237,7 +227,6 @@ def vm3(a_x, a_y, a_z):
 # one array for a single kind, three (x, y, z) for the filtered triple.
 _POST_OPS = {
     CombinationRule.NONE: lambda a: a,
-    CombinationRule.METRIC_ON_SQUARED_AXIS: lambda a: a,
     CombinationRule.SQUARE_EACH_AXIS: lambda a: a ** 2,
     CombinationRule.SUM_AXES: lambda a, b, c: a + b + c,
     CombinationRule.SQRT_OF_SUM_AXES: lambda a, b, c: np.sqrt(a + b + c),
@@ -260,7 +249,7 @@ def _single_values(
     squared input is squared block by block inside the kernel; the whole
     squared series exists only while its threshold is being resolved.
     """
-    metric, squared = variant.metric, variant.squared_input
+    metric, squared = variant.metric, variant.squared
     n = epoch_sample_count(te_s, series.sample_rate_hz)
     mat = epoch_matrix(series.values, n)
     ts = series.ts
@@ -356,33 +345,29 @@ def compute_activity(
     )
 
 
-@dataclass(frozen=True)
-class CatalogOptions:
-    """Knobs for catalog enumeration; defaults mirror the pipeline defaults."""
-
-    integrations: tuple[IntegrationMethod, ...] = (IntegrationMethod.RIEMANN_SUM,)
-    threshold_policy: ThresholdPolicy = field(default_factory=ThresholdPolicy.adaptive)
-    include: tuple[str, ...] = ()
-    exclude: tuple[str, ...] = ()
-
-
-def catalog(options: Optional[CatalogOptions] = None) -> list[VariantDescriptor]:
+def catalog(
+    *,
+    integrations: Sequence[IntegrationMethod] = (IntegrationMethod.RIEMANN_SUM,),
+    threshold_policy: Optional[ThresholdPolicy] = None,
+    include: Sequence[str] = (),
+    exclude: Sequence[str] = (),
+) -> list[VariantDescriptor]:
     """Enumerate every legal variant in a fixed, deterministic order.
 
-    Single-series variants come first: per metric (PIM per integration,
-    ZCM, TAT, MAD, ENMO, HFEN), every kind the applicability table allows,
-    in its column order. Then AI on both axis triples, then the per-metric
-    combination families over the filtered axes. Include/exclude
-    shell-style patterns filter by label.
+    Single-series variants come first: per metric (PIM once per
+    integration, ZCM and TAT with ``threshold_policy``, default adaptive;
+    MAD, ENMO, HFEN), every kind the applicability table allows, in its
+    column order. Then AI on both axis triples, then ``_FAMILIES`` for each
+    axial metric over the filtered axes. Include/exclude shell-style
+    patterns filter by label.
     """
-    opts = options or CatalogOptions()
     # (metric, constructor keywords): PIM once per integration method
     settings: list[tuple[MetricId, dict]] = []
     for metric in MetricId:
         if metric is MetricId.PIM:
-            settings += [(metric, {"integration": i}) for i in opts.integrations]
+            settings += [(metric, {"integration": i}) for i in integrations]
         elif metric in THRESHOLD_METRICS:
-            settings.append((metric, {"threshold_policy": opts.threshold_policy}))
+            settings.append((metric, {"threshold_policy": threshold_policy}))
         else:
             settings.append((metric, {}))
 
@@ -393,37 +378,19 @@ def catalog(options: Optional[CatalogOptions] = None) -> list[VariantDescriptor]
     ]
     out.append(VariantDescriptor(MetricId.AI, AxisTriple.UFXYZ))
     out.append(VariantDescriptor(MetricId.AI, AxisTriple.FXYZ))
-
-    triple = AxisTriple.FXYZ
-    for metric, kwargs in settings:
-        if metric not in AXIAL_METRICS:
-            continue
-        out.append(VariantDescriptor(
-            metric, triple, CombinationRule.SUM_AXES, **kwargs))
-        out.append(VariantDescriptor(
-            metric, triple, CombinationRule.SQRT_OF_SUM_AXES, **kwargs))
-        for axis in FILTERED_AXES:
-            out.append(VariantDescriptor(
-                metric, axis, CombinationRule.SQUARE_EACH_AXIS, **kwargs))
-        out.append(VariantDescriptor(
-            metric, triple, CombinationRule.SUM_OF_SQUARES, **kwargs))
-        out.append(VariantDescriptor(
-            metric, triple, CombinationRule.VM3, **kwargs))
-        for axis in FILTERED_AXES:
-            out.append(VariantDescriptor(
-                metric, axis, CombinationRule.METRIC_ON_SQUARED_AXIS, **kwargs))
-        out.append(VariantDescriptor(
-            metric, triple, CombinationRule.SUM_AXES, squared_axes=True, **kwargs))
-        out.append(VariantDescriptor(
-            metric, triple, CombinationRule.SQRT_OF_SUM_AXES, squared_axes=True,
-            **kwargs))
+    out += [
+        VariantDescriptor(metric, kind, rule, squared, **kwargs)
+        for metric, kwargs in settings if metric in AXIAL_METRICS
+        for squared, rule in _FAMILIES
+        for kind in ((AxisTriple.FXYZ,) if rule in _RULE_TOKEN else FILTERED_AXES)
+    ]
 
     labels = [v.label for v in out]
     if len(set(labels)) != len(labels):
         raise RuntimeError("catalog produced duplicate labels")
 
-    if opts.include:
-        out = [v for v in out if any(fnmatch(v.label, p) for p in opts.include)]
-    if opts.exclude:
-        out = [v for v in out if not any(fnmatch(v.label, p) for p in opts.exclude)]
+    if include:
+        out = [v for v in out if any(fnmatch(v.label, p) for p in include)]
+    if exclude:
+        out = [v for v in out if not any(fnmatch(v.label, p) for p in exclude)]
     return out

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 from .analysis import PsdParams
-from .combine import CatalogOptions
+from .combine import VariantDescriptor, catalog
 from .core import DatasetKind
 from .errors import ActimetricsError, ConfigError, InapplicableMetric, InvalidCutoffs
 from .metrics import (
@@ -101,13 +101,17 @@ class PipelineConfig:
     def integration_methods(self) -> tuple[IntegrationMethod, ...]:
         return tuple(IntegrationMethod(name) for name in self.pim_integrations)
 
-    def catalog_options(self) -> CatalogOptions:
-        return CatalogOptions(
+    def variants(self) -> list[VariantDescriptor]:
+        """The configured catalog; a ConfigError when the filters empty it."""
+        variants = catalog(
             integrations=self.integration_methods(),
             threshold_policy=self.threshold,
             include=self.catalog.include,
             exclude=self.catalog.exclude,
         )
+        if not variants:
+            raise ConfigError("empty catalog: include/exclude filters left no variants")
+        return variants
 
     def sweep_requests(self) -> list[tuple[str, str]]:
         return [(m, k) for m in self.sweep.metrics for k in self.sweep.kinds]
@@ -242,6 +246,7 @@ def validate_config(config: PipelineConfig) -> None:
         config.synthetic.subject_spec(0, config.seed)
     except ValueError as exc:
         raise ConfigError(f"synthetic: {exc}") from None
+    config.variants()
 
     # cutoffs are checked against Nyquist at a nominal 10 Hz here and again
     # at each recording's own rate in the pipeline

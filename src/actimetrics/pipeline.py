@@ -11,20 +11,21 @@ The CLI's ``preprocess``, ``activity`` and ``sweep`` subcommands run the
 same steps through :func:`preprocess_subject`, :func:`write_activity_files`
 and :func:`write_sweeps`.
 
-Failures of one subject are reported in the manifest and do not stop the
-others. Output is deterministic: rerunning with the same config and
-inputs produces byte-identical files.
+Failures of one subject, whatever the exception, are reported in the
+manifest and do not stop the others. Output is deterministic: rerunning
+with the same config and inputs produces byte-identical files.
 """
 from __future__ import annotations
 
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from . import formats
 from .analysis import Domain, SweepCurve, correlation_matrix, threshold_sweep
-from .combine import catalog, compute_activity
+from .combine import compute_activity
 from .config import PipelineConfig, check_epoch_alignment
 from .core import (
     ActivitySignal,
@@ -38,6 +39,8 @@ from .metrics import MetricId, NoiseVarianceEstimate, estimate_noise_variance
 from .preprocess import preprocess_all
 
 MANIFEST_SCHEMA = 1
+
+_log = logging.getLogger(__name__)
 
 
 def preprocess_subject(
@@ -66,12 +69,9 @@ def process_subject(
     else:
         noise = estimate_noise_variance(rec, config.ai.noise_window_s)
 
-    variants = catalog(config.catalog_options())
-    if not variants:
-        raise ConfigError("empty catalog: include/exclude filters left no variants")
     thresholds = {}  # resolved ZCM/TAT thresholds of this subject's datasets
     signals: dict[str, ActivitySignal] = {}
-    for variant in variants:
+    for variant in config.variants():
         signals[variant.label] = compute_activity(
             variant,
             datasets,
@@ -81,6 +81,18 @@ def process_subject(
             thresholds=thresholds,
         )
     return signals
+
+
+def subject_error(subject_id: str, exc: Exception) -> str:
+    """The reported error of a failed subject.
+
+    A package error is reported by its own text. Any other exception is
+    ``"<TypeName>: <message>"``, and its traceback is logged.
+    """
+    if isinstance(exc, ActimetricsError):
+        return str(exc)
+    _log.error("subject %s failed", subject_id, exc_info=exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def write_activity_files(
@@ -136,10 +148,7 @@ def run_pipeline(
     ids = [rec.subject_id for rec in recordings]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate subject ids: {sorted(ids)}")
-    variants = catalog(config.catalog_options())
-    if not variants:
-        raise ConfigError("empty catalog: include/exclude filters left no variants")
-    labels = [v.label for v in variants]
+    labels = [v.label for v in config.variants()]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,8 +159,8 @@ def run_pipeline(
     def _run(rec: RawRecording):
         try:
             return rec.subject_id, process_subject(rec, config), None
-        except ActimetricsError as exc:
-            return rec.subject_id, None, str(exc)
+        except Exception as exc:
+            return rec.subject_id, None, subject_error(rec.subject_id, exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -122,7 +122,13 @@ def design_filter(
             f"{spec}: cutoffs must lie below {nyquist} Hz, the Nyquist "
             f"frequency at {sample_rate_hz} Hz"
         )
-    sos = spsignal.butter(spec.order, wn, btype=btype, fs=sample_rate_hz, output="sos")
+    # a very high order overflows inside the design and leaves NaN in sos
+    with np.errstate(all="ignore"):
+        sos = spsignal.butter(spec.order, wn, btype=btype, fs=sample_rate_hz, output="sos")
+    if not np.isfinite(sos).all():
+        raise UnstableDesign(
+            f"non-finite coefficients for {spec} at {sample_rate_hz} Hz"
+        )
     realization = FilterRealization(spec, sample_rate_hz, sos)
     if realization.max_pole_magnitude() >= 1.0:
         raise UnstableDesign(

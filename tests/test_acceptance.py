@@ -20,7 +20,6 @@ import pytest
 from actimetrics import (
     AxisTriple,
     Bandpass,
-    CatalogOptions,
     DatasetKind,
     Domain,
     IntegrationMethod,
@@ -97,10 +96,9 @@ def corpus():
 @pytest.fixture(scope="module")
 def corpus_signals(corpus):
     """Full catalog (both PIM integrations) per subject, datasets dropped."""
-    opts = CatalogOptions(
+    variants = catalog(
         integrations=(IntegrationMethod.RIEMANN_SUM, IntegrationMethod.SIMPSON38)
     )
-    variants = catalog(opts)
     out = {}
     for rec in corpus:
         datasets = preprocess_all(rec)
@@ -394,8 +392,7 @@ def _real_recordings():
 
 
 def _mean_r(recordings, label_a, label_b):
-    opts = CatalogOptions()
-    variants = {v.label: v for v in catalog(opts)}
+    variants = {v.label: v for v in catalog()}
     rs = []
     for rec in recordings:
         datasets = preprocess_all(rec)

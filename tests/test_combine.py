@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from actimetrics import (
     AxisTriple,
-    CatalogOptions,
     CombinationRule,
     DatasetKind,
     IntegrationMethod,
@@ -130,7 +130,7 @@ class TestCombineAxial:
 class TestMetricOnSquaredAxis:
     def _squared(self, metric, values, te, kind=DatasetKind.FX, fs=10.0, policy=None):
         variant = VariantDescriptor(
-            metric, kind, CombinationRule.METRIC_ON_SQUARED_AXIS, threshold_policy=policy
+            metric, kind, CombinationRule.NONE, True, threshold_policy=policy
         )
         return compute_activity(variant, {kind: PreprocessedSeries(kind, values, fs)}, te)
 
@@ -169,7 +169,116 @@ class TestMetricOnSquaredAxis:
             self._squared(MetricId.ENMO, [0.1] * 100, 5.0)
 
 
+# Every (label, units) pair a descriptor can have over all (metric, kind or
+# triple, rule, squared) combinations, with the default policy and
+# integration, sorted.
+CONSTRUCTIBLE = [
+    ("AI(FXYZ)", "g"),
+    ("AI(UFXYZ)", "g"),
+    ("ENMO", "g"),
+    ("HFEN", "g"),
+    ("MAD(FMpost)", "g"),
+    ("MAD(FMpre)", "g"),
+    ("MAD(FX)", "g"),
+    ("MAD(FX)²", "(g)²"),
+    ("MAD(FX²)", "(g) on g² input"),
+    ("MAD(FY)", "g"),
+    ("MAD(FY)²", "(g)²"),
+    ("MAD(FY²)", "(g) on g² input"),
+    ("MAD(FZ)", "g"),
+    ("MAD(FZ)²", "(g)²"),
+    ("MAD(FZ²)", "(g) on g² input"),
+    ("MAD(UFM)", "g"),
+    ("MAD(UFNM)", "g"),
+    ("MAD(UFX)", "g"),
+    ("MAD(UFX)²", "(g)²"),
+    ("MAD(UFX²)", "(g) on g² input"),
+    ("MAD(UFY)", "g"),
+    ("MAD(UFY)²", "(g)²"),
+    ("MAD(UFY²)", "(g) on g² input"),
+    ("MAD(UFZ)", "g"),
+    ("MAD(UFZ)²", "(g)²"),
+    ("MAD(UFZ²)", "(g) on g² input"),
+    ("PIM(FMpost)", "g*s"),
+    ("PIM(FMpre)", "g*s"),
+    ("PIM(FX)", "g*s"),
+    ("PIM(FX)²", "(g*s)²"),
+    ("PIM(FX²)", "(g*s) on g² input"),
+    ("PIM(FY)", "g*s"),
+    ("PIM(FY)²", "(g*s)²"),
+    ("PIM(FY²)", "(g*s) on g² input"),
+    ("PIM(FZ)", "g*s"),
+    ("PIM(FZ)²", "(g*s)²"),
+    ("PIM(FZ²)", "(g*s) on g² input"),
+    ("PIM(UFM)", "g*s"),
+    ("PIM(UFNM)", "g*s"),
+    ("SQRTSUM[MAD,FXYZ]", "g"),
+    ("SQRTSUM[MAD,FXYZ²]", "(g) on g² input"),
+    ("SQRTSUM[PIM,FXYZ]", "g*s"),
+    ("SQRTSUM[PIM,FXYZ²]", "(g*s) on g² input"),
+    ("SQRTSUM[TAT,FXYZ]", "s"),
+    ("SQRTSUM[TAT,FXYZ²]", "(s) on g² input"),
+    ("SQRTSUM[ZCM,FXYZ]", "count"),
+    ("SQRTSUM[ZCM,FXYZ²]", "(count) on g² input"),
+    ("SUMSQ[MAD,FXYZ]", "(g)²"),
+    ("SUMSQ[PIM,FXYZ]", "(g*s)²"),
+    ("SUMSQ[TAT,FXYZ]", "(s)²"),
+    ("SUMSQ[ZCM,FXYZ]", "(count)²"),
+    ("SUM[MAD,FXYZ]", "g"),
+    ("SUM[MAD,FXYZ²]", "(g) on g² input"),
+    ("SUM[PIM,FXYZ]", "g*s"),
+    ("SUM[PIM,FXYZ²]", "(g*s) on g² input"),
+    ("SUM[TAT,FXYZ]", "s"),
+    ("SUM[TAT,FXYZ²]", "(s) on g² input"),
+    ("SUM[ZCM,FXYZ]", "count"),
+    ("SUM[ZCM,FXYZ²]", "(count) on g² input"),
+    ("TAT(FMpost)", "s"),
+    ("TAT(FMpre)", "s"),
+    ("TAT(FX)", "s"),
+    ("TAT(FX)²", "(s)²"),
+    ("TAT(FX²)", "(s) on g² input"),
+    ("TAT(FY)", "s"),
+    ("TAT(FY)²", "(s)²"),
+    ("TAT(FY²)", "(s) on g² input"),
+    ("TAT(FZ)", "s"),
+    ("TAT(FZ)²", "(s)²"),
+    ("TAT(FZ²)", "(s) on g² input"),
+    ("TAT(UFM)", "s"),
+    ("TAT(UFNM)", "s"),
+    ("VM3[MAD,FXYZ]", "g"),
+    ("VM3[PIM,FXYZ]", "g*s"),
+    ("VM3[TAT,FXYZ]", "s"),
+    ("VM3[ZCM,FXYZ]", "count"),
+    ("ZCM(FMpost)", "count"),
+    ("ZCM(FMpre)", "count"),
+    ("ZCM(FX)", "count"),
+    ("ZCM(FX)²", "(count)²"),
+    ("ZCM(FX²)", "(count) on g² input"),
+    ("ZCM(FY)", "count"),
+    ("ZCM(FY)²", "(count)²"),
+    ("ZCM(FY²)", "(count) on g² input"),
+    ("ZCM(FZ)", "count"),
+    ("ZCM(FZ)²", "(count)²"),
+    ("ZCM(FZ²)", "(count) on g² input"),
+    ("ZCM(UFM)", "count"),
+    ("ZCM(UFNM)", "count"),
+]
+
+
 class TestVariantDescriptor:
+    def test_constructible_pairs_pinned(self):
+        pairs = []
+        for metric, kind, rule, squared in itertools.product(
+            MetricId, [*DatasetKind, *AxisTriple], CombinationRule, (False, True)
+        ):
+            try:
+                variant = VariantDescriptor(metric, kind, rule, squared)
+            except (InapplicableMetric, ValueError):
+                continue
+            pairs.append((variant.label, variant.units))
+        assert sorted(pairs) == CONSTRUCTIBLE
+        assert len(CONSTRUCTIBLE) == len(set(CONSTRUCTIBLE)) == 89
+
     def test_labels(self):
         cases = [
             (VariantDescriptor(MetricId.PIM, DatasetKind.UFNM), "PIM(UFNM)"),
@@ -182,10 +291,9 @@ class TestVariantDescriptor:
                                CombinationRule.VM3), "VM3[ZCM,FXYZ]"),
             (VariantDescriptor(MetricId.MAD, DatasetKind.FY,
                                CombinationRule.SQUARE_EACH_AXIS), f"MAD(FY){SQ}"),
-            (VariantDescriptor(MetricId.MAD, DatasetKind.FY,
-                               CombinationRule.METRIC_ON_SQUARED_AXIS), f"MAD(FY{SQ})"),
+            (VariantDescriptor(MetricId.MAD, DatasetKind.FY, squared=True), f"MAD(FY{SQ})"),
             (VariantDescriptor(MetricId.TAT, AxisTriple.FXYZ,
-                               CombinationRule.SUM_AXES, squared_axes=True),
+                               CombinationRule.SUM_AXES, squared=True),
              f"SUM[TAT,FXYZ{SQ}]"),
         ]
         for descriptor, expected in cases:
@@ -435,10 +543,9 @@ class TestCatalog:
         assert len(catalog()) == 83
 
     def test_both_integrations_extend_catalog(self):
-        opts = CatalogOptions(
+        labels = [v.label for v in catalog(
             integrations=(IntegrationMethod.RIEMANN_SUM, IntegrationMethod.SIMPSON38)
-        )
-        labels = [v.label for v in catalog(opts)]
+        )]
         assert "PIM(UFNM)" in labels and "PIMs(UFNM)" in labels
         assert "VM3[PIM,FXYZ]" in labels and "VM3[PIMs,FXYZ]" in labels
         assert len(labels) == 83 + 19
@@ -447,15 +554,15 @@ class TestCatalog:
         assert [v.label for v in catalog()] == DEFAULT_LABELS
 
     def test_both_integrations_labels_pinned(self):
-        opts = CatalogOptions(
+        variants = catalog(
             integrations=(IntegrationMethod.RIEMANN_SUM, IntegrationMethod.SIMPSON38)
         )
-        assert [v.label for v in catalog(opts)] == BOTH_INTEGRATIONS_LABELS
+        assert [v.label for v in variants] == BOTH_INTEGRATIONS_LABELS
 
     def test_include_exclude_globs(self):
-        only_pim = catalog(CatalogOptions(include=("PIM(*",)))
+        only_pim = catalog(include=("PIM(*",))
         assert only_pim and all(v.label.startswith("PIM(") for v in only_pim)
-        no_combined = catalog(CatalogOptions(exclude=("*[*",)))
+        no_combined = catalog(exclude=("*[*",))
         assert no_combined and not any("[" in v.label for v in no_combined)
 
     def test_every_descriptor_computes_on_synthetic_data(self, bout_datasets):

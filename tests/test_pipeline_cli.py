@@ -109,10 +109,8 @@ class TestConfig:
         assert check_epoch_alignment(config_from_dict({}), 10.0) == 600
 
     def test_both_integrations_flow_into_catalog(self):
-        from actimetrics import catalog
-
         config = config_from_dict({"pim_integrations": ["riemann", "simpson38"]})
-        labels = [v.label for v in catalog(config.catalog_options())]
+        labels = [v.label for v in config.variants()]
         assert "PIM(UFNM)" in labels and "PIMs(UFNM)" in labels
         assert len(labels) == 102
 
@@ -279,6 +277,33 @@ class TestRunPipeline:
             assert by_id["broken"]["status"] == "failed"
             assert "non-finite" in by_id["broken"]["error"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_exception_fails_only_its_subject(self, tmp_path, monkeypatch, jobs):
+        good = corpus(1, duration_s=1200.0)[0]
+        odd = dataclasses.replace(corpus(1, duration_s=1800.0, seed0=60)[0], subject_id="odd")
+        _mad_fails_at_epochs(monkeypatch, 30)  # odd's 30 epochs; good has 20
+        manifest = run_pipeline(small_config(), [good, odd], tmp_path, jobs=jobs)
+        by_id = {s["subject_id"]: s for s in manifest["subjects"]}
+        assert by_id["s00"] == {"subject_id": "s00", "status": "ok", "error": None}
+        assert by_id["odd"] == {"subject_id": "odd", "status": "failed",
+                                "error": "ValueError: injected kernel fault"}
+        assert len(list((tmp_path / "s00" / "activity").glob("*.csv"))) == 83
+        assert not (tmp_path / "odd").exists()
+
+
+def _mad_fails_at_epochs(monkeypatch, epochs):
+    """Make the catalog's MAD kernel raise ValueError on ``epochs``-row input."""
+    import actimetrics.combine as combine
+
+    real = combine.mad_values
+
+    def mad_values(mat, *args, **kwargs):
+        if mat.shape[0] == epochs:
+            raise ValueError("injected kernel fault")
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(combine, "mad_values", mad_values)
+
 
 class TestCli:
     def _write_corpus(self, tmp_path, n=2):
@@ -384,6 +409,7 @@ class TestCli:
         '{"bandpass": {"f_low_hz": 3.0, "f_high_hz": 2.5}}',
         '{"bandpass": {"f_high_hz": 5.0}}',
         '{"bandpass": {"order": 0}}',
+        '{"bandpass": {"order": 300}}',
         '{"hfen_highpass": {"cutoff_hz": 0.0}}',
         '{"hfen_highpass": {"order": 0}}',
         '{"ai": {"subtract_per_axis": "yes"}}',
@@ -421,6 +447,46 @@ class TestCli:
         assert main(["--config", str(bad), "--out", str(out), "synth"]) == 1
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["catalog", "activity", "correlate"])
+    def test_empty_catalog_exits_1_before_any_output(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"catalog": {"include": ["NOPE*"]}}))
+        paths = self._write_corpus(tmp_path, n=1)
+        out = tmp_path / "out"
+        args = [] if command == "catalog" else [str(paths[0])]
+        assert main(["--config", str(bad), "--out", str(out), command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: empty catalog")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, jobs", [
+        ("activity", "1"), ("correlate", "1"), ("correlate", "2"),
+    ])
+    def test_unexpected_exception_in_one_subject_exits_3(
+        self, tmp_path, monkeypatch, capsys, command, jobs
+    ):
+        config = self._config_file(tmp_path)
+        good = corpus(1, duration_s=600.0)[0]
+        odd = dataclasses.replace(corpus(1, duration_s=900.0, seed0=60)[0], subject_id="odd")
+        paths = []
+        for rec in (good, odd):
+            paths.append(tmp_path / f"{rec.subject_id}.actm")
+            write_recording_bin(rec, paths[-1])
+        _mad_fails_at_epochs(monkeypatch, 15)  # odd's 15 epochs; good has 10
+        out = tmp_path / "out"
+        code = main(["--config", str(config), "--out", str(out), "--jobs", jobs,
+                     command, *map(str, paths)])
+        assert code == 3
+        assert len(list((out / "s00" / "activity").glob("*.csv"))) == 83
+        assert not (out / "odd").exists()
+        if command == "activity":
+            assert "odd: FAILED: ValueError: injected kernel fault" in capsys.readouterr().err
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            errors = {s["subject_id"]: s["error"] for s in manifest["subjects"]}
+            assert errors == {"odd": "ValueError: injected kernel fault", "s00": None}
 
     def test_bad_sweep_kind_exits_1_before_any_output(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -17,7 +17,7 @@ from actimetrics import (
     normalize_magnitude,
     preprocess_all,
 )
-from actimetrics.errors import InvalidCutoffs, SeriesMismatch
+from actimetrics.errors import InvalidCutoffs, SeriesMismatch, UnstableDesign
 from actimetrics.preprocess import filter_values
 
 FS = 10.0
@@ -131,6 +131,14 @@ class TestDesignFilter:
     def test_invalid_cutoffs_rejected(self, low, high):
         with pytest.raises(InvalidCutoffs):
             design_filter(Bandpass(3, low, high), FS)
+
+    @pytest.mark.parametrize(
+        "spec", [Bandpass(order=300), Bandpass(order=500), Highpass(order=1000)]
+    )
+    def test_non_finite_coefficients_rejected(self, spec):
+        # the design overflows at these orders; its warnings must not escape
+        with pytest.raises(UnstableDesign, match="non-finite"):
+            design_filter(spec, FS)
 
 
 class TestApplyFilter:

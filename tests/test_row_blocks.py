@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from actimetrics import DatasetKind, IntegrationMethod, PreprocessedSeries
 from actimetrics import metrics
-from actimetrics.combine import CombinationRule, catalog, compute_activity
+from actimetrics.combine import catalog, compute_activity
 from actimetrics.core import FILTERED_AXES
 from actimetrics.metrics import (
     ai_values,
@@ -195,10 +195,7 @@ def test_squared_variants_allocate_less_than_one_series():
         for kind in FILTERED_AXES
     }
     series_bytes = datasets[DatasetKind.FX].values.nbytes
-    squared = [
-        v for v in catalog()
-        if v.squared_axes or v.combination is CombinationRule.METRIC_ON_SQUARED_AXIS
-    ]
+    squared = [v for v in catalog() if v.squared]
     assert len(squared) == 20
     memo = {}
     expected = [compute_activity(v, datasets, te_s, thresholds=memo).values for v in squared]
