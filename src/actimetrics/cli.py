@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 partial
 failure (some subjects failed, others were processed). In ``activity`` and
-``correlate`` any exception in one subject fails that subject only.
+``correlate`` any exception in one subject fails that subject only;
+``preprocess`` and ``sweep`` stop at the first recording they reject.
 """
 from __future__ import annotations
 
@@ -13,13 +14,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import formats
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, validate_config
 from .errors import ActimetricsError, ConfigError
 from .pipeline import (
+    admit,
     preprocess_subject,
-    process_subject,
+    process_subjects,
     run_pipeline,
-    subject_error,
     write_activity_files,
     write_sweeps,
 )
@@ -82,10 +83,13 @@ def _build_parser() -> _Parser:
 
 
 def _load_recordings(paths: Sequence[Path], sample_rate_hz: Optional[float]):
-    recordings = []
-    for path in paths:
-        recordings.append(formats.read_recording(path, sample_rate_hz))
-    return recordings
+    return [formats.read_recording(path, sample_rate_hz) for path in paths]
+
+
+def _exit_code(n_ok: int, n: int) -> int:
+    if n_ok == 0:
+        return EXIT_DATA
+    return EXIT_PARTIAL if n_ok < n else EXIT_OK
 
 
 def _cmd_synth(args, config: PipelineConfig) -> int:
@@ -105,10 +109,9 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 
 def _cmd_preprocess(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
-    out: Path = args.out
     for rec in recordings:
         datasets = preprocess_subject(rec, config)
-        subject_dir = out / rec.subject_id / "datasets"
+        subject_dir = args.out / rec.subject_id / "datasets"
         subject_dir.mkdir(parents=True, exist_ok=True)
         for kind, series in datasets.items():
             formats.write_dataset_csv(
@@ -120,42 +123,35 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
 
 def _cmd_activity(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
-    out: Path = args.out
-    failed = 0
-    for rec in recordings:
-        try:
-            signals = process_subject(rec, config)
-        except Exception as exc:
-            print(f"{rec.subject_id}: FAILED: {subject_error(rec.subject_id, exc)}",
-                  file=sys.stderr)
-            failed += 1
+    n_ok = 0
+    for subject, signals, error in process_subjects(config, recordings, args.jobs):
+        if error is not None:
+            print(f"{subject}: FAILED: {error}", file=sys.stderr)
             continue
-        write_activity_files(signals, out, rec.subject_id)
-        print(f"{rec.subject_id}: wrote {len(signals)} activity signals")
-    if failed == len(recordings):
-        return EXIT_DATA
-    return EXIT_PARTIAL if failed else EXIT_OK
+        write_activity_files(signals, args.out, subject)
+        print(f"{subject}: wrote {len(signals)} activity signals")
+        n_ok += 1
+    return _exit_code(n_ok, len(recordings))
 
 
 def _cmd_sweep(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    for name, curve in write_sweeps(config, recordings, out):
+    for rec in recordings:
+        admit(rec, config)
+    args.out.mkdir(parents=True, exist_ok=True)
+    for name, curve in write_sweeps(config, recordings, args.out):
         print(f"wrote {name} ({curve.thresholds.size} thresholds)")
     return EXIT_OK
 
 
-def _cmd_correlate(args, config: PipelineConfig, jobs: int) -> int:
+def _cmd_correlate(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
-    manifest = run_pipeline(config, recordings, args.out, jobs=jobs)
+    manifest = run_pipeline(config, recordings, args.out, jobs=args.jobs)
     statuses = [s["status"] for s in manifest["subjects"]]
     n_ok = statuses.count("ok")
     print(f"processed {n_ok}/{len(statuses)} subjects, "
           f"{manifest['catalog_count']} variants each")
-    if n_ok == 0:
-        return EXIT_DATA
-    return EXIT_PARTIAL if n_ok < len(statuses) else EXIT_OK
+    return _exit_code(n_ok, len(statuses))
 
 
 def _cmd_catalog(config: PipelineConfig) -> int:
@@ -183,6 +179,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
+            validate_config(config)
 
         if args.command == "synth":
             return _cmd_synth(args, config)
@@ -193,7 +190,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, config)
         if args.command == "correlate":
-            return _cmd_correlate(args, config, args.jobs)
+            return _cmd_correlate(args, config)
         if args.command == "catalog":
             return _cmd_catalog(config)
         if args.command == "convert":

@@ -51,6 +51,7 @@ from .core import (
 from .errors import InapplicableMetric, MissingDataset, SeriesMismatch
 from .metrics import (
     AXIAL_METRICS,
+    DEFAULT_NOISE_WINDOW_S,
     IntegrationMethod,
     MetricId,
     NoiseVarianceEstimate,
@@ -281,7 +282,6 @@ def compute_activity(
     te_s: float,
     *,
     noise: Optional[NoiseVarianceEstimate] = None,
-    noise_window_s: float = 60.0,
     ai_subtract_per_axis: bool = False,
     thresholds: Optional[ThresholdMemo] = None,
 ) -> ActivitySignal:
@@ -292,8 +292,8 @@ def compute_activity(
     give the same number of epochs (:class:`SeriesMismatch` otherwise).
 
     AI variants need a noise-variance estimate; when ``noise`` is None it
-    is derived from the raw axes in ``datasets`` with ``noise_window_s``
-    windows.
+    is derived from the raw axes in ``datasets`` with
+    ``DEFAULT_NOISE_WINDOW_S`` windows.
 
     ``thresholds`` lets calls on the same ``datasets`` share their resolved
     ZCM/TAT thresholds: pass one empty dict per dataset map (one subject)
@@ -314,7 +314,8 @@ def compute_activity(
         if noise is None:
             rx, ry, rz = (_series(k) for k in UNFILTERED_AXES)
             noise = noise_variance_from_axes(
-                rx.values, ry.values, rz.values, rx.sample_rate_hz, noise_window_s
+                rx.values, ry.values, rz.values, rx.sample_rate_hz,
+                DEFAULT_NOISE_WINDOW_S,
             )
         n = epoch_sample_count(te_s, sx.sample_rate_hz)
         values = ai_values(

@@ -22,6 +22,7 @@ from .combine import VariantDescriptor, catalog
 from .core import DatasetKind
 from .errors import ActimetricsError, ConfigError, InapplicableMetric, InvalidCutoffs
 from .metrics import (
+    DEFAULT_NOISE_WINDOW_S,
     IntegrationMethod,
     MetricId,
     ThresholdPolicy,
@@ -36,7 +37,7 @@ _DATASET_KINDS = {kind.value for kind in DatasetKind}
 
 @dataclass(frozen=True)
 class AiConfig:
-    noise_window_s: float = 60.0
+    noise_window_s: float = DEFAULT_NOISE_WINDOW_S
     subtract_per_axis: bool = False
     sigma_sq_override: Optional[float] = None
 
@@ -240,6 +241,8 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("sweep.step_g must be positive")
     if config.sweep.max_steps < 1:
         raise ConfigError("sweep.max_steps must be >= 1")
+    if config.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if config.synthetic.subjects < 1:
         raise ConfigError("synthetic.subjects must be >= 1")
     try:
@@ -256,17 +259,3 @@ def validate_config(config: PipelineConfig) -> None:
             design_filter(spec, 10.0)
         except (ActimetricsError, ArithmeticError) as exc:
             raise ConfigError(f"{name}: {exc}") from None
-
-
-def check_epoch_alignment(config: PipelineConfig, sample_rate_hz: float) -> int:
-    """Reject epoch lengths that do not hold a whole number of samples."""
-    product = config.epoch_s * sample_rate_hz
-    n = round(product)
-    if abs(product - n) > 1e-9:
-        raise ConfigError(
-            f"epoch_s={config.epoch_s} at {sample_rate_hz} Hz gives a non-integer "
-            f"sample count {product}; choose a deliberate epoch length"
-        )
-    if n < 2:
-        raise ConfigError("epoch holds fewer than 2 samples")
-    return int(n)

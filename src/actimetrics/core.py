@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptySeries, EpochTooShort
+from .errors import ConfigError, EmptySeries, EpochTooShort
 
 DEFAULT_FULL_SCALE_G = 8.0
 
@@ -218,8 +218,12 @@ class ActivitySignal:
 
 
 def epoch_sample_count(te_s: float, sample_rate_hz: float) -> int:
-    """Samples per epoch, n = round(Te * fs); at least 2."""
-    n = int(round(te_s * sample_rate_hz))
+    """Samples per epoch, n = Te * fs: a whole number (within 1e-9), at least 2."""
+    product = te_s * sample_rate_hz
+    n = int(round(product))
+    if abs(product - n) > 1e-9:
+        raise ConfigError(f"Te={te_s} s at {sample_rate_hz} Hz gives {product} "
+                          "samples per epoch, not a whole number")
     if n < 2:
         raise EpochTooShort(
             f"Te={te_s} s at {sample_rate_hz} Hz gives {n} samples per epoch (need >= 2)"

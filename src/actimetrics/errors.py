@@ -5,8 +5,12 @@ class ActimetricsError(Exception):
     """Base class for all package errors."""
 
 
-class EpochTooShort(ActimetricsError):
-    """Epoch length resolves to fewer than 2 samples."""
+class ConfigError(ActimetricsError):
+    """Configuration failed validation."""
+
+
+class EpochTooShort(ConfigError):
+    """The configured epoch holds fewer than 2 samples at a recording's rate."""
 
 
 class EmptySeries(ActimetricsError):
@@ -83,7 +87,3 @@ class TruncatedPayload(ActimetricsError):
 
 class UnrepresentableSampleRate(ActimetricsError):
     """The sample rate does not fit the binary header's whole deci-hertz field."""
-
-
-class ConfigError(ActimetricsError):
-    """Configuration failed validation."""

@@ -54,6 +54,7 @@ class MetricId(Enum):
 
 
 THRESHOLD_METRICS = (MetricId.ZCM, MetricId.TAT)
+DEFAULT_NOISE_WINDOW_S = 60.0  # of the AI noise-variance estimate
 
 
 class IntegrationMethod(Enum):
@@ -462,7 +463,7 @@ def noise_variance_from_axes(
 
 
 def estimate_noise_variance(
-    rec: RawRecording, window_s: float = 60.0
+    rec: RawRecording, window_s: float = DEFAULT_NOISE_WINDOW_S
 ) -> NoiseVarianceEstimate:
     """Systematic noise variance from the stillest window of the raw axes.
 

@@ -7,9 +7,10 @@ threshold sweeps (computed per subject at the subject's own sample rate,
 then averaged over the successful subjects in input order), and a
 manifest tying everything to the config hash and catalog.
 
-The CLI's ``preprocess``, ``activity`` and ``sweep`` subcommands run the
-same steps through :func:`preprocess_subject`, :func:`write_activity_files`
-and :func:`write_sweeps`.
+Every recording enters through :func:`admit`. The CLI's ``preprocess``,
+``activity`` and ``sweep`` subcommands run the same steps through
+:func:`preprocess_subject`, :func:`process_subjects`,
+:func:`write_activity_files` and :func:`write_sweeps`.
 
 Failures of one subject, whatever the exception, are reported in the
 manifest and do not stop the others. Output is deterministic: rerunning
@@ -21,17 +22,18 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import formats
 from .analysis import Domain, SweepCurve, correlation_matrix, threshold_sweep
 from .combine import compute_activity
-from .config import PipelineConfig, check_epoch_alignment
+from .config import PipelineConfig
 from .core import (
     ActivitySignal,
     DatasetKind,
     PreprocessedSeries,
     RawRecording,
+    epoch_sample_count,
     validate_recording,
 )
 from .errors import ActimetricsError, ConfigError, InvalidRecording
@@ -43,15 +45,23 @@ MANIFEST_SCHEMA = 1
 _log = logging.getLogger(__name__)
 
 
+def admit(rec: RawRecording, config: PipelineConfig) -> None:
+    """Reject ``rec`` unless it validates and the epoch suits its rate.
+
+    The one admission step of every subcommand: :class:`InvalidRecording`
+    on any validation finding, then :func:`epoch_sample_count`'s rule.
+    """
+    report = validate_recording(rec, config.full_scale_g)
+    if not report.ok:
+        raise InvalidRecording(f"{rec.subject_id}: {report.summary()}")
+    epoch_sample_count(config.epoch_s, rec.sample_rate_hz)
+
+
 def preprocess_subject(
     rec: RawRecording, config: PipelineConfig
 ) -> dict[DatasetKind, PreprocessedSeries]:
-    """Every dataset kind of one recording, filtered as configured at its rate.
-
-    Rejects a rate at which the configured epoch is not a whole number of
-    samples before any filtering.
-    """
-    check_epoch_alignment(config, rec.sample_rate_hz)
+    """Every dataset kind of one admitted recording, filtered at its rate."""
+    admit(rec, config)
     return preprocess_all(rec, config.bandpass, config.hfen_highpass, config.zero_phase)
 
 
@@ -59,10 +69,6 @@ def process_subject(
     rec: RawRecording, config: PipelineConfig
 ) -> dict[str, ActivitySignal]:
     """All cataloged activity signals for one recording, keyed by label."""
-    report = validate_recording(rec, config.full_scale_g)
-    if not report.ok:
-        raise InvalidRecording(f"{rec.subject_id}: {report.summary()}")
-
     datasets = preprocess_subject(rec, config)
     if config.ai.sigma_sq_override is not None:
         noise = NoiseVarianceEstimate(config.ai.sigma_sq_override, 0.0, -1)
@@ -83,16 +89,30 @@ def process_subject(
     return signals
 
 
-def subject_error(subject_id: str, exc: Exception) -> str:
-    """The reported error of a failed subject.
+def process_subjects(
+    config: PipelineConfig, recordings: Sequence[RawRecording], jobs: int = 1
+) -> Iterator[tuple[str, Optional[dict[str, ActivitySignal]], Optional[str]]]:
+    """(subject id, signals, error) of each recording, in input order.
 
-    A package error is reported by its own text. Any other exception is
-    ``"<TypeName>: <message>"``, and its traceback is logged.
+    Any exception fails its subject alone, with signals None. A package
+    error is reported by its own text; any other is ``"<TypeName>:
+    <message>"``, and its traceback is logged. With ``jobs`` > 1 the
+    subjects run on that many threads; otherwise lazily, one at a time.
     """
-    if isinstance(exc, ActimetricsError):
-        return str(exc)
-    _log.error("subject %s failed", subject_id, exc_info=exc)
-    return f"{type(exc).__name__}: {exc}"
+    def _run(rec: RawRecording):
+        try:
+            return rec.subject_id, process_subject(rec, config), None
+        except ActimetricsError as exc:
+            return rec.subject_id, None, str(exc)
+        except Exception as exc:
+            _log.error("subject %s failed", rec.subject_id, exc_info=exc)
+            return rec.subject_id, None, f"{type(exc).__name__}: {exc}"
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(_run, recordings)
+    else:
+        yield from map(_run, recordings)
 
 
 def write_activity_files(
@@ -153,25 +173,9 @@ def run_pipeline(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    per_subject: dict[str, dict[str, ActivitySignal]] = {}
-    failures: dict[str, str] = {}
-
-    def _run(rec: RawRecording):
-        try:
-            return rec.subject_id, process_subject(rec, config), None
-        except Exception as exc:
-            return rec.subject_id, None, subject_error(rec.subject_id, exc)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run, recordings))
-    else:
-        results = map(_run, recordings)  # lazily, one subject at a time
-    for subject, signals, error in results:
-        if error is None:
-            per_subject[subject] = signals
-        else:
-            failures[subject] = error
+    results = list(process_subjects(config, recordings, jobs))
+    per_subject = {s: signals for s, signals, error in results if error is None}
+    failures = {s: error for s, _, error in results if error is not None}
 
     outputs: list[str] = []
     for subject in sorted(per_subject):

@@ -101,12 +101,12 @@ class TestConfig:
         assert config_from_dict(data).config_hash() == digest
 
     def test_non_integer_epoch_sample_count_rejected(self):
-        from actimetrics.config import check_epoch_alignment
+        from actimetrics.core import epoch_sample_count
 
         config = config_from_dict({"epoch_s": 60.05})
         with pytest.raises(ConfigError):
-            check_epoch_alignment(config, 10.0)
-        assert check_epoch_alignment(config_from_dict({}), 10.0) == 600
+            epoch_sample_count(config.epoch_s, 10.0)
+        assert epoch_sample_count(config_from_dict({}).epoch_s, 10.0) == 600
 
     def test_both_integrations_flow_into_catalog(self):
         config = config_from_dict({"pim_integrations": ["riemann", "simpson38"]})
@@ -155,6 +155,22 @@ class TestConfig:
         expected = filter_values(rec.x, design_filter(config.bandpass, 20.0))
         assert fx.values.tobytes() == expected.tobytes()
         assert fx.provenance == config.bandpass
+
+    def test_zero_phase_config_filters_forward_backward(self):
+        from actimetrics import compute_activity, estimate_noise_variance
+        from actimetrics.pipeline import process_subject
+
+        rec = corpus(1, duration_s=600.0)[0]
+        config = config_from_dict({"filter_phase": "zero-phase"})
+        signals = process_subject(rec, config)
+        datasets = preprocess_all(rec, zero_phase=True)
+        noise = estimate_noise_variance(rec)
+        for variant in config.variants():
+            expected = compute_activity(variant, datasets, config.epoch_s, noise=noise)
+            np.testing.assert_array_equal(signals[variant.label].values,
+                                          expected.values, err_msg=variant.label)
+        causal = process_subject(rec, config_from_dict({}))
+        assert not np.array_equal(causal["PIM(FX)"].values, signals["PIM(FX)"].values)
 
     def test_ai_sigma_override_changes_only_ai(self, tmp_path):
         from actimetrics.pipeline import process_subject
@@ -562,6 +578,97 @@ class TestCli:
                      *map(str, paths)]) == 0
         for rel in manifest["sweeps"]:
             assert (out / rel).read_bytes() == (swept / rel).read_bytes(), rel
+
+    def _nan_recording(self, tmp_path):
+        """An .actm recording whose first 100 x samples are NaN."""
+        rec = corpus(1, duration_s=600.0)[0]
+        x = rec.x.copy()
+        x[:100] = np.nan
+        path = tmp_path / "nan.actm"
+        write_recording_bin(dataclasses.replace(rec, x=x), path)
+        return path
+
+    def test_sweep_rejects_invalid_recording_before_any_output(self, tmp_path, capsys):
+        path = self._nan_recording(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("sweep_*.csv"))
+
+    def test_preprocess_rejects_invalid_recording_before_any_output(
+        self, tmp_path, capsys
+    ):
+        path = self._nan_recording(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "preprocess", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epoch_s, reason", [
+        (60.05, "not a whole number"), (0.1, "need >= 2"),
+    ])
+    def test_bad_epoch_is_one_config_error_in_preprocess_and_sweep(
+        self, tmp_path, capsys, epoch_s, reason
+    ):
+        paths = self._write_corpus(tmp_path, n=1)
+        config = tmp_path / "epoch.json"
+        config.write_text(json.dumps({"epoch_s": epoch_s}))
+        results = []
+        for command in ("preprocess", "sweep"):
+            out = tmp_path / command
+            code = main(["--config", str(config), "--out", str(out), command,
+                         str(paths[0])])
+            results.append((code, capsys.readouterr().err))
+            assert not out.exists()
+        assert results[0] == results[1]
+        code, err = results[0]
+        assert code == 1
+        assert err.startswith("config error:") and reason in err
+
+    def test_activity_runs_subjects_on_jobs_threads(self, tmp_path, monkeypatch):
+        import threading
+
+        import actimetrics.pipeline as pipeline
+
+        config = self._config_file(tmp_path)
+        paths = self._write_corpus(tmp_path, n=2)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["--config", str(config), "--out", str(serial), "--jobs", "1",
+                     "activity", *map(str, paths)]) == 0
+
+        real = pipeline.process_subject
+        barrier = threading.Barrier(2, timeout=60)  # breaks unless both run at once
+        threads = set()
+
+        def process_subject(rec, config):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return real(rec, config)
+
+        monkeypatch.setattr(pipeline, "process_subject", process_subject)
+        assert main(["--config", str(config), "--out", str(parallel), "--jobs", "2",
+                     "activity", *map(str, paths)]) == 0
+        assert len(threads) == 2
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*.csv"))
+        assert len(files) == 2 * 83
+        assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*.csv"))
+        for rel in files:
+            assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_negative_seed_exits_1_before_any_output(self, tmp_path, capsys, how):
+        out = tmp_path / "data"
+        if how == "config":
+            config = tmp_path / "seed.json"
+            config.write_text(json.dumps({"seed": -1}))
+            args = ["--config", str(config)]
+        else:
+            args = ["--seed", "-5"]
+        assert main([*args, "--out", str(out), "synth"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_partial_failure_exit_code_3(self, tmp_path, capsys):
         config = self._config_file(tmp_path)
