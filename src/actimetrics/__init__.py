@@ -9,7 +9,6 @@ correlation analysis.
 from .analysis import (
     CorrelationSummary,
     Domain,
-    PsdEstimate,
     PsdParams,
     SweepCurve,
     correlation_matrix,

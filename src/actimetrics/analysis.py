@@ -2,7 +2,8 @@
 
 Pairs of activity signals are compared per subject with Pearson's
 coefficient (in the frequency domain, between their Welch power spectral
-densities), then aggregated across subjects into mean and SD matrices.
+densities, estimated for all of a subject's signals in one stacked call),
+then aggregated across subjects into mean and SD matrices.
 Threshold sweeps trace how ZCM/TAT relate to reference metrics as their
 threshold grows, with the dataset-SD threshold marked; each subject's part
 is computed from its preprocessed datasets, then the parts are averaged.
@@ -83,36 +84,32 @@ class PsdParams:
             raise ValueError(f"window {self.window!r}: {exc}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class PsdEstimate:
-    frequencies: np.ndarray
-    power: np.ndarray
+def psd(
+    rows, epoch_length_s: float, params: Optional[PsdParams] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(frequencies, power) of Welch PSDs along the last axis of ``rows``.
 
-
-def psd(signal: ActivitySignal, params: Optional[PsdParams] = None) -> PsdEstimate:
-    """Welch-averaged PSD of an activity signal (sampled at 1/Te Hz).
-
-    Segments are mean-removed and Hann-windowed with 50% overlap by
+    ``rows`` is one activity signal or a stack of them, sampled at 1/Te
+    Hz. Segments are mean-removed and Hann-windowed with 50% overlap by
     default; the density normalization keeps the integrated power
     consistent with the signal variance.
     """
     params = params or PsdParams()
-    x = signal.values
-    if x.size < params.segment_epochs:
+    x = np.asarray(rows, dtype=float)
+    if x.shape[-1] < params.segment_epochs:
         raise SignalTooShort(
-            f"signal of {x.size} epochs is shorter than one "
+            f"signal of {x.shape[-1]} epochs is shorter than one "
             f"{params.segment_epochs}-epoch segment"
         )
-    fs = 1.0 / signal.epoch_length_s
-    freqs, power = spsignal.welch(
+    return spsignal.welch(
         x,
-        fs=fs,
+        fs=1.0 / epoch_length_s,
         window=params.window,
         nperseg=params.segment_epochs,
         noverlap=int(params.segment_epochs * params.overlap),
         detrend="constant",
+        axis=-1,
     )
-    return PsdEstimate(frequencies=freqs, power=power)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,14 +141,14 @@ def _signal_rows(
     domain: Domain,
     psd_params: Optional[PsdParams],
 ) -> np.ndarray:
-    if domain is Domain.TIME:
-        rows = [signals[label].values for label in labels]
-    else:
-        rows = [psd(signals[label], psd_params).power for label in labels]
+    rows = [signals[label].values for label in labels]
     lengths = {len(r) for r in rows}
     if len(lengths) != 1:
         raise LabelMismatch(f"signals of one subject differ in length: {sorted(lengths)}")
-    return np.asarray(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    if domain is Domain.FREQUENCY:
+        return psd(rows, signals[labels[0]].epoch_length_s, psd_params)[1]
+    return rows
 
 
 def _pairwise_r(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

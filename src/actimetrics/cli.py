@@ -1,9 +1,11 @@
 """Command-line interface chaining synth -> preprocess -> activity -> analysis.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 partial
-failure (some subjects failed, others were processed). In ``activity`` and
-``correlate`` any exception in one subject fails that subject only;
-``preprocess`` and ``sweep`` stop at the first recording they reject.
+failure (some subjects failed, others were processed). An epoch or AI
+noise window that no recording's rate holds is a configuration error. Past
+that, in ``activity`` and ``correlate`` any exception in one subject fails
+that subject only; ``preprocess`` and ``sweep`` stop at the first recording
+they reject.
 """
 from __future__ import annotations
 

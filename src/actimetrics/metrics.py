@@ -37,7 +37,13 @@ from .core import (
     PreprocessedSeries,
     RawRecording,
 )
-from .errors import EmptySeries, InapplicableMetric, RecordingTooShort, SeriesMismatch
+from .errors import (
+    ConfigError,
+    EmptySeries,
+    InapplicableMetric,
+    RecordingTooShort,
+    SeriesMismatch,
+)
 
 
 class MetricId(Enum):
@@ -442,13 +448,20 @@ def ai_values(
     return np.sqrt(np.maximum((var_sum - noise) / 3.0, 0.0))
 
 
+def noise_window_samples(window_s: float, sample_rate_hz: float) -> int:
+    """Samples per AI noise window at a rate; ConfigError below 2."""
+    w = int(round(window_s * sample_rate_hz))
+    if w < 2:
+        raise ConfigError(f"ai.noise_window_s={window_s} s at {sample_rate_hz} Hz "
+                          f"gives {w} samples per window (need >= 2)")
+    return w
+
+
 def noise_variance_from_axes(
     x: np.ndarray, y: np.ndarray, z: np.ndarray, sample_rate_hz: float, window_s: float
 ) -> NoiseVarianceEstimate:
     """Minimum over non-overlapping windows of the summed per-axis variance."""
-    w = int(round(window_s * sample_rate_hz))
-    if w < 2:
-        raise ValueError(f"window of {window_s} s holds fewer than 2 samples")
+    w = noise_window_samples(window_s, sample_rate_hz)
     n = min(x.size, y.size, z.size)
     if n < w:
         raise RecordingTooShort(

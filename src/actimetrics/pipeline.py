@@ -37,7 +37,12 @@ from .core import (
     validate_recording,
 )
 from .errors import ActimetricsError, ConfigError, InvalidRecording
-from .metrics import MetricId, NoiseVarianceEstimate, estimate_noise_variance
+from .metrics import (
+    MetricId,
+    NoiseVarianceEstimate,
+    estimate_noise_variance,
+    noise_window_samples,
+)
 from .preprocess import preprocess_all
 
 MANIFEST_SCHEMA = 1
@@ -89,16 +94,41 @@ def process_subject(
     return signals
 
 
+def _require_a_fitting_rate(
+    config: PipelineConfig, recordings: Sequence[RawRecording]
+) -> None:
+    """Raise the first rate's ConfigError unless some rate suits ``config``.
+
+    Checked once per distinct sample rate: the epoch rule and, unless
+    sigma² is overridden, the AI noise window. A recording at a failing
+    rate is left to fail alone when its subject runs.
+    """
+    errors = []
+    for rate in dict.fromkeys(rec.sample_rate_hz for rec in recordings):
+        try:
+            epoch_sample_count(config.epoch_s, rate)
+            if config.ai.sigma_sq_override is None:
+                noise_window_samples(config.ai.noise_window_s, rate)
+            return
+        except ConfigError as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+
+
 def process_subjects(
     config: PipelineConfig, recordings: Sequence[RawRecording], jobs: int = 1
 ) -> Iterator[tuple[str, Optional[dict[str, ActivitySignal]], Optional[str]]]:
     """(subject id, signals, error) of each recording, in input order.
 
-    Any exception fails its subject alone, with signals None. A package
-    error is reported by its own text; any other is ``"<TypeName>:
-    <message>"``, and its traceback is logged. With ``jobs`` > 1 the
-    subjects run on that many threads; otherwise lazily, one at a time.
+    First :func:`_require_a_fitting_rate`; past it, any exception fails
+    its subject alone, with signals None. A package error is reported by
+    its own text; any other is ``"<TypeName>: <message>"``, and its
+    traceback is logged. With ``jobs`` > 1 the subjects run on that many
+    threads; otherwise lazily, one at a time.
     """
+    _require_a_fitting_rate(config, recordings)
+
     def _run(rec: RawRecording):
         try:
             return rec.subject_id, process_subject(rec, config), None
@@ -170,10 +200,9 @@ def run_pipeline(
         raise ConfigError(f"duplicate subject ids: {sorted(ids)}")
     labels = [v.label for v in config.variants()]
 
+    results = list(process_subjects(config, recordings, jobs))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    results = list(process_subjects(config, recordings, jobs))
     per_subject = {s: signals for s, signals, error in results if error is None}
     failures = {s: error for s, _, error in results if error is not None}
 

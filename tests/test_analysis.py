@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal as spsignal
 
 from actimetrics import (
     ActivitySignal,
@@ -145,11 +146,45 @@ class TestCorrelationMatrix:
         assert out.mean[0, 1] > out.mean[0, 2]
         assert out.domain is Domain.FREQUENCY
 
+    def test_frequency_matrix_matches_per_label_welch_oracle(self):
+        rng = np.random.default_rng(15)
+        labels = ["A", "B", "C", "D"]
+        n = 600
+        t = np.arange(n)
+        subjects = {}
+        for s in range(3):
+            tone = np.sin(2 * np.pi * t * (10 + 5 * s) / 256)
+            values = {
+                "A": tone + 0.3 * rng.normal(size=n),
+                "B": tone ** 2 + 0.3 * rng.exponential(size=n),
+                "C": rng.normal(size=n).cumsum(),
+                "D": rng.normal(size=n),
+            }
+            subjects[f"s{s}"] = {k: sig(values[k], k) for k in labels}
+        out = correlation_matrix(subjects, Domain.FREQUENCY)
+
+        # oracle: one scipy.signal.welch per label, np.corrcoef per subject
+        per_subject = []
+        for subject in sorted(subjects):
+            spectra = [
+                spsignal.welch(subjects[subject][k].values, fs=1.0 / 60.0,
+                               window="hann", nperseg=256, noverlap=128,
+                               detrend="constant")[1]
+                for k in labels
+            ]
+            per_subject.append(np.corrcoef(spectra))
+        per_subject = np.array(per_subject)
+        assert out.labels == tuple(labels)
+        np.testing.assert_allclose(out.mean, per_subject.mean(axis=0),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.sd, per_subject.std(axis=0),
+                                   rtol=0, atol=1e-12)
+
 
 class TestPsd:
     def test_constant_signal_no_power_beyond_dc(self):
-        out = psd(sig(np.full(512, 3.3)))
-        assert np.all(out.power[1:] < 1e-20)
+        _, power = psd(np.full(512, 3.3), 60.0)
+        assert np.all(power[1:] < 1e-20)
 
     def test_bin_centered_sinusoid_concentrates(self):
         n, seg = 1024, 256
@@ -157,18 +192,18 @@ class TestPsd:
         fs = 1.0 / te
         f0 = 32 * fs / seg
         t = np.arange(n) * te
-        out = psd(sig(np.sin(2 * np.pi * f0 * t)))
-        k = int(np.argmax(out.power))
+        frequencies, power = psd(np.sin(2 * np.pi * f0 * t), te)
+        k = int(np.argmax(power))
         # direct oracle: the tone sits at bin 32 of the 256-point segment grid
         assert k == 32
-        assert out.frequencies[k] == pytest.approx(f0, rel=1e-12)
-        share = out.power[k - 1 : k + 2].sum() / out.power.sum()
+        assert frequencies[k] == pytest.approx(f0, rel=1e-12)
+        share = power[k - 1 : k + 2].sum() / power.sum()
         assert share >= 0.95
 
     def test_white_noise_flat_within_band_factor_3(self):
         rng = np.random.default_rng(11)
-        out = psd(sig(rng.normal(size=4096)))
-        power = out.power[1:]  # drop DC bin (detrended)
+        _, power = psd(rng.normal(size=4096), 60.0)
+        power = power[1:]  # drop DC bin (detrended)
         bands = np.array_split(power, 10)
         means = [b.mean() for b in bands]
         assert max(means) / min(means) < 3.0
@@ -176,21 +211,37 @@ class TestPsd:
     def test_parseval_within_5pct(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=2048)
-        out = psd(sig(x))
-        df = out.frequencies[1] - out.frequencies[0]
-        total = out.power.sum() * df
+        frequencies, power = psd(x, 60.0)
+        df = frequencies[1] - frequencies[0]
+        total = power.sum() * df
         assert total == pytest.approx(float(np.var(x)), rel=0.05)
 
     def test_too_short_signal_rejected(self):
         with pytest.raises(SignalTooShort):
-            psd(sig(np.zeros(100)), PsdParams(segment_epochs=256))
+            psd(np.zeros(100), 60.0, PsdParams(segment_epochs=256))
 
     def test_frequency_grid_spans_zero_to_nyquist(self):
-        out = psd(sig(np.random.default_rng(13).normal(size=512)))
-        assert out.frequencies[0] == 0.0
-        assert out.frequencies[-1] == pytest.approx(1.0 / (2 * 60.0))
-        assert (np.diff(out.frequencies) > 0).all()
-        assert (out.power >= 0).all()
+        frequencies, power = psd(np.random.default_rng(13).normal(size=512), 60.0)
+        assert frequencies[0] == 0.0
+        assert frequencies[-1] == pytest.approx(1.0 / (2 * 60.0))
+        assert (np.diff(frequencies) > 0).all()
+        assert (power >= 0).all()
+
+    def test_stack_equals_each_row_alone(self):
+        rng = np.random.default_rng(14)
+        for n_epochs in (256, 360, 1440):
+            rows = np.vstack([
+                rng.normal(size=n_epochs),
+                rng.exponential(size=n_epochs),
+                np.full(n_epochs, 2.0),
+                np.sin(np.arange(n_epochs) / 7.0),
+            ])
+            frequencies, power = psd(rows, 60.0)
+            assert power.shape == (rows.shape[0], frequencies.size)
+            for row, stacked in zip(rows, power):
+                alone_frequencies, alone = psd(row, 60.0)
+                assert np.array_equal(alone_frequencies, frequencies)
+                assert np.array_equal(alone, stacked)
 
 
 def _sweep_corpus(n_subjects=2, duration_s=3600.0):

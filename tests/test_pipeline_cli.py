@@ -606,23 +606,28 @@ class TestCli:
         assert capsys.readouterr().err.startswith("data error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("epoch_s, reason", [
-        (60.05, "not a whole number"), (0.1, "need >= 2"),
-    ])
-    def test_bad_epoch_is_one_config_error_in_preprocess_and_sweep(
-        self, tmp_path, capsys, epoch_s, reason
+    @pytest.mark.parametrize("settings, reason, commands", [
+        ({"epoch_s": 60.05}, "not a whole number",
+         ("preprocess", "sweep", "activity", "correlate")),
+        ({"epoch_s": 0.1}, "need >= 2",
+         ("preprocess", "sweep", "activity", "correlate")),
+        ({"ai": {"noise_window_s": 0.1}}, "ai.noise_window_s",
+         ("activity", "correlate")),
+    ], ids=["epoch-60.05", "epoch-0.1", "noise-window-0.1"])
+    def test_setting_no_rate_holds_is_one_config_error(
+        self, tmp_path, capsys, settings, reason, commands
     ):
         paths = self._write_corpus(tmp_path, n=1)
-        config = tmp_path / "epoch.json"
-        config.write_text(json.dumps({"epoch_s": epoch_s}))
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps(settings))
         results = []
-        for command in ("preprocess", "sweep"):
+        for command in commands:
             out = tmp_path / command
             code = main(["--config", str(config), "--out", str(out), command,
                          str(paths[0])])
             results.append((code, capsys.readouterr().err))
             assert not out.exists()
-        assert results[0] == results[1]
+        assert all(result == results[0] for result in results)
         code, err = results[0]
         assert code == 1
         assert err.startswith("config error:") and reason in err
