@@ -24,6 +24,7 @@ from .core import (
     RawRecording,
     epoch_matrix,
     epoch_sample_count,
+    ordered_map,
 )
 from .errors import DegenerateInput, LabelMismatch, SignalTooShort
 from .metrics import (
@@ -400,21 +401,24 @@ def threshold_sweep(
     zero_phase: bool = False,
     step_g: float = 0.05,
     max_steps: int = 200,
+    jobs: int = 1,
 ) -> SweepCurve:
     """Sweep the ZCM/TAT threshold and correlate against ENMO and HFEN.
 
     The grid starts at 1 g for UFM (which still carries gravity) and at
     0 g otherwise, ascending in ``step_g`` increments, capped at
-    ``max_steps`` points. Preprocesses each recording, then runs
-    :func:`subject_sweep` on it and :func:`reduce_sweeps` over all of
-    them, in the order given. The filters are designed at each
-    recording's own sample rate, so a corpus may mix rates.
+    ``max_steps`` points. Each recording is preprocessed and run through
+    :func:`subject_sweep` in one step that keeps only its
+    :class:`SubjectSweep`; with ``jobs`` > 1 those steps run on that many
+    threads. :func:`reduce_sweeps` then averages the parts in the order
+    given, so the curve is the same for any ``jobs``. The filters are
+    designed at each recording's own sample rate, so a corpus may mix rates.
     """
     _sweep_grid(metric, kind, step_g, max_steps)  # reject before preprocessing
-    parts = []
-    for rec in recordings:
+
+    def _part(rec: RawRecording) -> SubjectSweep:
         datasets = preprocess_all(rec, bandpass, hfen_spec, zero_phase)
-        parts.append(
-            subject_sweep(metric, kind, datasets, te_s, step_g=step_g, max_steps=max_steps)
-        )
+        return subject_sweep(metric, kind, datasets, te_s, step_g=step_g, max_steps=max_steps)
+
+    parts = list(ordered_map(_part, recordings, jobs))
     return reduce_sweeps(metric, kind, parts, step_g=step_g, max_steps=max_steps)

@@ -23,7 +23,6 @@ from .pipeline import (
     preprocess_subject,
     process_subjects,
     run_pipeline,
-    write_activity_files,
     write_sweeps,
 )
 from .synthetic import synthesize
@@ -45,7 +44,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, help="override the config RNG seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel subjects")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="threads for the per-subject stages (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate synthetic recordings")
@@ -126,12 +126,13 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
 def _cmd_activity(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
     n_ok = 0
-    for subject, signals, error in process_subjects(config, recordings, args.jobs):
+    for subject, _, written, error in process_subjects(
+        config, recordings, args.out, args.jobs
+    ):
         if error is not None:
             print(f"{subject}: FAILED: {error}", file=sys.stderr)
             continue
-        write_activity_files(signals, args.out, subject)
-        print(f"{subject}: wrote {len(signals)} activity signals")
+        print(f"{subject}: wrote {len(written)} activity signals")
         n_ok += 1
     return _exit_code(n_ok, len(recordings))
 
@@ -141,7 +142,7 @@ def _cmd_sweep(args, config: PipelineConfig) -> int:
     for rec in recordings:
         admit(rec, config)
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, curve in write_sweeps(config, recordings, args.out):
+    for name, curve in write_sweeps(config, recordings, args.out, args.jobs):
         print(f"wrote {name} ({curve.thresholds.size} thresholds)")
     return EXIT_OK
 
@@ -182,6 +183,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
             validate_config(config)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
 
         if args.command == "synth":
             return _cmd_synth(args, config)

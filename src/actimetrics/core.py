@@ -1,14 +1,16 @@
-"""Domain types, recording validation, and epoch matrices.
+"""Domain types, recording validation, epoch matrices and the ordered thread map.
 
 All types are immutable after construction (array fields are made
-read-only) and safe to share across threads; every operation here is a
-pure function of its inputs.
+read-only) and safe to share across threads; every operation here but
+:func:`ordered_map`, which runs what it is given, is a pure function of
+its inputs.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -240,3 +242,17 @@ def epoch_matrix(values: np.ndarray, n: int) -> np.ndarray:
     if m == 0:
         raise EmptySeries(f"series of {values.size} samples is shorter than one epoch ({n})")
     return values[: m * n].reshape(m, n)
+
+
+def ordered_map(fn: Callable, items: Iterable, jobs: int = 1) -> Iterator:
+    """``fn`` over ``items``, results in input order.
+
+    With ``jobs`` > 1 every item is submitted to that many threads at the
+    first ``next``; otherwise each runs lazily on the caller's thread, so
+    one item's temporaries are gone before the next starts.
+    """
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)

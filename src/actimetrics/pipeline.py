@@ -7,10 +7,16 @@ threshold sweeps (computed per subject at the subject's own sample rate,
 then averaged over the successful subjects in input order), and a
 manifest tying everything to the config hash and catalog.
 
+With ``jobs`` > 1 the per-subject stages run on that many threads: each
+subject's catalog together with its activity files, and each sweep's
+per-recording preprocessing and grid pass. The matrices, the sweep
+reduces and the manifest run on the caller's thread, in input or sorted
+order, so the bundle is byte-identical for any ``jobs``.
+
 Every recording enters through :func:`admit`. The CLI's ``preprocess``,
 ``activity`` and ``sweep`` subcommands run the same steps through
-:func:`preprocess_subject`, :func:`process_subjects`,
-:func:`write_activity_files` and :func:`write_sweeps`.
+:func:`preprocess_subject`, :func:`process_subjects` and
+:func:`write_sweeps`.
 
 Failures of one subject, whatever the exception, are reported in the
 manifest and do not stop the others. Output is deterministic: rerunning
@@ -20,7 +26,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -34,6 +39,7 @@ from .core import (
     PreprocessedSeries,
     RawRecording,
     epoch_sample_count,
+    ordered_map,
     validate_recording,
 )
 from .errors import ActimetricsError, ConfigError, InvalidRecording
@@ -117,32 +123,40 @@ def _require_a_fitting_rate(
 
 
 def process_subjects(
-    config: PipelineConfig, recordings: Sequence[RawRecording], jobs: int = 1
-) -> Iterator[tuple[str, Optional[dict[str, ActivitySignal]], Optional[str]]]:
-    """(subject id, signals, error) of each recording, in input order.
+    config: PipelineConfig,
+    recordings: Sequence[RawRecording],
+    out_dir: Path,
+    jobs: int = 1,
+) -> Iterator[tuple[str, Optional[dict[str, ActivitySignal]], list[str], Optional[str]]]:
+    """(subject id, signals, written paths, error) of each recording, in input order.
 
-    First :func:`_require_a_fitting_rate`; past it, any exception fails
-    its subject alone, with signals None. A package error is reported by
-    its own text; any other is ``"<TypeName>: <message>"``, and its
-    traceback is logged. With ``jobs`` > 1 the subjects run on that many
-    threads; otherwise lazily, one at a time.
+    Rejects duplicate subject ids, then :func:`_require_a_fitting_rate`,
+    both before anything is written. Past that, each task runs
+    :func:`process_subject` and writes the subject's activity files under
+    ``out_dir`` (:func:`write_activity_files`). Any exception in
+    ``process_subject`` fails its subject alone, with signals None and
+    nothing written; a package error is reported by its own text, any
+    other as ``"<TypeName>: <message>"`` with its traceback logged. An
+    error while writing propagates. With ``jobs`` > 1 the tasks run on
+    that many threads; otherwise lazily, one at a time.
     """
+    ids = [rec.subject_id for rec in recordings]
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"duplicate subject ids: {sorted(ids)}")
     _require_a_fitting_rate(config, recordings)
 
     def _run(rec: RawRecording):
         try:
-            return rec.subject_id, process_subject(rec, config), None
+            signals = process_subject(rec, config)
         except ActimetricsError as exc:
-            return rec.subject_id, None, str(exc)
+            return rec.subject_id, None, [], str(exc)
         except Exception as exc:
             _log.error("subject %s failed", rec.subject_id, exc_info=exc)
-            return rec.subject_id, None, f"{type(exc).__name__}: {exc}"
+            return rec.subject_id, None, [], f"{type(exc).__name__}: {exc}"
+        written = write_activity_files(signals, out_dir, rec.subject_id)
+        return rec.subject_id, signals, written, None
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_run, recordings)
-    else:
-        yield from map(_run, recordings)
+    yield from ordered_map(_run, recordings, jobs)
 
 
 def write_activity_files(
@@ -162,12 +176,16 @@ def write_activity_files(
 
 
 def write_sweeps(
-    config: PipelineConfig, recordings: Sequence[RawRecording], out_dir: Path
+    config: PipelineConfig,
+    recordings: Sequence[RawRecording],
+    out_dir: Path,
+    jobs: int = 1,
 ) -> Iterator[tuple[str, SweepCurve]]:
     """Compute and write each configured threshold sweep over ``recordings``.
 
     Yields (file name relative to ``out_dir``, curve) once each file is
     written, so a caller can report progress; nothing runs until iterated.
+    Each sweep's per-recording part runs on ``jobs`` threads.
     """
     for metric_name, kind_name in config.sweep_requests():
         curve = threshold_sweep(
@@ -180,6 +198,7 @@ def write_sweeps(
             zero_phase=config.zero_phase,
             step_g=config.sweep.step_g,
             max_steps=config.sweep.max_steps,
+            jobs=jobs,
         )
         rel = f"sweep_{metric_name}_{kind_name}.csv"
         formats.write_sweep_csv(curve, out_dir / rel)
@@ -195,20 +214,14 @@ def run_pipeline(
     """Run the whole pipeline and write the artifact bundle; returns the manifest."""
     if not recordings:
         raise ConfigError("no recordings given")
-    ids = [rec.subject_id for rec in recordings]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"duplicate subject ids: {sorted(ids)}")
     labels = [v.label for v in config.variants()]
 
-    results = list(process_subjects(config, recordings, jobs))
     out_dir = Path(out_dir)
+    results = list(process_subjects(config, recordings, out_dir, jobs))
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_subject = {s: signals for s, signals, error in results if error is None}
-    failures = {s: error for s, _, error in results if error is not None}
-
-    outputs: list[str] = []
-    for subject in sorted(per_subject):
-        outputs += write_activity_files(per_subject[subject], out_dir, subject)
+    per_subject = {s: signals for s, signals, _, error in results if error is None}
+    failures = {s: error for s, _, _, error in results if error is not None}
+    outputs = [rel for _, _, written, _ in results for rel in written]
 
     matrices: dict[str, dict] = {}
     if per_subject:
@@ -225,7 +238,7 @@ def run_pipeline(
     ok_recordings = [rec for rec in recordings if rec.subject_id in per_subject]
     sweeps: list[str] = []
     if ok_recordings:
-        sweeps = [rel for rel, _ in write_sweeps(config, ok_recordings, out_dir)]
+        sweeps = [rel for rel, _ in write_sweeps(config, ok_recordings, out_dir, jobs)]
         outputs += sweeps
 
     manifest = {
@@ -240,7 +253,7 @@ def run_pipeline(
                 "status": "ok" if subject_id in per_subject else "failed",
                 "error": failures.get(subject_id),
             }
-            for subject_id in sorted(ids)
+            for subject_id in sorted(rec.subject_id for rec in recordings)
         ],
         "matrices": matrices,
         "sweeps": sweeps,

@@ -310,6 +310,23 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(MetricId.MAD, DatasetKind.UFM, _sweep_corpus(1))
 
+    def test_one_recordings_datasets_alive_at_a_time(self):
+        import tracemalloc
+
+        rec = _sweep_corpus(1, 7200.0)[0]
+
+        def peak(recordings):
+            tracemalloc.start()
+            try:
+                threshold_sweep(MetricId.ZCM, DatasetKind.UFM, recordings, max_steps=20)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # holding the previous recording's datasets while preprocessing the
+        # next would double the peak
+        assert peak([rec] * 3) < 1.5 * peak([rec])
+
 
 class TestSubjectSweep:
     @pytest.mark.parametrize("active_s", [0.0, 180.0])

@@ -306,6 +306,18 @@ class TestRunPipeline:
         assert len(list((tmp_path / "s00" / "activity").glob("*.csv"))) == 83
         assert not (tmp_path / "odd").exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_write_error_propagates_not_a_subject_failure(self, tmp_path, monkeypatch, jobs):
+        import actimetrics.formats as formats
+
+        def write_activity_csv(signal, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(formats, "write_activity_csv", write_activity_csv)
+        with pytest.raises(OSError, match="No space left"):
+            run_pipeline(small_config(), corpus(), tmp_path, jobs=jobs)
+        assert not (tmp_path / "manifest.json").exists()
+
 
 def _mad_fails_at_epochs(monkeypatch, epochs):
     """Make the catalog's MAD kernel raise ValueError on ``epochs``-row input."""
@@ -478,7 +490,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, jobs", [
-        ("activity", "1"), ("correlate", "1"), ("correlate", "2"),
+        ("activity", "1"), ("activity", "2"), ("correlate", "1"), ("correlate", "2"),
     ])
     def test_unexpected_exception_in_one_subject_exits_3(
         self, tmp_path, monkeypatch, capsys, command, jobs
@@ -661,6 +673,96 @@ class TestCli:
         assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*.csv"))
         for rel in files:
             assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
+
+    @staticmethod
+    def _same_files(a, b, pattern="*"):
+        files = sorted(p.relative_to(a) for p in a.rglob(pattern) if p.is_file())
+        assert files
+        assert files == sorted(p.relative_to(b) for p in b.rglob(pattern) if p.is_file())
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("command", ["sweep", "correlate"])
+    def test_sweep_runs_recordings_on_jobs_threads(self, tmp_path, monkeypatch, command):
+        import threading
+
+        import actimetrics.analysis as analysis
+
+        config = self._config_file(tmp_path)
+        paths = self._write_corpus(tmp_path, n=2)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["--config", str(config), "--out", str(serial), "--jobs", "1",
+                     command, *map(str, paths)]) == 0
+
+        real = analysis.subject_sweep
+        barrier = threading.Barrier(2, timeout=60)  # breaks unless both run at once
+        threads = set()
+
+        def subject_sweep(*args, **kwargs):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "subject_sweep", subject_sweep)
+        assert main(["--config", str(config), "--out", str(parallel), "--jobs", "2",
+                     command, *map(str, paths)]) == 0
+        assert len(threads) == 2
+        assert threading.get_ident() not in threads
+        self._same_files(serial, parallel, "*.csv")
+
+    def test_correlate_writes_activity_files_on_pool_threads(self, tmp_path, monkeypatch):
+        import threading
+
+        import actimetrics.formats as formats
+        import actimetrics.pipeline as pipeline
+
+        config = self._config_file(tmp_path)
+        paths = self._write_corpus(tmp_path, n=2)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert main(["--config", str(config), "--out", str(serial), "--jobs", "1",
+                     "correlate", *map(str, paths)]) == 0
+
+        real_process, real_write = pipeline.process_subject, formats.write_activity_csv
+        barrier = threading.Barrier(2, timeout=60)
+        subject_threads, writer_threads = set(), set()
+
+        def process_subject(rec, config):
+            subject_threads.add(threading.get_ident())
+            barrier.wait()
+            return real_process(rec, config)
+
+        def write_activity_csv(signal, path):
+            writer_threads.add(threading.get_ident())
+            return real_write(signal, path)
+
+        monkeypatch.setattr(pipeline, "process_subject", process_subject)
+        monkeypatch.setattr(formats, "write_activity_csv", write_activity_csv)
+        assert main(["--config", str(config), "--out", str(parallel), "--jobs", "2",
+                     "correlate", *map(str, paths)]) == 0
+        assert len(subject_threads) == 2
+        assert writer_threads == subject_threads
+        self._same_files(serial, parallel)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_duplicate_subject_ids_exit_1_before_any_output(self, tmp_path, capsys, jobs):
+        rec = corpus(1, duration_s=600.0)[0]
+        write_recording_bin(rec, tmp_path / "s00.actm")
+        write_recording_csv(rec, tmp_path / "s00.csv")
+        out = tmp_path / "out"
+        assert main(["--config", str(self._config_file(tmp_path)), "--out", str(out),
+                     "--jobs", jobs, "activity", "--sample-rate-hz", "10",
+                     str(tmp_path / "s00.actm"), str(tmp_path / "s00.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error: duplicate subject ids")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["synth", "activity"])
+    def test_jobs_below_1_exits_1_before_any_output(self, tmp_path, capsys, jobs, command):
+        out = tmp_path / "out"
+        args = [str(p) for p in self._write_corpus(tmp_path, n=1)] if command != "synth" else []
+        assert main(["--out", str(out), "--jobs", jobs, command, *args]) == 1
+        assert capsys.readouterr().err.startswith("config error: --jobs")
+        assert not out.exists()
 
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_negative_seed_exits_1_before_any_output(self, tmp_path, capsys, how):
