@@ -48,12 +48,7 @@ from .preprocess import (
     Bandpass,
     FilterRealization,
     Highpass,
-    apply_filter,
     design_filter,
-    fmpre,
-    hfen_preprocess,
-    magnitude,
-    normalize_magnitude,
     preprocess_all,
 )
 from .synthetic import SyntheticSpec, synthesize

@@ -97,7 +97,7 @@ def _exit_code(n_ok: int, n: int) -> int:
 def _cmd_synth(args, config: PipelineConfig) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    n_subjects = args.subjects or config.synthetic.subjects
+    n_subjects = config.synthetic.subjects if args.subjects is None else args.subjects
     for i in range(n_subjects):
         spec = config.synthetic.subject_spec(i, config.seed)
         rec = synthesize(spec)
@@ -185,6 +185,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             validate_config(config)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.command == "synth" and args.subjects is not None and args.subjects < 1:
+            raise ConfigError(f"--subjects must be at least 1, got {args.subjects}")
 
         if args.command == "synth":
             return _cmd_synth(args, config)

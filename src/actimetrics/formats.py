@@ -2,8 +2,9 @@
 
 Recording CSV: header ``x,y,z`` (an optional leading ``t`` column is
 accepted and ignored), numeric body in g. The sample rate comes from an
-argument or from a JSON sidecar next to the file (``<name>.json`` with a
-``sample_rate_hz`` key).
+argument or from a JSON sidecar next to the file (``<name>.csv.json`` with a
+``sample_rate_hz`` key). The sidecar's ``subject_id`` names the subject's
+output directory, so one that is not a plain directory name is rejected.
 
 Native binary (.actm): 16-byte little-endian header - magic ``ACTM``,
 version u16, sample rate u16 in deci-hertz, sample count u64 - followed by
@@ -113,6 +114,13 @@ def read_recording_csv(
     sample_rate_hz = _sample_rate(sample_rate_hz, path)
     if subject_id is None:
         subject_id = meta.get("subject_id", path.stem)
+        if (not isinstance(subject_id, str) or subject_id in ("", ".", "..")
+                or any(c in subject_id for c in "/\\\0")):
+            raise ParseError(
+                1, f"{sidecar}: subject_id {subject_id!r} names the subject's output "
+                "directory: it must be a non-empty string, not '.' or '..', "
+                "with no '/', '\\' or NUL"
+            )
 
     xs: list[float] = []
     ys: list[float] = []

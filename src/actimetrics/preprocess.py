@@ -1,10 +1,11 @@
 """Dataset generation: magnitudes, normalization, and Butterworth filtering.
 
-Produces every dataset kind a metric can consume from one raw recording:
-the raw axes pass through, the axes and the raw magnitude are bandpassed
-(FXYZ, FMpost), FMpre is the magnitude of the filtered axes, UFNM is the
-gravity-normalized magnitude, and the HFEN input gets its own high-pass
-pipeline.
+:func:`preprocess_all` is the one producer of dataset kinds: it makes all
+11 a metric can consume from one raw recording. The raw axes pass through,
+the axes and the raw magnitude are bandpassed (FXYZ, FMpost), FMpre is the
+magnitude of the filtered axes, UFNM is the gravity-normalized magnitude,
+and the HFEN input is the magnitude of the high-passed axes. Whether a
+filter runs per axis or on a magnitude is therefore read in one place.
 
 A filter is specified without a sample rate, as a :class:`Bandpass` or a
 :class:`Highpass`, and :func:`design_filter` realizes it at the rate of the
@@ -29,7 +30,6 @@ from .core import (
     DatasetKind,
     PreprocessedSeries,
     RawRecording,
-    as_float_array,
 )
 from .errors import InvalidCutoffs, SeriesMismatch, UnstableDesign
 
@@ -83,17 +83,9 @@ class FilterRealization:
         sos.setflags(write=False)
         object.__setattr__(self, "sos", sos)
 
-    def dc_gain(self) -> float:
-        """|H| at z = 1."""
-        b = self.sos[:, :3].sum(axis=1)
-        a = self.sos[:, 3:].sum(axis=1)
-        return float(abs(np.prod(b / a)))
-
-    def poles(self) -> np.ndarray:
-        return np.concatenate([np.roots(section[3:]) for section in self.sos])
-
     def max_pole_magnitude(self) -> float:
-        return float(np.max(np.abs(self.poles())))
+        poles = np.concatenate([np.roots(section[3:]) for section in self.sos])
+        return float(np.max(np.abs(poles)))
 
     def magnitude_response(self, freqs_hz) -> np.ndarray:
         """|H| evaluated at the given frequencies."""
@@ -150,52 +142,6 @@ def filter_values(
     return spsignal.sosfilt(sos, x)
 
 
-_FILTERED_KIND = {
-    DatasetKind.UFX: DatasetKind.FX,
-    DatasetKind.UFY: DatasetKind.FY,
-    DatasetKind.UFZ: DatasetKind.FZ,
-    DatasetKind.UFM: DatasetKind.FMPOST,
-}
-
-
-def apply_filter(
-    series: PreprocessedSeries,
-    realization: FilterRealization,
-    zero_phase: bool = False,
-) -> PreprocessedSeries:
-    """Run a series through a realization, keeping length.
-
-    Raw axes map to FX/FY/FZ, the raw magnitude to FMpost. The startup
-    transient is kept in the output; trimming is the caller's business.
-    """
-    if abs(series.sample_rate_hz - realization.sample_rate_hz) > 1e-9:
-        raise SeriesMismatch(
-            f"series at {series.sample_rate_hz} Hz vs filter designed for "
-            f"{realization.sample_rate_hz} Hz"
-        )
-    out_kind = _FILTERED_KIND.get(series.kind)
-    if out_kind is None:
-        raise SeriesMismatch(f"no filtered counterpart for kind {series.kind}")
-    filtered = filter_values(series.values, realization, zero_phase)
-    return PreprocessedSeries(
-        kind=out_kind,
-        values=filtered,
-        sample_rate_hz=series.sample_rate_hz,
-        provenance=realization.spec,
-    )
-
-
-def magnitude(x, y, z, sample_rate_hz: float) -> PreprocessedSeries:
-    """Elementwise Euclidean norm of the three raw axes (UFM, all >= 0)."""
-    ax, ay, az = as_float_array(x), as_float_array(y), as_float_array(z)
-    if not (ax.size == ay.size == az.size):
-        raise SeriesMismatch(
-            f"axis lengths differ: x={ax.size} y={ay.size} z={az.size}"
-        )
-    values = _norm(a * a for a in (ax, ay, az))
-    return PreprocessedSeries(DatasetKind.UFM, values, sample_rate_hz)
-
-
 def _norm(squares) -> np.ndarray:
     """sqrt((s0 + s1) + s2) of the squared axes, summed in s0's own memory.
 
@@ -209,71 +155,50 @@ def _norm(squares) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def normalize_magnitude(ufm: PreprocessedSeries) -> PreprocessedSeries:
-    """UFNM[k] = |UFM[k] - 1 g|: gravity removed without filtering."""
-    if ufm.kind is not DatasetKind.UFM:
-        raise SeriesMismatch(f"normalization expects UFM input, got {ufm.kind}")
-    values = ufm.values - 1.0
-    return PreprocessedSeries(
-        DatasetKind.UFNM, np.abs(values, out=values), ufm.sample_rate_hz
-    )
-
-
-def fmpre(
-    fx: PreprocessedSeries, fy: PreprocessedSeries, fz: PreprocessedSeries
-) -> PreprocessedSeries:
-    """Magnitude of the three bandpassed axes (FMpre, all >= 0)."""
-    expected = (DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ)
-    kinds = (fx.kind, fy.kind, fz.kind)
-    if kinds != expected:
-        raise SeriesMismatch(f"expected kinds {expected}, got {kinds}")
-    if not (fx.n_samples == fy.n_samples == fz.n_samples):
-        raise SeriesMismatch("filtered axes differ in length")
-    values = _norm(s.values * s.values for s in (fx, fy, fz))
-    return PreprocessedSeries(
-        DatasetKind.FMPRE, values, fx.sample_rate_hz, provenance=fx.provenance
-    )
-
-
-def hfen_preprocess(
-    rec: RawRecording, spec: Highpass = Highpass(), zero_phase: bool = False
-) -> PreprocessedSeries:
-    """High-pass each raw axis, then take the elementwise magnitude.
-
-    Gravity is eliminated per axis by the highpass before the norm, so the
-    output decays toward zero on a motionless recording. One axis is
-    filtered at a time and squared in its own output buffer.
-    """
-    realization = design_filter(spec, rec.sample_rate_hz)
-    filtered = (filter_values(a, realization, zero_phase) for a in (rec.x, rec.y, rec.z))
-    values = _norm(np.multiply(h, h, out=h) for h in filtered)
-    return PreprocessedSeries(
-        DatasetKind.HFEN_SPECIAL, values, rec.sample_rate_hz, provenance=spec
-    )
-
-
 def preprocess_all(
     rec: RawRecording,
     bandpass: Bandpass = Bandpass(),
     hfen_spec: Highpass = Highpass(),
     zero_phase: bool = False,
 ) -> dict[DatasetKind, PreprocessedSeries]:
-    """Produce every dataset kind from one recording (11 in total)."""
+    """Produce every dataset kind from one recording (11 in total).
+
+    Filtered kinds carry their filter spec as ``provenance`` and keep the
+    startup transient. The HFEN input high-passes one axis at a time and
+    squares it in its own buffer, so one such axis is alive at once.
+    """
     fs = rec.sample_rate_hz
-    realization = design_filter(bandpass, fs)
+    axes = (rec.x, rec.y, rec.z)
+    if not (rec.x.size == rec.y.size == rec.z.size):
+        raise SeriesMismatch(
+            f"axis lengths differ: x={rec.x.size} y={rec.y.size} z={rec.z.size}"
+        )
+    band = design_filter(bandpass, fs)
+    high = design_filter(hfen_spec, fs)
 
     out: dict[DatasetKind, PreprocessedSeries] = {}
-    for kind, values in zip(UNFILTERED_AXES, (rec.x, rec.y, rec.z)):
-        out[kind] = PreprocessedSeries(kind, values, fs)
-    for raw_kind, filt_kind in zip(UNFILTERED_AXES, FILTERED_AXES):
-        out[filt_kind] = apply_filter(out[raw_kind], realization, zero_phase)
 
-    ufm = magnitude(rec.x, rec.y, rec.z, fs)
-    out[DatasetKind.UFM] = ufm
-    out[DatasetKind.UFNM] = normalize_magnitude(ufm)
-    out[DatasetKind.FMPRE] = fmpre(
-        out[DatasetKind.FX], out[DatasetKind.FY], out[DatasetKind.FZ]
+    def put(kind, values, provenance=None):
+        # wrapped as soon as made: a zero-phase output is a reversed view,
+        # and its contiguous copy must replace it before the next is filtered
+        out[kind] = PreprocessedSeries(kind, values, fs, provenance)
+        return out[kind].values
+
+    for kind, a in zip(UNFILTERED_AXES, axes):
+        put(kind, a)
+    filtered = [
+        put(kind, filter_values(a, band, zero_phase), bandpass)
+        for kind, a in zip(FILTERED_AXES, axes)
+    ]
+    ufm = put(DatasetKind.UFM, _norm(a * a for a in axes))
+    ufnm = ufm - 1.0
+    put(DatasetKind.UFNM, np.abs(ufnm, out=ufnm))
+    put(DatasetKind.FMPRE, _norm(f * f for f in filtered), bandpass)
+    put(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase), bandpass)
+    highpassed = (filter_values(a, high, zero_phase) for a in axes)
+    put(
+        DatasetKind.HFEN_SPECIAL,
+        _norm(np.multiply(h, h, out=h) for h in highpassed),
+        hfen_spec,
     )
-    out[DatasetKind.FMPOST] = apply_filter(ufm, realization, zero_phase)
-    out[DatasetKind.HFEN_SPECIAL] = hfen_preprocess(rec, hfen_spec, zero_phase)
     return out

@@ -94,6 +94,19 @@ class TestCsvReader:
         assert rec.sample_rate_hz == 25.0
         assert rec.subject_id == "alpha"
 
+    @pytest.mark.parametrize(
+        "subject_id", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", "..", 7, None, ["a"]]
+    )
+    def test_unusable_sidecar_subject_id_rejected(self, tmp_path, subject_id):
+        # the id names the subject's output directory
+        path = tmp_path / "r.csv"
+        path.write_text("x,y,z\n0.1,0.2,0.3\n")
+        (tmp_path / "r.csv.json").write_text(
+            json.dumps({"sample_rate_hz": 10.0, "subject_id": subject_id})
+        )
+        with pytest.raises(ParseError, match="r.csv.json: subject_id"):
+            read_recording_csv(path)
+
     def test_roundtrip_via_writer(self, tmp_path):
         original = synthesize(SyntheticSpec(duration_s=30.0, noise_sd_g=0.01, seed=5))
         path = tmp_path / "roundtrip.csv"

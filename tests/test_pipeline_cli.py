@@ -764,6 +764,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: --jobs")
         assert not out.exists()
 
+    @pytest.mark.parametrize("subjects", ["0", "-1"])
+    def test_subjects_below_1_exits_1_before_any_output(self, tmp_path, capsys, subjects):
+        out = tmp_path / "data"
+        assert main(["--out", str(out), "synth", "--subjects", subjects]) == 1
+        assert capsys.readouterr().err.startswith("config error: --subjects")
+        assert not out.exists()
+
+    def test_escaping_sidecar_subject_id_exits_2_writing_nothing(self, tmp_path, capsys):
+        csv_path = tmp_path / "in" / "r.csv"
+        csv_path.parent.mkdir()
+        write_recording_csv(corpus(1, duration_s=180.0)[0], csv_path)
+        sidecar = tmp_path / "in" / "r.csv.json"
+        sidecar.write_text(json.dumps({"sample_rate_hz": 10.0, "subject_id": "../escaped"}))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "activity", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "r.csv.json" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_negative_seed_exits_1_before_any_output(self, tmp_path, capsys, how):
         out = tmp_path / "data"

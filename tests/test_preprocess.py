@@ -7,20 +7,21 @@ from actimetrics import (
     Bandpass,
     DatasetKind,
     Highpass,
-    PreprocessedSeries,
     RawRecording,
-    apply_filter,
+    SyntheticSpec,
     design_filter,
-    fmpre,
-    hfen_preprocess,
-    magnitude,
-    normalize_magnitude,
     preprocess_all,
+    synthesize,
 )
 from actimetrics.errors import InvalidCutoffs, SeriesMismatch, UnstableDesign
 from actimetrics.preprocess import filter_values
 
 FS = 10.0
+
+
+def datasets_of(x, y, z, **kwargs):
+    """preprocess_all of a small recording built from the three axes."""
+    return preprocess_all(RawRecording("t", FS, x, y, z), **kwargs)
 
 
 # --- independent oracle: analog Butterworth magnitude with bilinear prewarping
@@ -53,35 +54,32 @@ def to_db(x):
 
 class TestMagnitude:
     def test_pythagorean_triple(self):
-        series = magnitude([3.0], [4.0], [0.0], FS)
+        series = datasets_of([3.0], [4.0], [0.0])[DatasetKind.UFM]
         assert series.values[0] == pytest.approx(5.0)
         assert series.kind is DatasetKind.UFM
 
     def test_rest_orientation_gives_1g(self):
-        series = magnitude([0.0], [0.0], [1.0], FS)
+        series = datasets_of([0.0], [0.0], [1.0])[DatasetKind.UFM]
         assert series.values[0] == pytest.approx(1.0)
 
     def test_fractional_triple(self):
-        series = magnitude([0.6], [0.0], [0.8], FS)
+        series = datasets_of([0.6], [0.0], [0.8])[DatasetKind.UFM]
         assert series.values[0] == pytest.approx(1.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(SeriesMismatch):
-            magnitude([1.0, 2.0], [1.0], [1.0, 2.0], FS)
+        # numpy would broadcast the 1-sample axis; the check must fire first
+        with pytest.raises(SeriesMismatch, match="x=2 y=1 z=2"):
+            datasets_of([1.0, 2.0], [1.0], [1.0, 2.0])
 
 
 class TestNormalizeMagnitude:
     @pytest.mark.parametrize("value,expected", [(1.0, 0.0), (1.3, 0.3), (0.7, 0.3)])
     def test_normalization(self, value, expected):
-        ufm = PreprocessedSeries(DatasetKind.UFM, [value, value], FS)
-        ufnm = normalize_magnitude(ufm)
+        datasets = datasets_of([value, value], [0.0, 0.0], [0.0, 0.0])
+        assert datasets[DatasetKind.UFM].values.tolist() == [value, value]
+        ufnm = datasets[DatasetKind.UFNM]
         assert ufnm.kind is DatasetKind.UFNM
         np.testing.assert_allclose(ufnm.values, expected, atol=1e-15)
-
-    def test_wrong_kind_rejected(self):
-        fy = PreprocessedSeries(DatasetKind.FY, [0.1], FS)
-        with pytest.raises(SeriesMismatch):
-            normalize_magnitude(fy)
 
     def test_exact_identity_against_ufm(self, bout_datasets):
         ufm = bout_datasets[DatasetKind.UFM].values
@@ -107,7 +105,7 @@ class TestDesignFilter:
 
     def test_bandpass_dc_gain_below_1e6(self):
         filt = design_filter(Bandpass(), FS)
-        assert filt.dc_gain() < 1e-6
+        assert filt.magnitude_response([0.0])[0] < 1e-6
 
     def test_hfen_highpass_cutoff(self):
         filt = design_filter(Highpass(), FS)
@@ -142,10 +140,12 @@ class TestDesignFilter:
 
 
 class TestApplyFilter:
+    """The bandpass as preprocess_all applies it, and filter_values itself."""
+
     def test_constant_input_settles_below_1e3_after_60s(self):
         filt = design_filter(Bandpass(), FS)
-        series = PreprocessedSeries(DatasetKind.UFM, np.ones(1200), FS)
-        out = apply_filter(series, filt)
+        zeros = np.zeros(1200)
+        out = datasets_of(np.ones(1200), zeros, zeros)[DatasetKind.FMPOST]
         assert out.kind is DatasetKind.FMPOST
         assert np.max(np.abs(out.values[600:])) < 1e-3
         # settling oracle: the slowest pole bounds the transient envelope
@@ -153,9 +153,8 @@ class TestApplyFilter:
         assert rho ** 600 < 1e-6
 
     def test_zero_input_gives_zero_output(self):
-        filt = design_filter(Bandpass(), FS)
-        series = PreprocessedSeries(DatasetKind.UFX, np.zeros(100), FS)
-        out = apply_filter(series, filt)
+        zeros = np.zeros(100)
+        out = datasets_of(zeros, zeros, zeros)[DatasetKind.FX]
         np.testing.assert_array_equal(out.values, 0.0)
         assert out.kind is DatasetKind.FX
 
@@ -182,12 +181,6 @@ class TestApplyFilter:
         y = filter_values(x, filt)
         shifted = filter_values(np.concatenate([np.zeros(7), x]), filt)
         np.testing.assert_allclose(shifted[7:], y, rtol=1e-9, atol=1e-12)
-
-    def test_rate_mismatch_rejected(self):
-        filt = design_filter(Bandpass(), 20.0)
-        series = PreprocessedSeries(DatasetKind.UFX, np.zeros(10), FS)
-        with pytest.raises(SeriesMismatch):
-            apply_filter(series, filt)
 
     def test_zero_phase_squares_the_magnitude_response(self):
         # a tone at the low cutoff: causal passes |H| = 1/sqrt(2) of it,
@@ -218,40 +211,28 @@ class TestApplyFilter:
         assert out.flags.writeable and not np.shares_memory(out, frozen)
         assert not frozen.flags.writeable
 
-    def test_kind_without_filtered_counterpart_rejected(self):
-        filt = design_filter(Bandpass(), FS)
-        series = PreprocessedSeries(DatasetKind.UFNM, np.zeros(10), FS)
-        with pytest.raises(SeriesMismatch):
-            apply_filter(series, filt)
-
 
 class TestFmpre:
-    def _axes(self, x, y, z):
-        return (
-            PreprocessedSeries(DatasetKind.FX, x, FS),
-            PreprocessedSeries(DatasetKind.FY, y, FS),
-            PreprocessedSeries(DatasetKind.FZ, z, FS),
-        )
+    @staticmethod
+    def _fmpre(x, y, z):
+        """FMpre of a one-sample recording over the bandpass's first gain.
+
+        From zero state the cascade's first output is g * input, g the
+        product of the sections' b0, so FMpre[0] = |g| * |(x, y, z)|.
+        """
+        g = np.prod(design_filter(Bandpass(), FS).sos[:, 0])
+        out = datasets_of([x], [y], [z])[DatasetKind.FMPRE]
+        assert out.kind is DatasetKind.FMPRE
+        return out.values[0] / abs(g)
 
     def test_zero_axes(self):
-        out = fmpre(*self._axes([0.0], [0.0], [0.0]))
-        assert out.values[0] == 0.0
-        assert out.kind is DatasetKind.FMPRE
+        assert self._fmpre(0.0, 0.0, 0.0) == 0.0
 
     def test_triple(self):
-        out = fmpre(*self._axes([3.0], [4.0], [0.0]))
-        assert out.values[0] == pytest.approx(5.0)
+        assert self._fmpre(3.0, 4.0, 0.0) == pytest.approx(5.0)
 
     def test_norm_discards_sign(self):
-        out = fmpre(*self._axes([-3.0], [-4.0], [0.0]))
-        assert out.values[0] == pytest.approx(5.0)
-
-    def test_wrong_kinds_rejected(self):
-        fx = PreprocessedSeries(DatasetKind.UFX, [1.0], FS)
-        fy = PreprocessedSeries(DatasetKind.FY, [1.0], FS)
-        fz = PreprocessedSeries(DatasetKind.FZ, [1.0], FS)
-        with pytest.raises(SeriesMismatch):
-            fmpre(fx, fy, fz)
+        assert self._fmpre(-3.0, -4.0, 0.0) == pytest.approx(5.0)
 
     def test_triangle_inequality(self, bout_datasets):
         pre = bout_datasets[DatasetKind.FMPRE].values
@@ -263,13 +244,13 @@ class TestFmpre:
 
 class TestHfenPreprocess:
     def test_rest_recording_decays_to_zero(self, rest_recording):
-        out = hfen_preprocess(rest_recording)
+        out = preprocess_all(rest_recording)[DatasetKind.HFEN_SPECIAL]
         assert out.kind is DatasetKind.HFEN_SPECIAL
         assert np.max(out.values[600:]) < 1e-3
 
     def test_zero_recording_gives_zero(self):
-        rec = RawRecording("z", FS, np.zeros(100), np.zeros(100), np.zeros(100))
-        out = hfen_preprocess(rec)
+        zeros = np.zeros(100)
+        out = datasets_of(zeros, zeros, zeros)[DatasetKind.HFEN_SPECIAL]
         np.testing.assert_array_equal(out.values, 0.0)
 
     def test_sinusoid_gain_matches_analytic_highpass(self):
@@ -278,8 +259,7 @@ class TestHfenPreprocess:
         amp = 0.4
         t = np.arange(6000) / FS
         x = amp * np.sin(2 * np.pi * 1.0 * t)
-        rec = RawRecording("tone", FS, x, np.zeros_like(x), np.zeros_like(x))
-        out = hfen_preprocess(rec)
+        out = datasets_of(x, np.zeros_like(x), np.zeros_like(x))[DatasetKind.HFEN_SPECIAL]
         expected = amp * butter_highpass_mag(1.0, 0.2, 4, FS)
         tail = out.values[3000:]
         measured = math.sqrt(2.0 * float(np.mean(tail * tail)))
@@ -287,15 +267,17 @@ class TestHfenPreprocess:
 
 
 class TestMagnitudesMatchTheDirectFormula:
-    """UFM, FMpre and the HFEN input equal sqrt(x*x + y*y + z*z) bit for bit."""
+    """Every kind equals its formula bit for bit: UFM, FMpre and the HFEN
+    input are sqrt(x*x + y*y + z*z), UFNM is |UFM - 1|, and the bandpassed
+    kinds are filter_values of their input."""
 
     @staticmethod
     def _norm(x, y, z):
         return np.sqrt(x * x + y * y + z * z)
 
-    def test_ufm(self, bout_recording):
+    def test_ufm(self, bout_recording, bout_datasets):
         rec = bout_recording
-        out = magnitude(rec.x, rec.y, rec.z, FS).values
+        out = bout_datasets[DatasetKind.UFM].values
         assert out.tobytes() == self._norm(rec.x, rec.y, rec.z).tobytes()
 
     def test_fmpre(self, bout_datasets):
@@ -309,7 +291,7 @@ class TestMagnitudesMatchTheDirectFormula:
         rec = bout_recording
         filt = design_filter(Highpass(), FS)
         hx, hy, hz = (filter_values(a, filt, zero_phase) for a in (rec.x, rec.y, rec.z))
-        out = hfen_preprocess(rec, zero_phase=zero_phase).values
+        out = preprocess_all(rec, zero_phase=zero_phase)[DatasetKind.HFEN_SPECIAL].values
         assert out.tobytes() == self._norm(hx, hy, hz).tobytes()
 
     def test_ufnm(self, bout_datasets):
@@ -317,11 +299,42 @@ class TestMagnitudesMatchTheDirectFormula:
         expected = np.abs(ufm - 1.0)
         assert bout_datasets[DatasetKind.UFNM].values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("zero_phase", [False, True])
+    @pytest.mark.parametrize("fs", [10.0, 20.0])
+    def test_every_kind(self, fs, zero_phase):
+        rec = synthesize(SyntheticSpec(
+            subject_id="k", duration_s=300.0, sample_rate_hz=fs, rest_s=60.0,
+            active_s=60.0, amp_jitter=0.3, noise_sd_g=0.02, seed=11,
+        ))
+        x, y, z = rec.x, rec.y, rec.z
+        band = design_filter(Bandpass(), fs)
+        high = design_filter(Highpass(), fs)
+        fx, fy, fz = (filter_values(a, band, zero_phase) for a in (x, y, z))
+        hx, hy, hz = (filter_values(a, high, zero_phase) for a in (x, y, z))
+        ufm = self._norm(x, y, z)
+        expected = {
+            DatasetKind.UFX: x,
+            DatasetKind.UFY: y,
+            DatasetKind.UFZ: z,
+            DatasetKind.FX: fx,
+            DatasetKind.FY: fy,
+            DatasetKind.FZ: fz,
+            DatasetKind.UFM: ufm,
+            DatasetKind.UFNM: np.abs(ufm - 1.0),
+            DatasetKind.FMPRE: self._norm(fx, fy, fz),
+            DatasetKind.FMPOST: filter_values(ufm, band, zero_phase),
+            DatasetKind.HFEN_SPECIAL: self._norm(hx, hy, hz),
+        }
+        out = preprocess_all(rec, zero_phase=zero_phase)
+        assert list(out) == list(expected)
+        for kind, values in expected.items():
+            assert out[kind].values.tobytes() == values.tobytes(), kind
+
 
 class TestPreprocessAll:
     def test_map_has_exactly_11_entries(self, bout_datasets):
         assert len(bout_datasets) == 11
-        assert set(bout_datasets) == set(DatasetKind)
+        assert list(bout_datasets) == list(DatasetKind)
 
     def test_rest_recording_ufm_1_ufnm_0(self, rest_recording):
         datasets = preprocess_all(rest_recording)
@@ -341,6 +354,12 @@ class TestPreprocessAll:
         assert all(s.n_samples == n for s in bout_datasets.values())
 
     def test_provenance_carries_filter_spec(self, bout_datasets):
-        assert bout_datasets[DatasetKind.FX].provenance == Bandpass()
-        assert bout_datasets[DatasetKind.HFEN_SPECIAL].provenance == Highpass()
-        assert bout_datasets[DatasetKind.UFX].provenance is None
+        bandpassed = (DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ,
+                      DatasetKind.FMPRE, DatasetKind.FMPOST)
+        for kind, series in bout_datasets.items():
+            if kind in bandpassed:
+                assert series.provenance == Bandpass(), kind
+            elif kind is DatasetKind.HFEN_SPECIAL:
+                assert series.provenance == Highpass()
+            else:
+                assert series.provenance is None, kind
