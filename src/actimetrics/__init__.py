@@ -46,7 +46,6 @@ from .metrics import (
 from .pipeline import process_subject, run_pipeline
 from .preprocess import (
     Bandpass,
-    FilterRealization,
     Highpass,
     design_filter,
     preprocess_all,

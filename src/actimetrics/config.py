@@ -193,8 +193,8 @@ def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
 def load_config(path) -> PipelineConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return config_from_dict(data)
 

@@ -96,10 +96,6 @@ class RawRecording:
     def n_samples(self) -> int:
         return int(self.x.size)
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples * self.ts
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -174,15 +170,13 @@ def validate_recording(
 class PreprocessedSeries:
     """A sample stream tagged with the dataset kind that produced it.
 
-    ``provenance`` carries the filter parameters used, when any. Filtering
-    never changes length, so the series always matches its source
-    recording sample-for-sample.
+    Filtering never changes length, so the series always matches its
+    source recording sample-for-sample.
     """
 
     kind: DatasetKind
     values: np.ndarray
     sample_rate_hz: float
-    provenance: Optional[object] = None
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
@@ -213,10 +207,6 @@ class ActivitySignal:
 
     def __post_init__(self):
         object.__setattr__(self, "values", as_float_array(self.values))
-
-    @property
-    def n_epochs(self) -> int:
-        return int(self.values.size)
 
 
 def epoch_sample_count(te_s: float, sample_rate_hz: float) -> int:

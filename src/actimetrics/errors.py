@@ -65,6 +65,10 @@ class ParseError(ActimetricsError):
         self.line = line
 
 
+class UnreadableRecording(ActimetricsError):
+    """A recording file could not be opened or read; the message gives the OS reason."""
+
+
 class MissingSampleRate(ActimetricsError):
     """No usable sample rate came from the argument, sidecar or file header.
 

@@ -1,7 +1,7 @@
 """File formats: recordings (CSV and native binary), results, matrices.
 
-Recording CSV: header ``x,y,z`` (an optional leading ``t`` column is
-accepted and ignored), numeric body in g. The sample rate comes from an
+Recording CSV: UTF-8 text, header ``x,y,z`` (an optional leading ``t``
+column is accepted and ignored), numeric body in g. The sample rate comes from an
 argument or from a JSON sidecar next to the file (``<name>.csv.json`` with a
 ``sample_rate_hz`` key). The sidecar's ``subject_id`` names the subject's
 output directory, so one that is not a plain directory name is rejected.
@@ -32,6 +32,7 @@ from .errors import (
     MissingSampleRate,
     ParseError,
     TruncatedPayload,
+    UnreadableRecording,
     UnrepresentableSampleRate,
     VersionUnsupported,
 )
@@ -125,32 +126,39 @@ def read_recording_csv(
     xs: list[float] = []
     ys: list[float] = []
     zs: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ParseError(1, "empty file, expected header 'x,y,z'")
-        columns = [c.strip().lower() for c in header.strip().split(",")]
-        if columns == ["t", "x", "y", "z"]:
-            offset = 1
-        elif columns == ["x", "y", "z"]:
-            offset = 0
-        else:
-            raise ParseError(
-                1, f"expected columns 'x,y,z' (optional leading 't'), got {columns}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 3 + offset:
-                raise ParseError(lineno, f"expected {3 + offset} columns, got {len(cells)}")
-            try:
-                xs.append(float(cells[offset]))
-                ys.append(float(cells[offset + 1]))
-                zs.append(float(cells[offset + 2]))
-            except ValueError as exc:
-                raise ParseError(lineno, f"non-numeric cell: {exc}") from None
+    # each line is decoded on its own, so an undecodable one is named exactly
+    lineno = 1
+    try:
+        with path.open("rb") as fh:
+            header = fh.readline().decode("utf-8")
+            if not header:
+                raise ParseError(1, "empty file, expected header 'x,y,z'")
+            columns = [c.strip().lower() for c in header.strip().split(",")]
+            if columns == ["t", "x", "y", "z"]:
+                offset = 1
+            elif columns == ["x", "y", "z"]:
+                offset = 0
+            else:
+                raise ParseError(
+                    1, f"expected columns 'x,y,z' (optional leading 't'), got {columns}"
+                )
+            for lineno, line in enumerate(fh, start=2):
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                if len(cells) != 3 + offset:
+                    raise ParseError(
+                        lineno, f"expected {3 + offset} columns, got {len(cells)}"
+                    )
+                try:
+                    xs.append(float(cells[offset]))
+                    ys.append(float(cells[offset + 1]))
+                    zs.append(float(cells[offset + 2]))
+                except ValueError as exc:
+                    raise ParseError(lineno, f"non-numeric cell: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(lineno, f"{path}: not UTF-8 text: {exc.reason}") from None
 
     return RawRecording(
         subject_id=subject_id,
@@ -231,9 +239,12 @@ def read_recording(
 ) -> RawRecording:
     """Dispatch on extension: .csv or the native binary format."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return read_recording_csv(path, sample_rate_hz, subject_id)
-    return read_recording_bin(path, subject_id)
+    try:
+        if path.suffix.lower() == ".csv":
+            return read_recording_csv(path, sample_rate_hz, subject_id)
+        return read_recording_bin(path, subject_id)
+    except OSError as exc:
+        raise UnreadableRecording(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ and the HFEN input is the magnitude of the high-passed axes. Whether a
 filter runs per axis or on a magnitude is therefore read in one place.
 
 A filter is specified without a sample rate, as a :class:`Bandpass` or a
-:class:`Highpass`, and :func:`design_filter` realizes it at the rate of the
-recording it is applied to; a cutoff at or above that rate's Nyquist
-frequency is rejected there.
+:class:`Highpass`, and :func:`design_filter` designs it at the rate of the
+recording it is applied to and returns the second-order-section (SOS)
+cascade itself; a cutoff at or above that rate's Nyquist frequency is
+rejected there.
 
 Filtering is causal (forward-only, zero initial state) by default to mirror
 what in-device processing can do; set ``zero_phase=True`` for
@@ -38,9 +39,9 @@ from .errors import InvalidCutoffs, SeriesMismatch, UnstableDesign
 class Bandpass:
     """Butterworth bandpass, applied to the axes and to the raw magnitude.
 
-    ``order`` counts analog prototype poles; the realization carries twice
-    that many. The cutoffs are checked against Nyquist when the filter is
-    designed at a recording's rate.
+    ``order`` counts analog prototype poles; the designed cascade carries
+    twice that many. The cutoffs are checked against Nyquist when the
+    filter is designed at a recording's rate.
     """
 
     order: int = 3
@@ -70,39 +71,13 @@ class Highpass:
             raise InvalidCutoffs(f"need 0 < cutoff, got {self.cutoff_hz}")
 
 
-@dataclass(frozen=True, eq=False)
-class FilterRealization:
-    """Cascade of second-order sections; state starts at zero each call."""
-
-    spec: Union[Bandpass, Highpass]
-    sample_rate_hz: float
-    sos: np.ndarray
-
-    def __post_init__(self):
-        sos = np.ascontiguousarray(np.asarray(self.sos, dtype=float))
-        sos.setflags(write=False)
-        object.__setattr__(self, "sos", sos)
-
-    def max_pole_magnitude(self) -> float:
-        poles = np.concatenate([np.roots(section[3:]) for section in self.sos])
-        return float(np.max(np.abs(poles)))
-
-    def magnitude_response(self, freqs_hz) -> np.ndarray:
-        """|H| evaluated at the given frequencies."""
-        _, h = spsignal.sosfreqz(
-            self.sos, worN=np.atleast_1d(freqs_hz), fs=self.sample_rate_hz
-        )
-        return np.abs(h)
-
-
-def design_filter(
-    spec: Union[Bandpass, Highpass], sample_rate_hz: float
-) -> FilterRealization:
-    """Design the Butterworth realization of ``spec`` at ``sample_rate_hz``.
+def design_filter(spec: Union[Bandpass, Highpass], sample_rate_hz: float) -> np.ndarray:
+    """Design the Butterworth filter ``spec`` at ``sample_rate_hz``.
 
     Bilinear transform of the analog prototype with frequency prewarping,
-    returned as a second-order-section cascade. Deterministic: the same
-    spec and rate always yield bitwise-identical coefficients.
+    returned as a fresh, writable ``(sections, 6)`` second-order-section
+    cascade. Deterministic: the same spec and rate always yield
+    bitwise-identical coefficients.
     """
     if isinstance(spec, Bandpass):
         btype, wn, top = "bandpass", (spec.f_low_hz, spec.f_high_hz), spec.f_high_hz
@@ -121,22 +96,21 @@ def design_filter(
         raise UnstableDesign(
             f"non-finite coefficients for {spec} at {sample_rate_hz} Hz"
         )
-    realization = FilterRealization(spec, sample_rate_hz, sos)
-    if realization.max_pole_magnitude() >= 1.0:
+    poles = np.concatenate([np.roots(section[3:]) for section in sos])
+    if np.max(np.abs(poles)) >= 1.0:
         raise UnstableDesign(
             f"pole on or outside the unit circle for {spec} at {sample_rate_hz} Hz"
         )
-    return realization
+    return sos
 
 
 def filter_values(
-    values: np.ndarray, realization: FilterRealization, zero_phase: bool = False
+    values: np.ndarray, sos: np.ndarray, zero_phase: bool = False
 ) -> np.ndarray:
     """Filter a bare array; causal with zero initial state unless zero_phase."""
     # sosfilt and sosfiltfilt copy x into their own output, so a read-only
-    # series goes in as it is; the compiled kernel needs a writable sos
+    # series goes in as it is
     x = np.asarray(values, dtype=float)
-    sos = np.array(realization.sos)
     if zero_phase:
         return spsignal.sosfiltfilt(sos, x)
     return spsignal.sosfilt(sos, x)
@@ -163,9 +137,9 @@ def preprocess_all(
 ) -> dict[DatasetKind, PreprocessedSeries]:
     """Produce every dataset kind from one recording (11 in total).
 
-    Filtered kinds carry their filter spec as ``provenance`` and keep the
-    startup transient. The HFEN input high-passes one axis at a time and
-    squares it in its own buffer, so one such axis is alive at once.
+    Filtered kinds keep the startup transient. The HFEN input high-passes
+    one axis at a time and squares it in its own buffer, so one such axis
+    is alive at once.
     """
     fs = rec.sample_rate_hz
     axes = (rec.x, rec.y, rec.z)
@@ -178,27 +152,23 @@ def preprocess_all(
 
     out: dict[DatasetKind, PreprocessedSeries] = {}
 
-    def put(kind, values, provenance=None):
+    def put(kind, values):
         # wrapped as soon as made: a zero-phase output is a reversed view,
         # and its contiguous copy must replace it before the next is filtered
-        out[kind] = PreprocessedSeries(kind, values, fs, provenance)
+        out[kind] = PreprocessedSeries(kind, values, fs)
         return out[kind].values
 
     for kind, a in zip(UNFILTERED_AXES, axes):
         put(kind, a)
     filtered = [
-        put(kind, filter_values(a, band, zero_phase), bandpass)
+        put(kind, filter_values(a, band, zero_phase))
         for kind, a in zip(FILTERED_AXES, axes)
     ]
     ufm = put(DatasetKind.UFM, _norm(a * a for a in axes))
     ufnm = ufm - 1.0
     put(DatasetKind.UFNM, np.abs(ufnm, out=ufnm))
-    put(DatasetKind.FMPRE, _norm(f * f for f in filtered), bandpass)
-    put(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase), bandpass)
+    put(DatasetKind.FMPRE, _norm(f * f for f in filtered))
+    put(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase))
     highpassed = (filter_values(a, high, zero_phase) for a in axes)
-    put(
-        DatasetKind.HFEN_SPECIAL,
-        _norm(np.multiply(h, h, out=h) for h in highpassed),
-        hfen_spec,
-    )
+    put(DatasetKind.HFEN_SPECIAL, _norm(np.multiply(h, h, out=h) for h in highpassed))
     return out

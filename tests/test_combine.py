@@ -392,7 +392,7 @@ class TestComputeActivity:
         out = compute_activity(
             VariantDescriptor(MetricId.MAD, DatasetKind.UFM), bout_datasets, 60.0
         )
-        assert out.n_epochs == 10  # 600 s / 60 s
+        assert out.values.size == 10  # 600 s / 60 s
 
 
 FIG4_EXPECTED = {
@@ -569,7 +569,7 @@ class TestCatalog:
         for variant in catalog():
             out = compute_activity(variant, bout_datasets, 60.0)
             assert (out.values >= 0).all(), variant.label
-            assert out.n_epochs == 10
+            assert out.values.size == 10
 
 
 class TestThresholdMemo:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from actimetrics import RawRecording, SyntheticSpec, synthesize
 from actimetrics import formats
 from actimetrics.core import ActivitySignal
 from actimetrics.errors import (
+    ActimetricsError,
     BadMagic,
     MissingSampleRate,
     ParseError,
@@ -49,6 +51,13 @@ class TestCsvReader:
         with pytest.raises(ParseError) as err:
             read_recording_csv(path, sample_rate_hz=10.0)
         assert err.value.line == 5
+
+    def test_undecodable_line_named_with_the_file(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"x,y,z\n0.1,0.2,0.3\n0.1,\xff\xfe,0.3\n")
+        with pytest.raises(ParseError, match="rec.csv: not UTF-8") as err:
+            read_recording_csv(path, sample_rate_hz=10.0)
+        assert err.value.line == 3
 
     def test_bad_header_names_expected_columns(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -294,3 +303,40 @@ class TestRowWriter:
         rec = RawRecording("s", 10.0, [1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 7.0, 8.0])
         write_recording_csv(rec, tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_text() == "x,y,z\n1.0,4.0,6.0\n2.0,5.0,7.0\n"
+
+
+_header = st.builds(
+    struct.Struct("<4sHHQ").pack, st.just(b"ACTM"), st.sampled_from([1, 2]),
+    st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 64 - 1) | st.integers(0, 8),
+)
+_actm_bytes = st.binary() | st.tuples(_header, st.binary()).map(b"".join)
+_csv_bytes = st.binary() | st.binary().map(lambda b: b"x,y,z\n" + b)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestReadersOnArbitraryBytes:
+    """Any bytes read back as a recording or as a typed package error."""
+
+    @settings(database=None, deadline=None, max_examples=300)
+    @given(blob=_actm_bytes)
+    def test_actm(self, fuzz_dir, blob):
+        path = fuzz_dir / "f.actm"
+        path.write_bytes(blob)
+        try:
+            assert isinstance(read_recording(path), RawRecording)
+        except ActimetricsError:
+            pass
+
+    @settings(database=None, deadline=None, max_examples=300)
+    @given(blob=_csv_bytes)
+    def test_csv(self, fuzz_dir, blob):
+        path = fuzz_dir / "f.csv"
+        path.write_bytes(blob)
+        try:
+            assert isinstance(read_recording(path, sample_rate_hz=10.0), RawRecording)
+        except ActimetricsError:
+            pass

@@ -458,7 +458,7 @@ class TestAdaptiveTatOnRest:
         threshold = sd_threshold(series)
         expected = [
             tat_oracle(series.values[i * 600 : (i + 1) * 600], threshold, 0.1)
-            for i in range(sig.n_epochs)
+            for i in range(sig.values.size)
         ]
         np.testing.assert_allclose(sig.values, expected, rtol=1e-12)
         # noise rarely exceeds SD + 1 g: activity stays a small fraction of Te

@@ -154,7 +154,6 @@ class TestConfig:
         fx = preprocess_subject(rec, config)[DatasetKind.FX]
         expected = filter_values(rec.x, design_filter(config.bandpass, 20.0))
         assert fx.values.tobytes() == expected.tobytes()
-        assert fx.provenance == config.bandpass
 
     def test_zero_phase_config_filters_forward_backward(self):
         from actimetrics import compute_activity, estimate_noise_variance
@@ -562,6 +561,34 @@ class TestCli:
         assert main(["convert", str(csv_path), str(tmp_path / "r.actm")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "r.csv.json" in err
+
+    @pytest.mark.parametrize("name,content", [
+        ("nope.actm", None),
+        ("dir.actm", "directory"),
+        ("rnd.csv", bytes(range(255, -1, -1)) * 4),
+    ], ids=["missing", "directory", "undecodable"])
+    def test_unreadable_recording_exits_2_without_traceback(
+        self, tmp_path, capsys, name, content
+    ):
+        path = tmp_path / name
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        args = ["--out", str(tmp_path / "out"), "correlate", str(path),
+                "--sample-rate-hz", "10"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and name in err
+        assert "Traceback" not in err
+
+    def test_config_not_utf8_exits_1_without_traceback(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b"\xff\xfe{}")
+        assert main(["--config", str(config), "catalog"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "c.json" in err
+        assert "Traceback" not in err
 
     def test_mixed_sample_rates_design_filters_per_recording(self, tmp_path):
         config = tmp_path / "config.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import sosfreqz
 
 from actimetrics import (
     Bandpass,
@@ -22,6 +23,15 @@ FS = 10.0
 def datasets_of(x, y, z, **kwargs):
     """preprocess_all of a small recording built from the three axes."""
     return preprocess_all(RawRecording("t", FS, x, y, z), **kwargs)
+
+
+def gain(sos, f_hz):
+    """|H| of the cascade at one frequency."""
+    return float(np.abs(sosfreqz(sos, worN=[f_hz], fs=FS)[1][0]))
+
+
+def max_pole_magnitude(sos):
+    return max(np.max(np.abs(np.roots(section[3:]))) for section in sos)
 
 
 # --- independent oracle: analog Butterworth magnitude with bilinear prewarping
@@ -89,39 +99,43 @@ class TestNormalizeMagnitude:
 
 class TestDesignFilter:
     def test_bandpass_cutoffs_within_02db_of_oracle(self):
-        filt = design_filter(Bandpass(), FS)
+        sos = design_filter(Bandpass(), FS)
         for f in (0.25, 2.5):
-            measured = to_db(float(filt.magnitude_response([f])[0]))
+            measured = to_db(gain(sos, f))
             oracle = to_db(butter_bandpass_mag(f, 0.25, 2.5, 3, FS))
             assert measured == pytest.approx(oracle, abs=0.2)
             assert oracle == pytest.approx(to_db(1 / math.sqrt(2)), abs=1e-9)
 
     def test_bandpass_matches_oracle_across_band(self):
-        filt = design_filter(Bandpass(), FS)
+        sos = design_filter(Bandpass(), FS)
         for f in (0.1, 0.25, 0.79, 2.5, 4.0):
-            measured = to_db(float(filt.magnitude_response([f])[0]))
+            measured = to_db(gain(sos, f))
             oracle = to_db(butter_bandpass_mag(f, 0.25, 2.5, 3, FS))
             assert measured == pytest.approx(oracle, abs=0.2), f
 
     def test_bandpass_dc_gain_below_1e6(self):
-        filt = design_filter(Bandpass(), FS)
-        assert filt.magnitude_response([0.0])[0] < 1e-6
+        assert gain(design_filter(Bandpass(), FS), 0.0) < 1e-6
 
     def test_hfen_highpass_cutoff(self):
-        filt = design_filter(Highpass(), FS)
-        measured = to_db(float(filt.magnitude_response([0.2])[0]))
+        measured = to_db(gain(design_filter(Highpass(), FS), 0.2))
         oracle = to_db(butter_highpass_mag(0.2, 0.2, 4, FS))
         assert measured == pytest.approx(oracle, abs=0.2)
         assert oracle == pytest.approx(to_db(1 / math.sqrt(2)), abs=1e-9)
 
     def test_design_is_stable(self):
         for spec in (Bandpass(), Highpass(), Bandpass(order=30)):
-            assert design_filter(spec, FS).max_pole_magnitude() < 1.0
+            assert max_pole_magnitude(design_filter(spec, FS)) < 1.0
 
     def test_design_is_deterministic(self):
         a = design_filter(Bandpass(), FS)
         b = design_filter(Bandpass(), FS)
-        assert a.sos.tobytes() == b.sos.tobytes()
+        assert a.tobytes() == b.tobytes()
+
+    def test_design_is_a_fresh_writable_sos_array(self):
+        a = design_filter(Bandpass(), FS)
+        b = design_filter(Bandpass(), FS)
+        assert a.shape == (3, 6) and a.dtype == np.float64  # order 3: 6 poles
+        assert a.flags.writeable and not np.shares_memory(a, b)
 
     @pytest.mark.parametrize(
         "low,high", [(0.0, 2.5), (2.5, 0.25), (0.25, 5.0), (0.25, 6.0)]
@@ -149,7 +163,7 @@ class TestApplyFilter:
         assert out.kind is DatasetKind.FMPOST
         assert np.max(np.abs(out.values[600:])) < 1e-3
         # settling oracle: the slowest pole bounds the transient envelope
-        rho = filt.max_pole_magnitude()
+        rho = max_pole_magnitude(filt)
         assert rho ** 600 < 1e-6
 
     def test_zero_input_gives_zero_output(self):
@@ -220,7 +234,7 @@ class TestFmpre:
         From zero state the cascade's first output is g * input, g the
         product of the sections' b0, so FMpre[0] = |g| * |(x, y, z)|.
         """
-        g = np.prod(design_filter(Bandpass(), FS).sos[:, 0])
+        g = np.prod(design_filter(Bandpass(), FS)[:, 0])
         out = datasets_of([x], [y], [z])[DatasetKind.FMPRE]
         assert out.kind is DatasetKind.FMPRE
         return out.values[0] / abs(g)
@@ -352,14 +366,3 @@ class TestPreprocessAll:
     def test_lengths_preserved(self, bout_recording, bout_datasets):
         n = bout_recording.n_samples
         assert all(s.n_samples == n for s in bout_datasets.values())
-
-    def test_provenance_carries_filter_spec(self, bout_datasets):
-        bandpassed = (DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ,
-                      DatasetKind.FMPRE, DatasetKind.FMPOST)
-        for kind, series in bout_datasets.items():
-            if kind in bandpassed:
-                assert series.provenance == Bandpass(), kind
-            elif kind is DatasetKind.HFEN_SPECIAL:
-                assert series.provenance == Highpass()
-            else:
-                assert series.provenance is None, kind
