@@ -316,18 +316,18 @@ def subject_sweep(
     sd_thr = sd_threshold(series)
     anchor_idx = int(np.clip(round((sd_thr - grid[0]) / step_g), 0, max_steps - 1))
 
-    # beyond the series maximum both metrics are exactly zero; skip the work
+    # beyond the series maximum both metrics are exactly zero, so only the
+    # rows up to it are computed; a zero row is constant and its r stays NaN
     vmax = float(series.values.max())
+    rows = next((i for i, thr in enumerate(grid) if thr > vmax), grid.size)
     activities = np.zeros((grid.size, mat.shape[0]))
-    for i, thr in enumerate(grid):
-        if thr > vmax:
-            break
-        activities[i] = _level_values(metric, mat, thr, ts)
+    for i in range(rows):
+        activities[i] = _level_values(metric, mat, grid[i], ts)
     sd_activity = _level_values(metric, mat, sd_thr, ts)
 
     def _r_curve(reference: np.ndarray) -> np.ndarray:
         out = np.full(grid.size, np.nan)
-        for i in range(grid.size):
+        for i in range(rows):
             try:
                 out[i] = pearson(activities[i], reference)
             except DegenerateInput:
@@ -407,7 +407,9 @@ def threshold_sweep(
 
     The grid starts at 1 g for UFM (which still carries gravity) and at
     0 g otherwise, ascending in ``step_g`` increments, capped at
-    ``max_steps`` points. Each recording is preprocessed and run through
+    ``max_steps`` points. Each recording is preprocessed into only the
+    kinds the sweep reads (the swept kind, UFM for the ENMO reference and
+    HFEN_SPECIAL for the HFEN reference) and run through
     :func:`subject_sweep` in one step that keeps only its
     :class:`SubjectSweep`; with ``jobs`` > 1 those steps run on that many
     threads. :func:`reduce_sweeps` then averages the parts in the order
@@ -417,7 +419,10 @@ def threshold_sweep(
     _sweep_grid(metric, kind, step_g, max_steps)  # reject before preprocessing
 
     def _part(rec: RawRecording) -> SubjectSweep:
-        datasets = preprocess_all(rec, bandpass, hfen_spec, zero_phase)
+        datasets = preprocess_all(
+            rec, bandpass, hfen_spec, zero_phase,
+            kinds=(kind, DatasetKind.UFM, DatasetKind.HFEN_SPECIAL),
+        )
         return subject_sweep(metric, kind, datasets, te_s, step_g=step_g, max_steps=max_steps)
 
     parts = list(ordered_map(_part, recordings, jobs))

@@ -88,11 +88,6 @@ class RawRecording:
             object.__setattr__(self, name, as_float_array(getattr(self, name)))
 
     @property
-    def ts(self) -> float:
-        """Sampling time in seconds."""
-        return 1.0 / self.sample_rate_hz
-
-    @property
     def n_samples(self) -> int:
         return int(self.x.size)
 

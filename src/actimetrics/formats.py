@@ -102,7 +102,7 @@ def read_recording_csv(
     sample_rate_hz: Optional[float] = None,
     subject_id: Optional[str] = None,
 ) -> RawRecording:
-    """Read a recording from CSV; parse failures name the offending line."""
+    """Read a recording from CSV; parse failures name the file and the offending line."""
     path = Path(path)
     sidecar = _sidecar_path(path)
     meta = _read_sidecar(sidecar) if sidecar.exists() else {}
@@ -132,7 +132,7 @@ def read_recording_csv(
         with path.open("rb") as fh:
             header = fh.readline().decode("utf-8")
             if not header:
-                raise ParseError(1, "empty file, expected header 'x,y,z'")
+                raise ParseError(1, f"{path}: empty file, expected header 'x,y,z'")
             columns = [c.strip().lower() for c in header.strip().split(",")]
             if columns == ["t", "x", "y", "z"]:
                 offset = 1
@@ -140,7 +140,8 @@ def read_recording_csv(
                 offset = 0
             else:
                 raise ParseError(
-                    1, f"expected columns 'x,y,z' (optional leading 't'), got {columns}"
+                    1, f"{path}: expected columns 'x,y,z' (optional leading 't'), "
+                    f"got {columns}"
                 )
             for lineno, line in enumerate(fh, start=2):
                 line = line.decode("utf-8").strip()
@@ -149,14 +150,14 @@ def read_recording_csv(
                 cells = line.split(",")
                 if len(cells) != 3 + offset:
                     raise ParseError(
-                        lineno, f"expected {3 + offset} columns, got {len(cells)}"
+                        lineno, f"{path}: expected {3 + offset} columns, got {len(cells)}"
                     )
                 try:
                     xs.append(float(cells[offset]))
                     ys.append(float(cells[offset + 1]))
                     zs.append(float(cells[offset + 2]))
                 except ValueError as exc:
-                    raise ParseError(lineno, f"non-numeric cell: {exc}") from None
+                    raise ParseError(lineno, f"{path}: non-numeric cell: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(lineno, f"{path}: not UTF-8 text: {exc.reason}") from None
 

@@ -1,7 +1,8 @@
 """Dataset generation: magnitudes, normalization, and Butterworth filtering.
 
-:func:`preprocess_all` is the one producer of dataset kinds: it makes all
-11 a metric can consume from one raw recording. The raw axes pass through,
+:func:`preprocess_all` is the one producer of dataset kinds: it makes the
+11 a metric can consume from one raw recording, or only those asked for
+and what they are made from. The raw axes pass through,
 the axes and the raw magnitude are bandpassed (FXYZ, FMpost), FMpre is the
 magnitude of the filtered axes, UFNM is the gravity-normalized magnitude,
 and the HFEN input is the magnitude of the high-passed axes. Whether a
@@ -20,7 +21,7 @@ forward-backward filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 from scipy import signal as spsignal
@@ -134,12 +135,17 @@ def preprocess_all(
     bandpass: Bandpass = Bandpass(),
     hfen_spec: Highpass = Highpass(),
     zero_phase: bool = False,
+    kinds: Iterable[DatasetKind] = tuple(DatasetKind),
 ) -> dict[DatasetKind, PreprocessedSeries]:
-    """Produce every dataset kind from one recording (11 in total).
+    """Produce the dataset ``kinds`` from one recording (all 11 by default).
 
-    Filtered kinds keep the startup transient. The HFEN input high-passes
-    one axis at a time and squares it in its own buffer, so one such axis
-    is alive at once.
+    Only the requested kinds and what they are made from are built: FX, FY,
+    FZ and FMpre filter the three axes, FMpost filters UFM, and
+    HFEN_SPECIAL high-passes the three axes. A threshold sweep asks for the
+    swept kind, UFM and HFEN_SPECIAL. Each kind built is the same array
+    whichever others are requested. Filtered kinds keep the startup
+    transient. The HFEN input high-passes one axis at a time and squares it
+    in its own buffer, so one such axis is alive at once.
     """
     fs = rec.sample_rate_hz
     axes = (rec.x, rec.y, rec.z)
@@ -149,6 +155,10 @@ def preprocess_all(
         )
     band = design_filter(bandpass, fs)
     high = design_filter(hfen_spec, fs)
+    wanted = frozenset(kinds)
+
+    def need(*made_from) -> bool:
+        return not wanted.isdisjoint(made_from)
 
     out: dict[DatasetKind, PreprocessedSeries] = {}
 
@@ -160,15 +170,21 @@ def preprocess_all(
 
     for kind, a in zip(UNFILTERED_AXES, axes):
         put(kind, a)
-    filtered = [
-        put(kind, filter_values(a, band, zero_phase))
-        for kind, a in zip(FILTERED_AXES, axes)
-    ]
-    ufm = put(DatasetKind.UFM, _norm(a * a for a in axes))
-    ufnm = ufm - 1.0
-    put(DatasetKind.UFNM, np.abs(ufnm, out=ufnm))
-    put(DatasetKind.FMPRE, _norm(f * f for f in filtered))
-    put(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase))
-    highpassed = (filter_values(a, high, zero_phase) for a in axes)
-    put(DatasetKind.HFEN_SPECIAL, _norm(np.multiply(h, h, out=h) for h in highpassed))
-    return out
+    if need(*FILTERED_AXES, DatasetKind.FMPRE):
+        filtered = [
+            put(kind, filter_values(a, band, zero_phase))
+            for kind, a in zip(FILTERED_AXES, axes)
+        ]
+    if need(DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPOST):
+        ufm = put(DatasetKind.UFM, _norm(a * a for a in axes))
+    if need(DatasetKind.UFNM):
+        ufnm = ufm - 1.0
+        put(DatasetKind.UFNM, np.abs(ufnm, out=ufnm))
+    if need(DatasetKind.FMPRE):
+        put(DatasetKind.FMPRE, _norm(f * f for f in filtered))
+    if need(DatasetKind.FMPOST):
+        put(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase))
+    if need(DatasetKind.HFEN_SPECIAL):
+        highpassed = (filter_values(a, high, zero_phase) for a in axes)
+        put(DatasetKind.HFEN_SPECIAL, _norm(np.multiply(h, h, out=h) for h in highpassed))
+    return {kind: series for kind, series in out.items() if kind in wanted}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from actimetrics import (
     Domain,
     MetricId,
     PsdParams,
+    SweepCurve,
     SyntheticSpec,
     correlation_matrix,
     pearson,
@@ -18,8 +20,10 @@ from actimetrics import (
     synthesize,
     threshold_sweep,
 )
-from actimetrics.analysis import subject_sweep
+from actimetrics.analysis import reduce_sweeps, subject_sweep
+from actimetrics.core import epoch_matrix
 from actimetrics.errors import DegenerateInput, LabelMismatch, SignalTooShort
+from actimetrics.metrics import enmo_values, hfen_values, tat_values, zcm_values
 
 
 def sig(values, label="sig", te=60.0):
@@ -356,3 +360,79 @@ class TestSubjectSweep:
                                        noise_sd_g=0.02, seed=1))
         with pytest.raises(SignalTooShort):
             subject_sweep(MetricId.ZCM, DatasetKind.UFM, preprocess_all(rec), 60.0)
+
+
+_SWEEP_KINDS = (DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPRE, DatasetKind.FMPOST,
+                DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.fixture(scope="module")
+def sweep_corpus_datasets():
+    """A short two-subject corpus and its full builds, causal and zero-phase."""
+    recordings = _sweep_corpus(2, 1800.0)
+    return recordings, {
+        zero_phase: [preprocess_all(rec, zero_phase=zero_phase) for rec in recordings]
+        for zero_phase in (False, True)
+    }
+
+
+class TestSweepReadsOnlyWhatItNeeds:
+    @pytest.mark.parametrize("zero_phase", [False, True], ids=["causal", "zero-phase"])
+    @pytest.mark.parametrize("metric", [MetricId.ZCM, MetricId.TAT], ids=str)
+    @pytest.mark.parametrize("kind", _SWEEP_KINDS, ids=str)
+    def test_threshold_sweep_equals_the_reduce_over_full_builds(
+        self, sweep_corpus_datasets, kind, metric, zero_phase
+    ):
+        recordings, full = sweep_corpus_datasets
+        curve = threshold_sweep(metric, kind, recordings, zero_phase=zero_phase)
+        expected = reduce_sweeps(
+            metric, kind, [subject_sweep(metric, kind, d) for d in full[zero_phase]]
+        )
+        for field in dataclasses.fields(SweepCurve):
+            got, want = getattr(curve, field.name), getattr(expected, field.name)
+            if field.name in ("metric", "kind"):
+                assert got is want
+            else:
+                assert _same_bits(got, want), field.name
+
+    @pytest.mark.parametrize("metric", [MetricId.ZCM, MetricId.TAT], ids=str)
+    @pytest.mark.parametrize("kind", [DatasetKind.UFM, DatasetKind.FX], ids=str)
+    def test_rows_past_the_series_maximum_match_pearson_on_every_row(
+        self, sweep_corpus_datasets, kind, metric
+    ):
+        datasets = sweep_corpus_datasets[1][False][0]
+        step_g, max_steps = 0.05, 200
+        part = subject_sweep(metric, kind, datasets, 60.0, step_g=step_g, max_steps=max_steps)
+        series = datasets[kind]
+        grid = (1.0 if kind is DatasetKind.UFM else 0.0) + step_g * np.arange(max_steps)
+        assert series.values.max() < grid[max_steps // 4]
+
+        def epochs(k):
+            return epoch_matrix(datasets[k].values, 600)
+
+        mat = epochs(kind)
+        rows = [
+            zcm_values(mat, thr) if metric is MetricId.ZCM else tat_values(mat, thr, series.ts)
+            for thr in grid
+        ]
+        nearest_sd = int(np.clip(round((part.sd_threshold - grid[0]) / step_g), 0, max_steps - 1))
+
+        def every_row(reference):
+            out = np.full(max_steps, np.nan)
+            for i, row in enumerate(rows):
+                try:
+                    out[i] = pearson(row, reference)
+                except DegenerateInput:
+                    pass
+            return out
+
+        assert _same_bits(part.r_vs_enmo, every_row(enmo_values(epochs(DatasetKind.UFM))))
+        assert _same_bits(
+            part.r_vs_hfen, every_row(hfen_values(epochs(DatasetKind.HFEN_SPECIAL)))
+        )
+        assert _same_bits(part.r_vs_sd_anchored, every_row(rows[nearest_sd]))
+        assert _same_bits(part.mean_activity, np.array(rows).mean(axis=1))

@@ -116,7 +116,3 @@ class TestTypes:
     def test_recording_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             RawRecording("s", 0.0, [0.0], [0.0], [0.0])
-
-    def test_ts_is_reciprocal_rate(self):
-        rec = RawRecording("s", 10.0, [0.0], [0.0], [0.0])
-        assert rec.ts == pytest.approx(0.1)

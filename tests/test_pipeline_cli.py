@@ -582,6 +582,25 @@ class TestCli:
         assert err.startswith("data error:") and name in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [
+        "a,b,c\n0.0,0.0,1.0\n",
+        "x,y,z\n0.0,0.0,1.0\n0.0,1.0\n",
+        "x,y,z\n0.0,0.0,1.0\n0.0,up,1.0\n",
+    ], ids=["header", "columns", "non-numeric"])
+    def test_csv_decode_error_names_the_bad_file_among_several(
+        self, tmp_path, capsys, content
+    ):
+        good = tmp_path / "good.csv"
+        write_recording_csv(corpus(1, duration_s=600.0)[0], good)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content)
+        args = ["--out", str(tmp_path / "out"), "correlate", str(good), str(bad),
+                "--sample-rate-hz", "10"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err
+        assert str(good) not in err
+
     def test_config_not_utf8_exits_1_without_traceback(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_bytes(b"\xff\xfe{}")

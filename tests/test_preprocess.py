@@ -366,3 +366,59 @@ class TestPreprocessAll:
     def test_lengths_preserved(self, bout_recording, bout_datasets):
         n = bout_recording.n_samples
         assert all(s.n_samples == n for s in bout_datasets.values())
+
+
+# filter_values calls each kind needs: three bandpassed axes for FX, FY, FZ
+# and FMpre (shared), one bandpass of UFM for FMpost, three highpasses for HFEN
+_BANDPASSED_AXES = {DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ, DatasetKind.FMPRE}
+
+
+def _filter_calls(kinds):
+    kinds = set(kinds)
+    return (3 * bool(kinds & _BANDPASSED_AXES) + (DatasetKind.FMPOST in kinds)
+            + 3 * (DatasetKind.HFEN_SPECIAL in kinds))
+
+
+def _count_filter_calls(monkeypatch):
+    import actimetrics.preprocess as preprocess
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return filter_values(*args, **kwargs)
+
+    monkeypatch.setattr(preprocess, "filter_values", counted)
+    return calls
+
+
+class TestPreprocessKinds:
+    @pytest.mark.parametrize("zero_phase", [False, True], ids=["causal", "zero-phase"])
+    @pytest.mark.parametrize("kinds", [
+        *[(kind,) for kind in DatasetKind],
+        *[(kind, DatasetKind.UFM, DatasetKind.HFEN_SPECIAL) for kind in DatasetKind],
+        (DatasetKind.FMPRE, DatasetKind.FMPOST),
+    ], ids=lambda kinds: "+".join(map(str, kinds)))
+    def test_requested_kinds_equal_the_full_build_and_nothing_else_is_filtered(
+        self, bout_recording, monkeypatch, kinds, zero_phase
+    ):
+        full = preprocess_all(bout_recording, zero_phase=zero_phase)
+        calls = _count_filter_calls(monkeypatch)
+        out = preprocess_all(bout_recording, zero_phase=zero_phase, kinds=kinds)
+        assert len(calls) == _filter_calls(kinds)
+        assert list(out) == [kind for kind in DatasetKind if kind in kinds]
+        for kind, series in out.items():
+            assert series.values.tobytes() == full[kind].values.tobytes(), kind
+            assert series.values.flags.c_contiguous
+
+    def test_default_filters_seven_times_and_a_ufm_sweep_pass_three(
+        self, bout_recording, monkeypatch
+    ):
+        from actimetrics import MetricId, threshold_sweep
+
+        calls = _count_filter_calls(monkeypatch)
+        preprocess_all(bout_recording)
+        assert len(calls) == 7
+        calls.clear()
+        threshold_sweep(MetricId.ZCM, DatasetKind.UFM, [bout_recording], max_steps=20)
+        assert len(calls) == 3
