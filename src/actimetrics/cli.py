@@ -1,11 +1,11 @@
-"""Command-line interface chaining synth -> preprocess -> activity -> analysis.
+"""Command-line interface: synth -> preprocess -> correlate (the full bundle).
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 partial
-failure (some subjects failed, others were processed). An epoch or AI
-noise window that no recording's rate holds is a configuration error. Past
-that, in ``activity`` and ``correlate`` any exception in one subject fails
-that subject only; ``preprocess`` and ``sweep`` stop at the first recording
-they reject.
+failure (some subjects failed, others were processed). Duplicate subject
+ids, and an epoch or AI noise window that no recording's rate holds, are
+configuration errors. Past that, in ``correlate`` any exception in one
+subject fails that subject only; ``preprocess`` stops at the first
+recording it rejects.
 """
 from __future__ import annotations
 
@@ -18,13 +18,7 @@ from typing import Optional, Sequence
 from . import formats
 from .config import PipelineConfig, load_config, validate_config
 from .errors import ActimetricsError, ConfigError
-from .pipeline import (
-    admit,
-    preprocess_subject,
-    process_subjects,
-    run_pipeline,
-    write_sweeps,
-)
+from .pipeline import preprocess_subject, require_unique_subject_ids, run_pipeline
 from .synthetic import synthesize
 
 EXIT_OK = 0
@@ -54,8 +48,6 @@ def _build_parser() -> _Parser:
 
     for name, help_text in (
         ("preprocess", "write every preprocessed dataset kind per subject"),
-        ("activity", "write every cataloged activity signal per subject"),
-        ("sweep", "write the configured threshold-sweep curves"),
         ("correlate", "run the full pipeline: activities, matrices, sweeps"),
     ):
         cmd = sub.add_parser(name, help=help_text)
@@ -88,12 +80,6 @@ def _load_recordings(paths: Sequence[Path], sample_rate_hz: Optional[float]):
     return [formats.read_recording(path, sample_rate_hz) for path in paths]
 
 
-def _exit_code(n_ok: int, n: int) -> int:
-    if n_ok == 0:
-        return EXIT_DATA
-    return EXIT_PARTIAL if n_ok < n else EXIT_OK
-
-
 def _cmd_synth(args, config: PipelineConfig) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -111,6 +97,7 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 
 def _cmd_preprocess(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
+    require_unique_subject_ids(recordings)
     for rec in recordings:
         datasets = preprocess_subject(rec, config)
         subject_dir = args.out / rec.subject_id / "datasets"
@@ -123,30 +110,6 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_activity(args, config: PipelineConfig) -> int:
-    recordings = _load_recordings(args.recordings, args.sample_rate_hz)
-    n_ok = 0
-    for subject, _, written, error in process_subjects(
-        config, recordings, args.out, args.jobs
-    ):
-        if error is not None:
-            print(f"{subject}: FAILED: {error}", file=sys.stderr)
-            continue
-        print(f"{subject}: wrote {len(written)} activity signals")
-        n_ok += 1
-    return _exit_code(n_ok, len(recordings))
-
-
-def _cmd_sweep(args, config: PipelineConfig) -> int:
-    recordings = _load_recordings(args.recordings, args.sample_rate_hz)
-    for rec in recordings:
-        admit(rec, config)
-    args.out.mkdir(parents=True, exist_ok=True)
-    for name, curve in write_sweeps(config, recordings, args.out, args.jobs):
-        print(f"wrote {name} ({curve.thresholds.size} thresholds)")
-    return EXIT_OK
-
-
 def _cmd_correlate(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
     manifest = run_pipeline(config, recordings, args.out, jobs=args.jobs)
@@ -154,7 +117,9 @@ def _cmd_correlate(args, config: PipelineConfig) -> int:
     n_ok = statuses.count("ok")
     print(f"processed {n_ok}/{len(statuses)} subjects, "
           f"{manifest['catalog_count']} variants each")
-    return _exit_code(n_ok, len(statuses))
+    if n_ok == 0:
+        return EXIT_DATA
+    return EXIT_PARTIAL if n_ok < len(statuses) else EXIT_OK
 
 
 def _cmd_catalog(config: PipelineConfig) -> int:
@@ -192,10 +157,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_synth(args, config)
         if args.command == "preprocess":
             return _cmd_preprocess(args, config)
-        if args.command == "activity":
-            return _cmd_activity(args, config)
-        if args.command == "sweep":
-            return _cmd_sweep(args, config)
         if args.command == "correlate":
             return _cmd_correlate(args, config)
         if args.command == "catalog":

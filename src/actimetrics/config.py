@@ -232,6 +232,10 @@ def validate_config(config: PipelineConfig) -> None:
             raise ConfigError(
                 f"sweep.kinds: {kind!r} is not one of {sorted(_DATASET_KINDS)}"
             )
+    for name, values in (("sweep.metrics", config.sweep.metrics),
+                         ("sweep.kinds", config.sweep.kinds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} holds duplicates")
     for metric, kind in config.sweep_requests():
         try:
             require_applicable(MetricId(metric), DatasetKind(kind))

@@ -4,19 +4,14 @@ Per subject: validate, preprocess into every dataset kind, evaluate the
 full variant catalog, and write one activity file per variant. Across
 subjects: time- and frequency-domain correlation matrices, the configured
 threshold sweeps (computed per subject at the subject's own sample rate,
-then averaged over the successful subjects in input order), and a
+then averaged over the successful subjects in subject-id order), and a
 manifest tying everything to the config hash and catalog.
 
 With ``jobs`` > 1 the per-subject stages run on that many threads: each
 subject's catalog together with its activity files, and each sweep's
 per-recording preprocessing and grid pass. The matrices, the sweep
-reduces and the manifest run on the caller's thread, in input or sorted
-order, so the bundle is byte-identical for any ``jobs``.
-
-Every recording enters through :func:`admit`. The CLI's ``preprocess``,
-``activity`` and ``sweep`` subcommands run the same steps through
-:func:`preprocess_subject`, :func:`process_subjects` and
-:func:`write_sweeps`.
+reduces and the manifest run on the caller's thread in subject-id order,
+so the bundle is byte-identical for any ``jobs`` and any input order.
 
 Failures of one subject, whatever the exception, are reported in the
 manifest and do not stop the others. Output is deterministic: rerunning
@@ -27,10 +22,10 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from . import formats
-from .analysis import Domain, SweepCurve, correlation_matrix, threshold_sweep
+from .analysis import Domain, correlation_matrix, threshold_sweep
 from .combine import compute_activity
 from .config import PipelineConfig
 from .core import (
@@ -56,23 +51,18 @@ MANIFEST_SCHEMA = 1
 _log = logging.getLogger(__name__)
 
 
-def admit(rec: RawRecording, config: PipelineConfig) -> None:
-    """Reject ``rec`` unless it validates and the epoch suits its rate.
+def preprocess_subject(
+    rec: RawRecording, config: PipelineConfig
+) -> dict[DatasetKind, PreprocessedSeries]:
+    """Every dataset kind of one recording, filtered at its rate.
 
-    The one admission step of every subcommand: :class:`InvalidRecording`
-    on any validation finding, then :func:`epoch_sample_count`'s rule.
+    Rejects ``rec`` first: :class:`InvalidRecording` on any validation
+    finding, then :func:`epoch_sample_count`'s rule.
     """
     report = validate_recording(rec, config.full_scale_g)
     if not report.ok:
         raise InvalidRecording(f"{rec.subject_id}: {report.summary()}")
     epoch_sample_count(config.epoch_s, rec.sample_rate_hz)
-
-
-def preprocess_subject(
-    rec: RawRecording, config: PipelineConfig
-) -> dict[DatasetKind, PreprocessedSeries]:
-    """Every dataset kind of one admitted recording, filtered at its rate."""
-    admit(rec, config)
     return preprocess_all(rec, config.bandpass, config.hfen_highpass, config.zero_phase)
 
 
@@ -100,6 +90,13 @@ def process_subject(
     return signals
 
 
+def require_unique_subject_ids(recordings: Sequence[RawRecording]) -> None:
+    """Raise ConfigError if two recordings share a subject id, which names their output."""
+    ids = [rec.subject_id for rec in recordings]
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"duplicate subject ids: {sorted(ids)}")
+
+
 def _require_a_fitting_rate(
     config: PipelineConfig, recordings: Sequence[RawRecording]
 ) -> None:
@@ -122,43 +119,6 @@ def _require_a_fitting_rate(
         raise errors[0]
 
 
-def process_subjects(
-    config: PipelineConfig,
-    recordings: Sequence[RawRecording],
-    out_dir: Path,
-    jobs: int = 1,
-) -> Iterator[tuple[str, Optional[dict[str, ActivitySignal]], list[str], Optional[str]]]:
-    """(subject id, signals, written paths, error) of each recording, in input order.
-
-    Rejects duplicate subject ids, then :func:`_require_a_fitting_rate`,
-    both before anything is written. Past that, each task runs
-    :func:`process_subject` and writes the subject's activity files under
-    ``out_dir`` (:func:`write_activity_files`). Any exception in
-    ``process_subject`` fails its subject alone, with signals None and
-    nothing written; a package error is reported by its own text, any
-    other as ``"<TypeName>: <message>"`` with its traceback logged. An
-    error while writing propagates. With ``jobs`` > 1 the tasks run on
-    that many threads; otherwise lazily, one at a time.
-    """
-    ids = [rec.subject_id for rec in recordings]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"duplicate subject ids: {sorted(ids)}")
-    _require_a_fitting_rate(config, recordings)
-
-    def _run(rec: RawRecording):
-        try:
-            signals = process_subject(rec, config)
-        except ActimetricsError as exc:
-            return rec.subject_id, None, [], str(exc)
-        except Exception as exc:
-            _log.error("subject %s failed", rec.subject_id, exc_info=exc)
-            return rec.subject_id, None, [], f"{type(exc).__name__}: {exc}"
-        written = write_activity_files(signals, out_dir, rec.subject_id)
-        return rec.subject_id, signals, written, None
-
-    yield from ordered_map(_run, recordings, jobs)
-
-
 def write_activity_files(
     signals: Mapping[str, ActivitySignal], out_dir: Path, subject: str
 ) -> list[str]:
@@ -175,53 +135,49 @@ def write_activity_files(
     return written
 
 
-def write_sweeps(
-    config: PipelineConfig,
-    recordings: Sequence[RawRecording],
-    out_dir: Path,
-    jobs: int = 1,
-) -> Iterator[tuple[str, SweepCurve]]:
-    """Compute and write each configured threshold sweep over ``recordings``.
-
-    Yields (file name relative to ``out_dir``, curve) once each file is
-    written, so a caller can report progress; nothing runs until iterated.
-    Each sweep's per-recording part runs on ``jobs`` threads.
-    """
-    for metric_name, kind_name in config.sweep_requests():
-        curve = threshold_sweep(
-            MetricId(metric_name),
-            DatasetKind(kind_name),
-            recordings,
-            config.epoch_s,
-            bandpass=config.bandpass,
-            hfen_spec=config.hfen_highpass,
-            zero_phase=config.zero_phase,
-            step_g=config.sweep.step_g,
-            max_steps=config.sweep.max_steps,
-            jobs=jobs,
-        )
-        rel = f"sweep_{metric_name}_{kind_name}.csv"
-        formats.write_sweep_csv(curve, out_dir / rel)
-        yield rel, curve
-
-
 def run_pipeline(
     config: PipelineConfig,
     recordings: Sequence[RawRecording],
     out_dir,
     jobs: int = 1,
 ) -> dict:
-    """Run the whole pipeline and write the artifact bundle; returns the manifest."""
+    """Run the whole pipeline and write the artifact bundle; returns the manifest.
+
+    Config errors (empty catalog, duplicate ids, no fitting rate) are
+    raised before anything is written. Any exception in one subject's
+    :func:`process_subject` fails that subject alone, reported by its own
+    text if a package error, else as ``"<TypeName>: <message>"`` with its
+    traceback logged; an error while writing propagates.
+    """
     if not recordings:
         raise ConfigError("no recordings given")
     labels = [v.label for v in config.variants()]
-
+    recordings = sorted(recordings, key=lambda rec: rec.subject_id)
+    require_unique_subject_ids(recordings)
+    _require_a_fitting_rate(config, recordings)
     out_dir = Path(out_dir)
-    results = list(process_subjects(config, recordings, out_dir, jobs))
+
+    def _run(rec: RawRecording):
+        """(signals, written paths) of one subject, or the text of its failure."""
+        try:
+            signals = process_subject(rec, config)
+        except ActimetricsError as exc:
+            return str(exc)
+        except Exception as exc:
+            _log.error("subject %s failed", rec.subject_id, exc_info=exc)
+            return f"{type(exc).__name__}: {exc}"
+        return signals, write_activity_files(signals, out_dir, rec.subject_id)
+
+    per_subject: dict[str, dict[str, ActivitySignal]] = {}
+    failures: dict[str, str] = {}
+    outputs: list[str] = []
+    for rec, result in zip(recordings, ordered_map(_run, recordings, jobs)):
+        if isinstance(result, str):
+            failures[rec.subject_id] = result
+        else:
+            per_subject[rec.subject_id], written = result
+            outputs += written
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_subject = {s: signals for s, signals, _, error in results if error is None}
-    failures = {s: error for s, _, _, error in results if error is not None}
-    outputs = [rel for _, _, written, _ in results for rel in written]
 
     matrices: dict[str, dict] = {}
     if per_subject:
@@ -237,9 +193,23 @@ def run_pipeline(
 
     ok_recordings = [rec for rec in recordings if rec.subject_id in per_subject]
     sweeps: list[str] = []
-    if ok_recordings:
-        sweeps = [rel for rel, _ in write_sweeps(config, ok_recordings, out_dir, jobs)]
-        outputs += sweeps
+    for metric_name, kind_name in config.sweep_requests() if ok_recordings else ():
+        curve = threshold_sweep(
+            MetricId(metric_name),
+            DatasetKind(kind_name),
+            ok_recordings,
+            config.epoch_s,
+            bandpass=config.bandpass,
+            hfen_spec=config.hfen_highpass,
+            zero_phase=config.zero_phase,
+            step_g=config.sweep.step_g,
+            max_steps=config.sweep.max_steps,
+            jobs=jobs,
+        )
+        rel = f"sweep_{metric_name}_{kind_name}.csv"
+        formats.write_sweep_csv(curve, out_dir / rel)
+        sweeps.append(rel)
+    outputs += sweeps
 
     manifest = {
         "manifest_schema": MANIFEST_SCHEMA,
@@ -249,11 +219,11 @@ def run_pipeline(
         "catalog_labels": labels,
         "subjects": [
             {
-                "subject_id": subject_id,
-                "status": "ok" if subject_id in per_subject else "failed",
-                "error": failures.get(subject_id),
+                "subject_id": rec.subject_id,
+                "status": "ok" if rec.subject_id in per_subject else "failed",
+                "error": failures.get(rec.subject_id),
             }
-            for subject_id in sorted(rec.subject_id for rec in recordings)
+            for rec in recordings
         ],
         "matrices": matrices,
         "sweeps": sweeps,

@@ -119,6 +119,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"sweep": {"kinds": kinds}})
 
+    @pytest.mark.parametrize("sweep", [
+        {"metrics": ["ZCM", "ZCM"]},
+        {"kinds": ["UFM", "FMpost", "UFM"]},
+    ])
+    def test_duplicate_sweep_entries_rejected(self, sweep):
+        # each would compute one curve twice and list its file twice
+        with pytest.raises(ConfigError, match="holds duplicates"):
+            config_from_dict({"sweep": sweep})
+
     def test_every_level_metric_kind_accepted_for_sweeps(self):
         kinds = ["FX", "FY", "FZ", "UFM", "UFNM", "FMpre", "FMpost"]
         config = config_from_dict({"sweep": {"kinds": kinds}})
@@ -253,9 +262,10 @@ class TestRunPipeline:
 
         config = small_config(sweep=SweepConfig(
             metrics=("ZCM", "TAT"), kinds=("UFM", "FMpost"), max_steps=40))
-        # not in id order: both sides reduce in input order
-        recordings = [corpus(3)[i] for i in (2, 0, 1)]
-        manifest = run_pipeline(config, recordings, tmp_path / "bundle", jobs=2)
+        # given out of id order; the bundle reduces in subject-id order
+        recordings = corpus(3)
+        manifest = run_pipeline(config, [recordings[i] for i in (2, 0, 1)],
+                                tmp_path / "bundle", jobs=2)
         assert len(manifest["sweeps"]) == 4
         for metric, kind in config.sweep_requests():
             curve = threshold_sweep(
@@ -268,6 +278,37 @@ class TestRunPipeline:
             write_sweep_csv(curve, direct)
             bundled = tmp_path / "bundle" / f"sweep_{metric}_{kind}.csv"
             assert direct.read_bytes() == bundled.read_bytes(), (metric, kind)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bundle_does_not_depend_on_input_order(self, tmp_path, jobs):
+        config = small_config(sweep=SweepConfig(
+            metrics=("ZCM", "TAT"), kinds=("UFM",), max_steps=40))
+        recordings = corpus(3)
+        orders = [(0, 1, 2), (2, 0, 1), (1, 2, 0)]
+        for order in orders:
+            run_pipeline(config, [recordings[i] for i in order],
+                         tmp_path / "".join(map(str, order)), jobs=jobs)
+        first = tmp_path / "012"
+        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert len(files) == 3 * 83 + 4 + 2 + 1
+        for order in orders[1:]:
+            other = tmp_path / "".join(map(str, order))
+            for rel in files:
+                assert (first / rel).read_bytes() == (other / rel).read_bytes(), (order, rel)
+
+    def test_no_fitting_rate_error_does_not_depend_on_input_order(self, tmp_path):
+        # 0.05 s is half a sample at 10 Hz and one sample at 20 Hz: two errors
+        recs = [synthesize(SyntheticSpec(subject_id=f"r{rate:g}", duration_s=60.0,
+                                         sample_rate_hz=rate, seed=1))
+                for rate in (10.0, 20.0)]
+        config = config_from_dict({"epoch_s": 0.05})
+        errors = []
+        for order in (recs, recs[::-1]):
+            with pytest.raises(ConfigError) as info:
+                run_pipeline(config, order, tmp_path / "out")
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert not (tmp_path / "out").exists()
 
     def test_empty_catalog_aborts_before_work(self, tmp_path):
         config = small_config()
@@ -383,15 +424,6 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["catalog_count"] == 83
 
-    def test_activity_subcommand(self, tmp_path):
-        config = self._config_file(tmp_path)
-        paths = self._write_corpus(tmp_path, n=1)
-        out = tmp_path / "out"
-        code = main(["--config", str(config), "--out", str(out), "activity",
-                     str(paths[0])])
-        assert code == 0
-        assert len(list((out / "s00" / "activity").glob("*.csv"))) == 83
-
     def test_preprocess_subcommand(self, tmp_path):
         paths = self._write_corpus(tmp_path, n=1)
         out = tmp_path / "out"
@@ -403,15 +435,6 @@ class TestCli:
         lines = (out / "s00" / "datasets" / "UFM.csv").read_text().splitlines()
         assert lines[:3] == ["# kind: UFM", "# sample_rate_hz: 10.0", "index,value"]
         assert lines[3:] == [f"{i},{v!r}" for i, v in enumerate(ufm.tolist())]
-
-    def test_sweep_subcommand(self, tmp_path):
-        config = self._config_file(tmp_path)
-        paths = self._write_corpus(tmp_path)
-        out = tmp_path / "out"
-        code = main(["--config", str(config), "--out", str(out), "sweep",
-                     *map(str, paths)])
-        assert code == 0
-        assert (out / "sweep_ZCM_UFM.csv").exists()
 
     def test_config_error_exit_code_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -475,7 +498,7 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["catalog", "activity", "correlate"])
+    @pytest.mark.parametrize("command", ["catalog", "correlate"])
     def test_empty_catalog_exits_1_before_any_output(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"catalog": {"include": ["NOPE*"]}}))
@@ -488,12 +511,8 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, jobs", [
-        ("activity", "1"), ("activity", "2"), ("correlate", "1"), ("correlate", "2"),
-    ])
-    def test_unexpected_exception_in_one_subject_exits_3(
-        self, tmp_path, monkeypatch, capsys, command, jobs
-    ):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unexpected_exception_in_one_subject_exits_3(self, tmp_path, monkeypatch, jobs):
         config = self._config_file(tmp_path)
         good = corpus(1, duration_s=600.0)[0]
         odd = dataclasses.replace(corpus(1, duration_s=900.0, seed0=60)[0], subject_id="odd")
@@ -504,16 +523,13 @@ class TestCli:
         _mad_fails_at_epochs(monkeypatch, 15)  # odd's 15 epochs; good has 10
         out = tmp_path / "out"
         code = main(["--config", str(config), "--out", str(out), "--jobs", jobs,
-                     command, *map(str, paths)])
+                     "correlate", *map(str, paths)])
         assert code == 3
         assert len(list((out / "s00" / "activity").glob("*.csv"))) == 83
         assert not (out / "odd").exists()
-        if command == "activity":
-            assert "odd: FAILED: ValueError: injected kernel fault" in capsys.readouterr().err
-        else:
-            manifest = json.loads((out / "manifest.json").read_text())
-            errors = {s["subject_id"]: s["error"] for s in manifest["subjects"]}
-            assert errors == {"odd": "ValueError: injected kernel fault", "s00": None}
+        manifest = json.loads((out / "manifest.json").read_text())
+        errors = {s["subject_id"]: s["error"] for s in manifest["subjects"]}
+        assert errors == {"odd": "ValueError: injected kernel fault", "s00": None}
 
     def test_bad_sweep_kind_exits_1_before_any_output(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -526,6 +542,22 @@ class TestCli:
 
     def test_usage_error_exit_code_1(self):
         assert main(["definitely-not-a-command"]) == 1
+
+    def test_help_lists_exactly_the_five_commands(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "{synth,preprocess,correlate,catalog,convert}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["activity", "sweep"])
+    def test_removed_subcommand_is_usage_error(self, tmp_path, capsys, command):
+        # their outputs are subsets of the correlate bundle
+        paths = self._write_corpus(tmp_path, n=1)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), command, str(paths[0])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "invalid choice" in err
+        assert not out.exists()
 
     def test_data_error_exit_code_2(self, tmp_path):
         missing = tmp_path / "missing.actm"
@@ -610,6 +642,9 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_mixed_sample_rates_design_filters_per_recording(self, tmp_path):
+        from actimetrics import MetricId, threshold_sweep
+        from actimetrics.formats import write_sweep_csv
+
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "psd": {"segment_epochs": 8},
@@ -631,11 +666,18 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [s["status"] for s in manifest["subjects"]] == ["ok", "ok"]
         assert manifest["sweeps"] == ["sweep_ZCM_UFM.csv", "sweep_TAT_UFM.csv"]
-        swept = tmp_path / "swept"
-        assert main(["--config", str(config), "--out", str(swept), "sweep",
-                     *map(str, paths)]) == 0
-        for rel in manifest["sweeps"]:
-            assert (out / rel).read_bytes() == (swept / rel).read_bytes(), rel
+        parsed = load_config(config)
+        recordings = [read_recording(path) for path in paths]
+        for metric, kind in parsed.sweep_requests():
+            curve = threshold_sweep(
+                MetricId(metric), DatasetKind(kind), recordings, parsed.epoch_s,
+                bandpass=parsed.bandpass, hfen_spec=parsed.hfen_highpass,
+                zero_phase=parsed.zero_phase, step_g=parsed.sweep.step_g,
+                max_steps=parsed.sweep.max_steps,
+            )
+            direct = tmp_path / f"direct_{metric}_{kind}.csv"
+            write_sweep_csv(curve, direct)
+            assert direct.read_bytes() == (out / f"sweep_{metric}_{kind}.csv").read_bytes()
 
     def _nan_recording(self, tmp_path):
         """An .actm recording whose first 100 x samples are NaN."""
@@ -646,14 +688,26 @@ class TestCli:
         write_recording_bin(dataclasses.replace(rec, x=x), path)
         return path
 
-    def test_sweep_rejects_invalid_recording_before_any_output(self, tmp_path, capsys):
-        path = self._nan_recording(tmp_path)
-        out = tmp_path / "out"
-        assert main(["--out", str(out), "sweep", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "non-finite" in err
-        assert "Traceback" not in err
-        assert not list(tmp_path.rglob("sweep_*.csv"))
+    def test_correlate_keeps_invalid_recording_out_of_sweeps(self, tmp_path, capsys):
+        config = self._config_file(tmp_path)
+        good = self._write_corpus(tmp_path, n=2)[1]
+        bad = self._nan_recording(tmp_path)
+        mixed, alone, only_bad = tmp_path / "mixed", tmp_path / "alone", tmp_path / "bad"
+        assert main(["--config", str(config), "--out", str(mixed), "correlate",
+                     str(bad), str(good)]) == 3
+        manifest = json.loads((mixed / "manifest.json").read_text())
+        statuses = {s["subject_id"]: s["status"] for s in manifest["subjects"]}
+        assert statuses == {"nan": "failed", "s01": "ok"}
+        assert "non-finite" in manifest["subjects"][0]["error"]
+        assert main(["--config", str(config), "--out", str(alone), "correlate",
+                     str(good)]) == 0
+        assert manifest["sweeps"] == ["sweep_ZCM_UFM.csv"]
+        assert ((mixed / "sweep_ZCM_UFM.csv").read_bytes()
+                == (alone / "sweep_ZCM_UFM.csv").read_bytes())
+        assert main(["--config", str(config), "--out", str(only_bad), "correlate",
+                     str(bad)]) == 2
+        assert not list(only_bad.glob("sweep_*.csv"))
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_preprocess_rejects_invalid_recording_before_any_output(
         self, tmp_path, capsys
@@ -665,12 +719,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("settings, reason, commands", [
-        ({"epoch_s": 60.05}, "not a whole number",
-         ("preprocess", "sweep", "activity", "correlate")),
-        ({"epoch_s": 0.1}, "need >= 2",
-         ("preprocess", "sweep", "activity", "correlate")),
-        ({"ai": {"noise_window_s": 0.1}}, "ai.noise_window_s",
-         ("activity", "correlate")),
+        ({"epoch_s": 60.05}, "not a whole number", ("preprocess", "correlate")),
+        ({"epoch_s": 0.1}, "need >= 2", ("preprocess", "correlate")),
+        ({"ai": {"noise_window_s": 0.1}}, "ai.noise_window_s", ("correlate",)),
     ], ids=["epoch-60.05", "epoch-0.1", "noise-window-0.1"])
     def test_setting_no_rate_holds_is_one_config_error(
         self, tmp_path, capsys, settings, reason, commands
@@ -690,36 +741,6 @@ class TestCli:
         assert code == 1
         assert err.startswith("config error:") and reason in err
 
-    def test_activity_runs_subjects_on_jobs_threads(self, tmp_path, monkeypatch):
-        import threading
-
-        import actimetrics.pipeline as pipeline
-
-        config = self._config_file(tmp_path)
-        paths = self._write_corpus(tmp_path, n=2)
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["--config", str(config), "--out", str(serial), "--jobs", "1",
-                     "activity", *map(str, paths)]) == 0
-
-        real = pipeline.process_subject
-        barrier = threading.Barrier(2, timeout=60)  # breaks unless both run at once
-        threads = set()
-
-        def process_subject(rec, config):
-            threads.add(threading.get_ident())
-            barrier.wait()
-            return real(rec, config)
-
-        monkeypatch.setattr(pipeline, "process_subject", process_subject)
-        assert main(["--config", str(config), "--out", str(parallel), "--jobs", "2",
-                     "activity", *map(str, paths)]) == 0
-        assert len(threads) == 2
-        files = sorted(p.relative_to(serial) for p in serial.rglob("*.csv"))
-        assert len(files) == 2 * 83
-        assert files == sorted(p.relative_to(parallel) for p in parallel.rglob("*.csv"))
-        for rel in files:
-            assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
-
     @staticmethod
     def _same_files(a, b, pattern="*"):
         files = sorted(p.relative_to(a) for p in a.rglob(pattern) if p.is_file())
@@ -728,8 +749,7 @@ class TestCli:
         for rel in files:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
-    @pytest.mark.parametrize("command", ["sweep", "correlate"])
-    def test_sweep_runs_recordings_on_jobs_threads(self, tmp_path, monkeypatch, command):
+    def test_sweep_runs_recordings_on_jobs_threads(self, tmp_path, monkeypatch):
         import threading
 
         import actimetrics.analysis as analysis
@@ -738,7 +758,7 @@ class TestCli:
         paths = self._write_corpus(tmp_path, n=2)
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert main(["--config", str(config), "--out", str(serial), "--jobs", "1",
-                     command, *map(str, paths)]) == 0
+                     "correlate", *map(str, paths)]) == 0
 
         real = analysis.subject_sweep
         barrier = threading.Barrier(2, timeout=60)  # breaks unless both run at once
@@ -751,7 +771,7 @@ class TestCli:
 
         monkeypatch.setattr(analysis, "subject_sweep", subject_sweep)
         assert main(["--config", str(config), "--out", str(parallel), "--jobs", "2",
-                     command, *map(str, paths)]) == 0
+                     "correlate", *map(str, paths)]) == 0
         assert len(threads) == 2
         assert threading.get_ident() not in threads
         self._same_files(serial, parallel, "*.csv")
@@ -789,20 +809,24 @@ class TestCli:
         assert writer_threads == subject_threads
         self._same_files(serial, parallel)
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_duplicate_subject_ids_exit_1_before_any_output(self, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("command, jobs", [
+        ("preprocess", "1"), ("correlate", "1"), ("correlate", "2"),
+    ])
+    def test_duplicate_subject_ids_exit_1_before_any_output(
+        self, tmp_path, capsys, command, jobs
+    ):
         rec = corpus(1, duration_s=600.0)[0]
         write_recording_bin(rec, tmp_path / "s00.actm")
         write_recording_csv(rec, tmp_path / "s00.csv")
         out = tmp_path / "out"
         assert main(["--config", str(self._config_file(tmp_path)), "--out", str(out),
-                     "--jobs", jobs, "activity", "--sample-rate-hz", "10",
+                     "--jobs", jobs, command, "--sample-rate-hz", "10",
                      str(tmp_path / "s00.actm"), str(tmp_path / "s00.csv")]) == 1
         assert capsys.readouterr().err.startswith("config error: duplicate subject ids")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
-    @pytest.mark.parametrize("command", ["synth", "activity"])
+    @pytest.mark.parametrize("command", ["synth", "correlate"])
     def test_jobs_below_1_exits_1_before_any_output(self, tmp_path, capsys, jobs, command):
         out = tmp_path / "out"
         args = [str(p) for p in self._write_corpus(tmp_path, n=1)] if command != "synth" else []
@@ -824,7 +848,7 @@ class TestCli:
         sidecar = tmp_path / "in" / "r.csv.json"
         sidecar.write_text(json.dumps({"sample_rate_hz": 10.0, "subject_id": "../escaped"}))
         out = tmp_path / "out"
-        assert main(["--out", str(out), "activity", str(csv_path)]) == 2
+        assert main(["--out", str(out), "correlate", str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "r.csv.json" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
