@@ -14,6 +14,7 @@ from .analysis import (
     correlation_matrix,
     pearson,
     psd,
+    recording_sweep,
     threshold_sweep,
 )
 from .combine import (

@@ -5,8 +5,9 @@ coefficient (in the frequency domain, between their Welch power spectral
 densities, estimated for all of a subject's signals in one stacked call),
 then aggregated across subjects into mean and SD matrices.
 Threshold sweeps trace how ZCM/TAT relate to reference metrics as their
-threshold grows, with the dataset-SD threshold marked; each subject's part
-is computed from its preprocessed datasets, then the parts are averaged.
+threshold grows, with the dataset-SD threshold marked. A sweep is a map and
+a reduce: :func:`recording_sweep` computes one recording's part from its
+preprocessed datasets, and :func:`threshold_sweep` averages the parts.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .core import (
     RawRecording,
     epoch_matrix,
     epoch_sample_count,
-    ordered_map,
 )
 from .errors import DegenerateInput, LabelMismatch, SignalTooShort
 from .metrics import (
@@ -351,7 +351,33 @@ def subject_sweep(
     )
 
 
-def reduce_sweeps(
+def recording_sweep(
+    metric: MetricId,
+    kind: DatasetKind,
+    rec: RawRecording,
+    te_s: float = 60.0,
+    *,
+    bandpass: Bandpass = Bandpass(),
+    hfen_spec: Highpass = Highpass(),
+    zero_phase: bool = False,
+    step_g: float = 0.05,
+    max_steps: int = 200,
+) -> SubjectSweep:
+    """One recording's share of a threshold sweep.
+
+    The recording is preprocessed into only the kinds the sweep reads (the
+    swept kind, UFM for the ENMO reference and HFEN_SPECIAL for the HFEN
+    reference), with filters designed at its own sample rate, then run
+    through :func:`subject_sweep`.
+    """
+    datasets = preprocess_all(
+        rec, bandpass, hfen_spec, zero_phase,
+        kinds=(kind, DatasetKind.UFM, DatasetKind.HFEN_SPECIAL),
+    )
+    return subject_sweep(metric, kind, datasets, te_s, step_g=step_g, max_steps=max_steps)
+
+
+def threshold_sweep(
     metric: MetricId,
     kind: DatasetKind,
     parts: Sequence[SubjectSweep],
@@ -361,9 +387,11 @@ def reduce_sweeps(
 ) -> SweepCurve:
     """Average per-subject sweeps into one curve, in the order given.
 
-    The grid is cut once the subject-mean activity falls below 1% of its
-    maximum; the SD marker is the mean of the subjects' adaptive
-    thresholds.
+    The grid starts at 1 g for UFM (which still carries gravity) and at
+    0 g otherwise, ascending in ``step_g`` increments, capped at
+    ``max_steps`` points; the parts must come from the same grid. It is
+    cut once the subject-mean activity falls below 1% of its maximum; the
+    SD marker is the mean of the subjects' adaptive thresholds.
     """
     grid = _sweep_grid(metric, kind, step_g, max_steps)
     if not parts:
@@ -388,42 +416,3 @@ def reduce_sweeps(
         sd_anchor_r_vs_enmo=_nanmean_scalar([p.anchor_r_vs_enmo for p in parts]),
         sd_anchor_r_vs_hfen=_nanmean_scalar([p.anchor_r_vs_hfen for p in parts]),
     )
-
-
-def threshold_sweep(
-    metric: MetricId,
-    kind: DatasetKind,
-    recordings: Sequence[RawRecording],
-    te_s: float = 60.0,
-    *,
-    bandpass: Bandpass = Bandpass(),
-    hfen_spec: Highpass = Highpass(),
-    zero_phase: bool = False,
-    step_g: float = 0.05,
-    max_steps: int = 200,
-    jobs: int = 1,
-) -> SweepCurve:
-    """Sweep the ZCM/TAT threshold and correlate against ENMO and HFEN.
-
-    The grid starts at 1 g for UFM (which still carries gravity) and at
-    0 g otherwise, ascending in ``step_g`` increments, capped at
-    ``max_steps`` points. Each recording is preprocessed into only the
-    kinds the sweep reads (the swept kind, UFM for the ENMO reference and
-    HFEN_SPECIAL for the HFEN reference) and run through
-    :func:`subject_sweep` in one step that keeps only its
-    :class:`SubjectSweep`; with ``jobs`` > 1 those steps run on that many
-    threads. :func:`reduce_sweeps` then averages the parts in the order
-    given, so the curve is the same for any ``jobs``. The filters are
-    designed at each recording's own sample rate, so a corpus may mix rates.
-    """
-    _sweep_grid(metric, kind, step_g, max_steps)  # reject before preprocessing
-
-    def _part(rec: RawRecording) -> SubjectSweep:
-        datasets = preprocess_all(
-            rec, bandpass, hfen_spec, zero_phase,
-            kinds=(kind, DatasetKind.UFM, DatasetKind.HFEN_SPECIAL),
-        )
-        return subject_sweep(metric, kind, datasets, te_s, step_g=step_g, max_steps=max_steps)
-
-    parts = list(ordered_map(_part, recordings, jobs))
-    return reduce_sweeps(metric, kind, parts, step_g=step_g, max_steps=max_steps)

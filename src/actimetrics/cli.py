@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 partial
 failure (some subjects failed, others were processed). Duplicate subject
 ids, and an epoch or AI noise window that no recording's rate holds, are
-configuration errors. Past that, in ``correlate`` any exception in one
-subject fails that subject only; ``preprocess`` stops at the first
-recording it rejects.
+configuration errors, and so is output that cannot be written (an
+``--out`` that names a file, say). Past that, in ``correlate`` any
+exception while one subject is validated, preprocessed or evaluated fails
+that subject only; ``preprocess`` stops at the first recording it rejects.
 """
 from __future__ import annotations
 
@@ -170,6 +171,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ActimetricsError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:  # reads raise typed errors, so this is a write
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"config error: cannot write output: {reason}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

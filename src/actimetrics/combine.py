@@ -51,7 +51,6 @@ from .core import (
 from .errors import InapplicableMetric, MissingDataset, SeriesMismatch
 from .metrics import (
     AXIAL_METRICS,
-    DEFAULT_NOISE_WINDOW_S,
     IntegrationMethod,
     MetricId,
     NoiseVarianceEstimate,
@@ -62,7 +61,6 @@ from .metrics import (
     enmo_values,
     hfen_values,
     mad_values,
-    noise_variance_from_axes,
     pim_corrected_values,
     require_applicable,
     tat_values,
@@ -291,9 +289,9 @@ def compute_activity(
     series, then its rule's post-op; the three axes of a combination must
     give the same number of epochs (:class:`SeriesMismatch` otherwise).
 
-    AI variants need a noise-variance estimate; when ``noise`` is None it
-    is derived from the raw axes in ``datasets`` with
-    ``DEFAULT_NOISE_WINDOW_S`` windows.
+    AI variants need ``noise``, the subject's noise-variance estimate (see
+    :func:`~actimetrics.metrics.estimate_noise_variance`); without it they
+    raise ValueError.
 
     ``thresholds`` lets calls on the same ``datasets`` share their resolved
     ZCM/TAT thresholds: pass one empty dict per dataset map (one subject)
@@ -310,13 +308,9 @@ def compute_activity(
         return series
 
     if variant.metric is MetricId.AI:
-        sx, sy, sz = (_series(k) for k in variant.kind.axes)
         if noise is None:
-            rx, ry, rz = (_series(k) for k in UNFILTERED_AXES)
-            noise = noise_variance_from_axes(
-                rx.values, ry.values, rz.values, rx.sample_rate_hz,
-                DEFAULT_NOISE_WINDOW_S,
-            )
+            raise ValueError(f"{variant.label} needs a noise-variance estimate")
+        sx, sy, sz = (_series(k) for k in variant.kind.axes)
         n = epoch_sample_count(te_s, sx.sample_rate_hz)
         values = ai_values(
             epoch_matrix(sx.values, n),

@@ -97,11 +97,7 @@ def _write_rows(
             fh.write("".join(map(row.__mod__, zip(*block))))
 
 
-def read_recording_csv(
-    path: PathLike,
-    sample_rate_hz: Optional[float] = None,
-    subject_id: Optional[str] = None,
-) -> RawRecording:
+def read_recording_csv(path: PathLike, sample_rate_hz: Optional[float] = None) -> RawRecording:
     """Read a recording from CSV; parse failures name the file and the offending line."""
     path = Path(path)
     sidecar = _sidecar_path(path)
@@ -113,15 +109,14 @@ def read_recording_csv(
             f"{path}: supply a sample rate or a sidecar {sidecar.name}"
         )
     sample_rate_hz = _sample_rate(sample_rate_hz, path)
-    if subject_id is None:
-        subject_id = meta.get("subject_id", path.stem)
-        if (not isinstance(subject_id, str) or subject_id in ("", ".", "..")
-                or any(c in subject_id for c in "/\\\0")):
-            raise ParseError(
-                1, f"{sidecar}: subject_id {subject_id!r} names the subject's output "
-                "directory: it must be a non-empty string, not '.' or '..', "
-                "with no '/', '\\' or NUL"
-            )
+    subject_id = meta.get("subject_id", path.stem)
+    if (not isinstance(subject_id, str) or subject_id in ("", ".", "..")
+            or any(c in subject_id for c in "/\\\0")):
+        raise ParseError(
+            1, f"{sidecar}: subject_id {subject_id!r} names the subject's output "
+            "directory: it must be a non-empty string, not '.' or '..', "
+            "with no '/', '\\' or NUL"
+        )
 
     xs: list[float] = []
     ys: list[float] = []
@@ -184,7 +179,7 @@ def write_recording_csv(rec: RawRecording, path: PathLike) -> None:
     _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def read_recording_bin(path: PathLike, subject_id: Optional[str] = None) -> RawRecording:
+def read_recording_bin(path: PathLike) -> RawRecording:
     """Read the native binary format; header errors are typed."""
     path = Path(path)
     blob = path.read_bytes()
@@ -207,7 +202,7 @@ def read_recording_bin(path: PathLike, subject_id: Optional[str] = None) -> RawR
         blob, dtype="<f4", count=3 * count, offset=_HEADER.size
     ).reshape(count, 3)
     return RawRecording(
-        subject_id=subject_id or path.stem,
+        subject_id=path.stem,
         sample_rate_hz=sample_rate_hz,
         x=data[:, 0].astype(float),
         y=data[:, 1].astype(float),
@@ -233,17 +228,13 @@ def write_recording_bin(rec: RawRecording, path: PathLike) -> None:
         fh.write(interleaved.tobytes())
 
 
-def read_recording(
-    path: PathLike,
-    sample_rate_hz: Optional[float] = None,
-    subject_id: Optional[str] = None,
-) -> RawRecording:
+def read_recording(path: PathLike, sample_rate_hz: Optional[float] = None) -> RawRecording:
     """Dispatch on extension: .csv or the native binary format."""
     path = Path(path)
     try:
         if path.suffix.lower() == ".csv":
-            return read_recording_csv(path, sample_rate_hz, subject_id)
-        return read_recording_bin(path, subject_id)
+            return read_recording_csv(path, sample_rate_hz)
+        return read_recording_bin(path)
     except OSError as exc:
         raise UnreadableRecording(f"{path}: cannot read: {exc.strerror or exc}") from None
 

@@ -457,24 +457,6 @@ def noise_window_samples(window_s: float, sample_rate_hz: float) -> int:
     return w
 
 
-def noise_variance_from_axes(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, sample_rate_hz: float, window_s: float
-) -> NoiseVarianceEstimate:
-    """Minimum over non-overlapping windows of the summed per-axis variance."""
-    w = noise_window_samples(window_s, sample_rate_hz)
-    n = min(x.size, y.size, z.size)
-    if n < w:
-        raise RecordingTooShort(
-            f"recording of {n} samples is shorter than one {window_s} s window"
-        )
-    k = n // w
-    total = _by_row_blocks(
-        _summed_variance, *(axis[: k * w].reshape(k, w) for axis in (x, y, z))
-    )
-    i = int(np.argmin(total))
-    return NoiseVarianceEstimate(float(total[i]), window_s, i)
-
-
 def estimate_noise_variance(
     rec: RawRecording, window_s: float = DEFAULT_NOISE_WINDOW_S
 ) -> NoiseVarianceEstimate:
@@ -485,4 +467,15 @@ def estimate_noise_variance(
     the winning window's index. A deterministic proxy for "sections where
     the device did not move".
     """
-    return noise_variance_from_axes(rec.x, rec.y, rec.z, rec.sample_rate_hz, window_s)
+    w = noise_window_samples(window_s, rec.sample_rate_hz)
+    n = min(rec.x.size, rec.y.size, rec.z.size)
+    if n < w:
+        raise RecordingTooShort(
+            f"recording of {n} samples is shorter than one {window_s} s window"
+        )
+    k = n // w
+    total = _by_row_blocks(
+        _summed_variance, *(axis[: k * w].reshape(k, w) for axis in (rec.x, rec.y, rec.z))
+    )
+    i = int(np.argmin(total))
+    return NoiseVarianceEstimate(float(total[i]), window_s, i)

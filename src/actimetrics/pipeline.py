@@ -1,21 +1,21 @@
 """End-to-end batch pipeline over a set of recordings.
 
-Per subject: validate, preprocess into every dataset kind, evaluate the
-full variant catalog, and write one activity file per variant. Across
-subjects: time- and frequency-domain correlation matrices, the configured
-threshold sweeps (computed per subject at the subject's own sample rate,
-then averaged over the successful subjects in subject-id order), and a
-manifest tying everything to the config hash and catalog.
+One map and one reduce. The map is one task per subject: validate,
+preprocess into every dataset kind, evaluate the full variant catalog,
+write one activity file per variant, then compute the subject's part of
+each configured threshold sweep (at the subject's own sample rate). The
+reduce, over the successful subjects in subject-id order: the time- and
+frequency-domain correlation matrices, one curve per sweep, and a manifest
+tying everything to the config hash and catalog.
 
-With ``jobs`` > 1 the per-subject stages run on that many threads: each
-subject's catalog together with its activity files, and each sweep's
-per-recording preprocessing and grid pass. The matrices, the sweep
-reduces and the manifest run on the caller's thread in subject-id order,
-so the bundle is byte-identical for any ``jobs`` and any input order.
+With ``jobs`` > 1 the subject tasks run on that many threads. The reduce
+and the manifest run on the caller's thread, so the bundle is
+byte-identical for any ``jobs`` and any input order.
 
-Failures of one subject, whatever the exception, are reported in the
-manifest and do not stop the others. Output is deterministic: rerunning
-with the same config and inputs produces byte-identical files.
+A failure in one subject's :func:`process_subject`, whatever the exception,
+is reported in the manifest and does not stop the others. Output is
+deterministic: rerunning with the same config and inputs produces
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -25,7 +25,13 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import formats
-from .analysis import Domain, correlation_matrix, threshold_sweep
+from .analysis import (
+    Domain,
+    SubjectSweep,
+    correlation_matrix,
+    recording_sweep,
+    threshold_sweep,
+)
 from .combine import compute_activity
 from .config import PipelineConfig
 from .core import (
@@ -147,7 +153,8 @@ def run_pipeline(
     raised before anything is written. Any exception in one subject's
     :func:`process_subject` fails that subject alone, reported by its own
     text if a package error, else as ``"<TypeName>: <message>"`` with its
-    traceback logged; an error while writing propagates.
+    traceback logged; an error while writing, or in a subject's sweep part,
+    propagates.
     """
     if not recordings:
         raise ConfigError("no recordings given")
@@ -157,8 +164,11 @@ def run_pipeline(
     _require_a_fitting_rate(config, recordings)
     out_dir = Path(out_dir)
 
+    requests = [(MetricId(m), DatasetKind(k)) for m, k in config.sweep_requests()]
+    grid = {"step_g": config.sweep.step_g, "max_steps": config.sweep.max_steps}
+
     def _run(rec: RawRecording):
-        """(signals, written paths) of one subject, or the text of its failure."""
+        """(signals, written paths, sweep parts) of one subject, or the text of its failure."""
         try:
             signals = process_subject(rec, config)
         except ActimetricsError as exc:
@@ -166,17 +176,29 @@ def run_pipeline(
         except Exception as exc:
             _log.error("subject %s failed", rec.subject_id, exc_info=exc)
             return f"{type(exc).__name__}: {exc}"
-        return signals, write_activity_files(signals, out_dir, rec.subject_id)
+        written = write_activity_files(signals, out_dir, rec.subject_id)
+        return signals, written, [
+            recording_sweep(
+                metric, kind, rec, config.epoch_s,
+                bandpass=config.bandpass,
+                hfen_spec=config.hfen_highpass,
+                zero_phase=config.zero_phase,
+                **grid,
+            )
+            for metric, kind in requests
+        ]
 
     per_subject: dict[str, dict[str, ActivitySignal]] = {}
     failures: dict[str, str] = {}
     outputs: list[str] = []
+    parts: list[list[SubjectSweep]] = []  # per ok subject, one per sweep request
     for rec, result in zip(recordings, ordered_map(_run, recordings, jobs)):
         if isinstance(result, str):
             failures[rec.subject_id] = result
         else:
-            per_subject[rec.subject_id], written = result
+            per_subject[rec.subject_id], written, subject_parts = result
             outputs += written
+            parts.append(subject_parts)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     matrices: dict[str, dict] = {}
@@ -191,22 +213,11 @@ def run_pipeline(
                 "excluded_pairs": int((summary.excluded > 0).sum()),
             }
 
-    ok_recordings = [rec for rec in recordings if rec.subject_id in per_subject]
     sweeps: list[str] = []
-    for metric_name, kind_name in config.sweep_requests() if ok_recordings else ():
-        curve = threshold_sweep(
-            MetricId(metric_name),
-            DatasetKind(kind_name),
-            ok_recordings,
-            config.epoch_s,
-            bandpass=config.bandpass,
-            hfen_spec=config.hfen_highpass,
-            zero_phase=config.zero_phase,
-            step_g=config.sweep.step_g,
-            max_steps=config.sweep.max_steps,
-            jobs=jobs,
-        )
-        rel = f"sweep_{metric_name}_{kind_name}.csv"
+    # zip(*parts) is empty when no subject succeeded
+    for (metric, kind), sweep_parts in zip(requests, zip(*parts)):
+        curve = threshold_sweep(metric, kind, sweep_parts, **grid)
+        rel = f"sweep_{metric.value}_{kind.value}.csv"
         formats.write_sweep_csv(curve, out_dir / rel)
         sweeps.append(rel)
     outputs += sweeps

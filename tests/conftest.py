@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actimetrics import SyntheticSpec, preprocess_all, synthesize
+from actimetrics import SyntheticSpec, estimate_noise_variance, preprocess_all, synthesize
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +25,12 @@ def bout_recording():
 @pytest.fixture(scope="session")
 def bout_datasets(bout_recording):
     return preprocess_all(bout_recording)
+
+
+@pytest.fixture(scope="session")
+def bout_noise(bout_recording):
+    """The AI noise-variance estimate of ``bout_recording``."""
+    return estimate_noise_variance(bout_recording)
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,7 @@ from actimetrics import (
     pearson,
     preprocess_all,
     psd,
+    recording_sweep,
     synthesize,
     threshold_sweep,
 )
@@ -234,9 +235,9 @@ _APPLICABLE_CELLS = {
 
 def test_criterion_5_applicability_matrix(corpus):
     with criterion(5, "compute_activity accepts exactly the applicable metric/kind cells"):
-        datasets = preprocess_all(
-            synthesize(dataclasses.replace(corpus_specs()[0], duration_s=600.0))
-        )
+        rec = synthesize(dataclasses.replace(corpus_specs()[0], duration_s=600.0))
+        datasets = preprocess_all(rec)
+        noise = estimate_noise_variance(rec)
         for metric, applicable in _APPLICABLE_CELLS.items():
             for column, kinds in _FIG_COLUMNS.items():
                 if metric is MetricId.AI:
@@ -250,7 +251,7 @@ def test_criterion_5_applicability_matrix(corpus):
                 for kind in requests:
                     if column in applicable:
                         out = compute_activity(
-                            VariantDescriptor(metric, kind), datasets, EPOCH_S
+                            VariantDescriptor(metric, kind), datasets, EPOCH_S, noise=noise
                         )
                         assert (out.values >= 0).all()
                     else:
@@ -294,7 +295,8 @@ def test_criterion_6_metric_invariants(corpus, corpus_signals):
                              np.ones(36000))
         const_sets = preprocess_all(const)
         ai_sig = compute_activity(
-            VariantDescriptor(MetricId.AI, AxisTriple.UFXYZ), const_sets, EPOCH_S
+            VariantDescriptor(MetricId.AI, AxisTriple.UFXYZ), const_sets, EPOCH_S,
+            noise=estimate_noise_variance(const),
         )
         assert (ai_sig.values == 0.0).all()
 
@@ -343,7 +345,9 @@ def test_criterion_7_correlation_engine(corpus_signals):
 def test_criterion_8_sd_threshold_near_optimality(corpus):
     with criterion(8, "adaptive SD threshold reaches >= 0.97 of the sweep maximum"):
         for metric in (MetricId.ZCM, MetricId.TAT):
-            curve = threshold_sweep(metric, DatasetKind.UFM, corpus, EPOCH_S)
+            curve = threshold_sweep(metric, DatasetKind.UFM, [
+                recording_sweep(metric, DatasetKind.UFM, rec, EPOCH_S) for rec in corpus
+            ])
             best = float(np.nanmax(curve.r_vs_enmo))
             assert curve.sd_anchor_r_vs_enmo >= 0.97 * best, (metric, best)
 

@@ -20,7 +20,7 @@ from actimetrics import (
     synthesize,
     threshold_sweep,
 )
-from actimetrics.analysis import reduce_sweeps, subject_sweep
+from actimetrics.analysis import recording_sweep, subject_sweep
 from actimetrics.core import epoch_matrix
 from actimetrics.errors import DegenerateInput, LabelMismatch, SignalTooShort
 from actimetrics.metrics import enmo_values, hfen_values, tat_values, zcm_values
@@ -267,11 +267,18 @@ def _sweep_corpus(n_subjects=2, duration_s=3600.0):
     ]
 
 
+def _sweep(metric, kind, recordings, te_s=60.0, **kwargs):
+    """The reduce over each recording's part, in the order given."""
+    grid = {k: kwargs[k] for k in ("step_g", "max_steps") if k in kwargs}
+    return threshold_sweep(
+        metric, kind, [recording_sweep(metric, kind, rec, te_s, **kwargs) for rec in recordings],
+        **grid,
+    )
+
+
 @pytest.fixture(scope="module")
 def zcm_sweep_ufm():
-    return threshold_sweep(
-        MetricId.ZCM, DatasetKind.UFM, _sweep_corpus(1), 60.0, max_steps=60
-    )
+    return _sweep(MetricId.ZCM, DatasetKind.UFM, _sweep_corpus(1), 60.0, max_steps=60)
 
 
 class TestThresholdSweep:
@@ -281,7 +288,7 @@ class TestThresholdSweep:
         np.testing.assert_allclose(steps, 0.05, rtol=1e-12)
 
     def test_grid_starts_at_0_for_axis(self):
-        curve = threshold_sweep(
+        curve = _sweep(
             MetricId.TAT, DatasetKind.FY, _sweep_corpus(1, 1800.0), 60.0, max_steps=30
         )
         assert curve.thresholds[0] == 0.0
@@ -304,15 +311,13 @@ class TestThresholdSweep:
     def test_sd_threshold_near_optimal_on_bouts(self):
         recordings = _sweep_corpus(2)
         for metric in (MetricId.ZCM, MetricId.TAT):
-            curve = threshold_sweep(
-                metric, DatasetKind.UFM, recordings, 60.0, max_steps=60
-            )
+            curve = _sweep(metric, DatasetKind.UFM, recordings, 60.0, max_steps=60)
             best = np.nanmax(curve.r_vs_enmo)
             assert curve.sd_anchor_r_vs_enmo >= 0.97 * best
 
     def test_non_level_metric_rejected(self):
         with pytest.raises(ValueError):
-            threshold_sweep(MetricId.MAD, DatasetKind.UFM, _sweep_corpus(1))
+            _sweep(MetricId.MAD, DatasetKind.UFM, _sweep_corpus(1))
 
     def test_one_recordings_datasets_alive_at_a_time(self):
         import tracemalloc
@@ -322,7 +327,7 @@ class TestThresholdSweep:
         def peak(recordings):
             tracemalloc.start()
             try:
-                threshold_sweep(MetricId.ZCM, DatasetKind.UFM, recordings, max_steps=20)
+                _sweep(MetricId.ZCM, DatasetKind.UFM, recordings, max_steps=20)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -388,8 +393,8 @@ class TestSweepReadsOnlyWhatItNeeds:
         self, sweep_corpus_datasets, kind, metric, zero_phase
     ):
         recordings, full = sweep_corpus_datasets
-        curve = threshold_sweep(metric, kind, recordings, zero_phase=zero_phase)
-        expected = reduce_sweeps(
+        curve = _sweep(metric, kind, recordings, zero_phase=zero_phase)
+        expected = threshold_sweep(
             metric, kind, [subject_sweep(metric, kind, d) for d in full[zero_phase]]
         )
         for field in dataclasses.fields(SweepCurve):

@@ -381,10 +381,11 @@ class TestComputeActivity:
         )
         np.testing.assert_allclose(squared.values, base.values ** 2, rtol=1e-12)
 
-    def test_ai_uses_raw_axes_noise_when_not_given(self, bout_datasets):
-        out = compute_activity(
-            VariantDescriptor(MetricId.AI, AxisTriple.UFXYZ), bout_datasets, 60.0
-        )
+    def test_ai_needs_a_noise_estimate(self, bout_datasets, bout_noise):
+        variant = VariantDescriptor(MetricId.AI, AxisTriple.UFXYZ)
+        with pytest.raises(ValueError, match=r"^AI\(UFXYZ\) needs a noise-variance"):
+            compute_activity(variant, bout_datasets, 60.0)
+        out = compute_activity(variant, bout_datasets, 60.0, noise=bout_noise)
         assert (out.values >= 0).all()
         assert out.label == "AI(UFXYZ)"
 
@@ -464,12 +465,12 @@ class TestApplicabilityMatrixExhaustive:
     @pytest.mark.parametrize("metric,column", sorted(
         FIG4_EXPECTED, key=lambda mc: (mc[0].value, mc[1])
     ))
-    def test_cell(self, metric, column, bout_datasets):
+    def test_cell(self, metric, column, bout_datasets, bout_noise):
         expected_legal = FIG4_EXPECTED[(metric, column)]
         for metric_id, kind in _column_variants(metric, column):
             if expected_legal:
                 variant = VariantDescriptor(metric_id, kind)
-                out = compute_activity(variant, bout_datasets, 60.0)
+                out = compute_activity(variant, bout_datasets, 60.0, noise=bout_noise)
                 assert (out.values >= 0).all()
             else:
                 with pytest.raises(InapplicableMetric):
@@ -565,15 +566,15 @@ class TestCatalog:
         no_combined = catalog(exclude=("*[*",))
         assert no_combined and not any("[" in v.label for v in no_combined)
 
-    def test_every_descriptor_computes_on_synthetic_data(self, bout_datasets):
+    def test_every_descriptor_computes_on_synthetic_data(self, bout_datasets, bout_noise):
         for variant in catalog():
-            out = compute_activity(variant, bout_datasets, 60.0)
+            out = compute_activity(variant, bout_datasets, 60.0, noise=bout_noise)
             assert (out.values >= 0).all(), variant.label
             assert out.values.size == 10
 
 
 class TestThresholdMemo:
-    def test_catalog_resolves_each_threshold_once(self, bout_datasets, monkeypatch):
+    def test_catalog_resolves_each_threshold_once(self, bout_datasets, bout_noise, monkeypatch):
         resolved = Counter()
         real = metrics.sd_threshold
 
@@ -583,7 +584,8 @@ class TestThresholdMemo:
 
         monkeypatch.setattr(metrics, "sd_threshold", counting)
         thresholds = {}
-        shared = {v.label: compute_activity(v, bout_datasets, 60.0, thresholds=thresholds)
+        shared = {v.label: compute_activity(v, bout_datasets, 60.0, noise=bout_noise,
+                                            thresholds=thresholds)
                   for v in catalog()}
         # 4 magnitudes, 3 filtered axes and their 3 squared series; ZCM and
         # TAT share each one
@@ -593,7 +595,7 @@ class TestThresholdMemo:
                                     DatasetKind.FX: 2, DatasetKind.FY: 2,
                                     DatasetKind.FZ: 2})
         for variant in catalog():
-            alone = compute_activity(variant, bout_datasets, 60.0)
+            alone = compute_activity(variant, bout_datasets, 60.0, noise=bout_noise)
             assert shared[variant.label].values.tobytes() == alone.values.tobytes()
 
     def test_process_subject_resolves_ten_thresholds(self, bout_recording, monkeypatch):

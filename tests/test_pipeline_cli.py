@@ -5,11 +5,14 @@ import pytest
 
 from actimetrics import (
     DatasetKind,
+    MetricId,
     PipelineConfig,
     SyntheticSpec,
     config_from_dict,
     preprocess_all,
+    recording_sweep,
     synthesize,
+    threshold_sweep,
 )
 from actimetrics.cli import main
 from actimetrics.config import SweepConfig, SyntheticConfig, load_config
@@ -29,6 +32,18 @@ def small_config(**overrides):
                                   active_s=180.0),
     )
     return dataclasses.replace(base, **overrides)
+
+
+def direct_sweep(config, metric, kind, recordings):
+    """One configured sweep outside the pipeline: each recording's part, then the reduce."""
+    metric, kind = MetricId(metric), DatasetKind(kind)
+    grid = {"step_g": config.sweep.step_g, "max_steps": config.sweep.max_steps}
+    parts = [
+        recording_sweep(metric, kind, rec, config.epoch_s, bandpass=config.bandpass,
+                        hfen_spec=config.hfen_highpass, zero_phase=config.zero_phase, **grid)
+        for rec in recordings
+    ]
+    return threshold_sweep(metric, kind, parts, **grid)
 
 
 def corpus(n=2, duration_s=1200.0, seed0=50):
@@ -257,7 +272,6 @@ class TestRunPipeline:
                 assert path.read_bytes() == together.read_bytes(), path.name
 
     def test_sweep_csvs_match_threshold_sweep(self, tmp_path):
-        from actimetrics import DatasetKind, MetricId, threshold_sweep
         from actimetrics.formats import write_sweep_csv
 
         config = small_config(sweep=SweepConfig(
@@ -268,12 +282,7 @@ class TestRunPipeline:
                                 tmp_path / "bundle", jobs=2)
         assert len(manifest["sweeps"]) == 4
         for metric, kind in config.sweep_requests():
-            curve = threshold_sweep(
-                MetricId(metric), DatasetKind(kind), recordings, config.epoch_s,
-                bandpass=config.bandpass, hfen_spec=config.hfen_highpass,
-                zero_phase=config.zero_phase, step_g=config.sweep.step_g,
-                max_steps=config.sweep.max_steps,
-            )
+            curve = direct_sweep(config, metric, kind, recordings)
             direct = tmp_path / f"direct_{metric}_{kind}.csv"
             write_sweep_csv(curve, direct)
             bundled = tmp_path / "bundle" / f"sweep_{metric}_{kind}.csv"
@@ -345,6 +354,32 @@ class TestRunPipeline:
                                 "error": "ValueError: injected kernel fault"}
         assert len(list((tmp_path / "s00" / "activity").glob("*.csv"))) == 83
         assert not (tmp_path / "odd").exists()
+
+    def test_one_pool_runs_the_catalog_and_every_sweep_part(self, tmp_path, monkeypatch):
+        import threading
+
+        import actimetrics.core as core
+        import actimetrics.pipeline as pipeline
+
+        pools, sweep_threads = [], []
+        real_pool, real_sweep = core.ThreadPoolExecutor, pipeline.recording_sweep
+
+        def thread_pool_executor(*args, **kwargs):
+            pools.append(real_pool(*args, **kwargs))
+            return pools[-1]
+
+        def recording_sweep(*args, **kwargs):
+            sweep_threads.append(threading.get_ident())
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", thread_pool_executor)
+        monkeypatch.setattr(pipeline, "recording_sweep", recording_sweep)
+        config = small_config(sweep=SweepConfig())  # the default ZCM and TAT sweeps
+        manifest = run_pipeline(config, corpus(), tmp_path, jobs=2)
+        assert manifest["sweeps"] == ["sweep_ZCM_UFM.csv", "sweep_TAT_UFM.csv"]
+        assert len(pools) == 1
+        assert len(sweep_threads) == 2 * 2
+        assert set(sweep_threads) <= {thread.ident for thread in pools[0]._threads}
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_write_error_propagates_not_a_subject_failure(self, tmp_path, monkeypatch, jobs):
@@ -642,7 +677,6 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_mixed_sample_rates_design_filters_per_recording(self, tmp_path):
-        from actimetrics import MetricId, threshold_sweep
         from actimetrics.formats import write_sweep_csv
 
         config = tmp_path / "config.json"
@@ -669,12 +703,7 @@ class TestCli:
         parsed = load_config(config)
         recordings = [read_recording(path) for path in paths]
         for metric, kind in parsed.sweep_requests():
-            curve = threshold_sweep(
-                MetricId(metric), DatasetKind(kind), recordings, parsed.epoch_s,
-                bandpass=parsed.bandpass, hfen_spec=parsed.hfen_highpass,
-                zero_phase=parsed.zero_phase, step_g=parsed.sweep.step_g,
-                max_steps=parsed.sweep.max_steps,
-            )
+            curve = direct_sweep(parsed, metric, kind, recordings)
             direct = tmp_path / f"direct_{metric}_{kind}.csv"
             write_sweep_csv(curve, direct)
             assert direct.read_bytes() == (out / f"sweep_{metric}_{kind}.csv").read_bytes()
@@ -833,6 +862,33 @@ class TestCli:
         assert main(["--out", str(out), "--jobs", jobs, command, *args]) == 1
         assert capsys.readouterr().err.startswith("config error: --jobs")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, jobs", [
+        ("synth", "1"), ("preprocess", "1"), ("correlate", "1"), ("correlate", "2"),
+    ])
+    def test_out_naming_a_file_exits_1_without_traceback(self, tmp_path, capsys, command, jobs):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        args = [str(p) for p in self._write_corpus(tmp_path)] if command != "synth" else []
+        assert main(["--config", str(self._config_file(tmp_path)), "--out", str(out),
+                     "--jobs", jobs, command, *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output: {out}")
+        assert "Traceback" not in err
+        assert out.read_text() == "a file, not a directory\n"
+
+    def test_write_error_without_a_path_exits_1(self, tmp_path, capsys, monkeypatch):
+        import actimetrics.formats as formats
+
+        def write_activity_csv(signal, path):
+            raise OSError(28, "No space left on device")  # as a failed write() raises it
+
+        monkeypatch.setattr(formats, "write_activity_csv", write_activity_csv)
+        assert main(["--config", str(self._config_file(tmp_path)), "--out",
+                     str(tmp_path / "out"), "correlate",
+                     *map(str, self._write_corpus(tmp_path))]) == 1
+        assert capsys.readouterr().err == (
+            "config error: cannot write output: [Errno 28] No space left on device\n")
 
     @pytest.mark.parametrize("subjects", ["0", "-1"])
     def test_subjects_below_1_exits_1_before_any_output(self, tmp_path, capsys, subjects):

@@ -414,11 +414,12 @@ class TestPreprocessKinds:
     def test_default_filters_seven_times_and_a_ufm_sweep_pass_three(
         self, bout_recording, monkeypatch
     ):
-        from actimetrics import MetricId, threshold_sweep
+        from actimetrics import MetricId, recording_sweep, threshold_sweep
 
         calls = _count_filter_calls(monkeypatch)
         preprocess_all(bout_recording)
         assert len(calls) == 7
         calls.clear()
-        threshold_sweep(MetricId.ZCM, DatasetKind.UFM, [bout_recording], max_steps=20)
+        part = recording_sweep(MetricId.ZCM, DatasetKind.UFM, bout_recording, max_steps=20)
+        threshold_sweep(MetricId.ZCM, DatasetKind.UFM, [part], max_steps=20)
         assert len(calls) == 3

@@ -16,15 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from actimetrics import DatasetKind, IntegrationMethod, PreprocessedSeries
+from actimetrics import DatasetKind, IntegrationMethod, PreprocessedSeries, RawRecording
 from actimetrics import metrics
 from actimetrics.combine import catalog, compute_activity
 from actimetrics.core import FILTERED_AXES
 from actimetrics.metrics import (
     ai_values,
     enmo_values,
+    estimate_noise_variance,
     mad_values,
-    noise_variance_from_axes,
     pim_corrected_values,
     tat_values,
     zcm_values,
@@ -142,8 +142,8 @@ def test_ai_and_noise_windows_equal_whole_matrix(case, sigma, per_axis):
     total = np.zeros(mx.shape[0])
     for mat in (mx, my, mz):
         total += mat.var(axis=1)
-    est = _blocked(rows, n, noise_variance_from_axes,
-                   mx.ravel(), my.ravel(), mz.ravel(), 1.0, float(n))
+    rec = RawRecording("blocks", 1.0, mx.ravel(), my.ravel(), mz.ravel())
+    est = _blocked(rows, n, estimate_noise_variance, rec, float(n))
     i = int(np.argmin(total))
     assert est.source_window_index == i
     assert np.array_equal(est.sigma_bar_sq, total[i], equal_nan=True)
