@@ -7,7 +7,10 @@ then aggregated across subjects into mean and SD matrices.
 Threshold sweeps trace how ZCM/TAT relate to reference metrics as their
 threshold grows, with the dataset-SD threshold marked. A sweep is a map and
 a reduce: :func:`recording_sweep` computes one recording's part from its
-preprocessed datasets, and :func:`threshold_sweep` averages the parts.
+preprocessed datasets, and :func:`threshold_sweep` averages the parts. The
+references are the subject's ENMO and HFEN signals: the pipeline passes
+those its catalog already computed, and without them a part computes them
+from its own UFM and HFEN_SPECIAL datasets.
 """
 from __future__ import annotations
 
@@ -293,12 +296,16 @@ def subject_sweep(
     datasets: Mapping[DatasetKind, PreprocessedSeries],
     te_s: float = 60.0,
     *,
+    references: Optional[tuple[np.ndarray, np.ndarray]] = None,
     step_g: float = 0.05,
     max_steps: int = 200,
 ) -> SubjectSweep:
     """Evaluate one subject's already-preprocessed datasets on the sweep grid.
 
-    The self-reference curve correlates each grid point against the
+    ``references`` is the subject's (ENMO, HFEN) per-epoch values, such as
+    its catalog's ``ENMO`` and ``HFEN`` signals; when None they are computed
+    from ``datasets``' UFM and HFEN_SPECIAL series, which then must be
+    there. The self-reference curve correlates each grid point against the
     activity at the grid point nearest the subject's adaptive SD threshold.
     """
     grid = _sweep_grid(metric, kind, step_g, max_steps)
@@ -310,8 +317,12 @@ def subject_sweep(
             f"a threshold sweep needs at least 2 epochs, got {mat.shape[0]}"
         )
     ts = series.ts
-    ref_enmo = enmo_values(epoch_matrix(datasets[DatasetKind.UFM].values, n))
-    ref_hfen = hfen_values(epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n))
+    if references is None:
+        references = (
+            enmo_values(epoch_matrix(datasets[DatasetKind.UFM].values, n)),
+            hfen_values(epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n)),
+        )
+    ref_enmo, ref_hfen = references
 
     sd_thr = sd_threshold(series)
     anchor_idx = int(np.clip(round((sd_thr - grid[0]) / step_g), 0, max_steps - 1))
@@ -360,21 +371,25 @@ def recording_sweep(
     bandpass: Bandpass = Bandpass(),
     hfen_spec: Highpass = Highpass(),
     zero_phase: bool = False,
+    references: Optional[tuple[np.ndarray, np.ndarray]] = None,
     step_g: float = 0.05,
     max_steps: int = 200,
 ) -> SubjectSweep:
     """One recording's share of a threshold sweep.
 
-    The recording is preprocessed into only the kinds the sweep reads (the
-    swept kind, UFM for the ENMO reference and HFEN_SPECIAL for the HFEN
-    reference), with filters designed at its own sample rate, then run
-    through :func:`subject_sweep`.
+    The recording is preprocessed into only the kinds the sweep reads, with
+    filters designed at its own sample rate, then run through
+    :func:`subject_sweep`. Given ``references`` (the subject's ENMO and HFEN
+    values, as the pipeline takes them from its catalog) that is the swept
+    kind alone, so a UFM sweep runs no filter; without them it is also UFM
+    for the ENMO reference and HFEN_SPECIAL for the HFEN reference.
     """
-    datasets = preprocess_all(
-        rec, bandpass, hfen_spec, zero_phase,
-        kinds=(kind, DatasetKind.UFM, DatasetKind.HFEN_SPECIAL),
-    )
-    return subject_sweep(metric, kind, datasets, te_s, step_g=step_g, max_steps=max_steps)
+    kinds = (kind,)
+    if references is None:
+        kinds += (DatasetKind.UFM, DatasetKind.HFEN_SPECIAL)
+    datasets = preprocess_all(rec, bandpass, hfen_spec, zero_phase, kinds=kinds)
+    return subject_sweep(metric, kind, datasets, te_s, references=references,
+                         step_g=step_g, max_steps=max_steps)
 
 
 def threshold_sweep(

@@ -3,7 +3,8 @@
 One map and one reduce. The map is one task per subject: validate,
 preprocess into every dataset kind, evaluate the full variant catalog,
 write one activity file per variant, then compute the subject's part of
-each configured threshold sweep (at the subject's own sample rate). The
+each configured threshold sweep (at the subject's own sample rate, against
+the catalog's own ``ENMO`` and ``HFEN`` signals when it holds both). The
 reduce, over the successful subjects in subject-id order: the time- and
 frequency-domain correlation matrices, one curve per sweep, and a manifest
 tying everything to the config hash and catalog.
@@ -177,12 +178,17 @@ def run_pipeline(
             _log.error("subject %s failed", rec.subject_id, exc_info=exc)
             return f"{type(exc).__name__}: {exc}"
         written = write_activity_files(signals, out_dir, rec.subject_id)
+        # the sweeps' references are these very signals; a catalog filter
+        # may drop them, and then each part computes its own
+        enmo, hfen = signals.get(MetricId.ENMO.value), signals.get(MetricId.HFEN.value)
+        references = None if enmo is None or hfen is None else (enmo.values, hfen.values)
         return signals, written, [
             recording_sweep(
                 metric, kind, rec, config.epoch_s,
                 bandpass=config.bandpass,
                 hfen_spec=config.hfen_highpass,
                 zero_phase=config.zero_phase,
+                references=references,
                 **grid,
             )
             for metric, kind in requests

@@ -21,6 +21,7 @@ forward-backward filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -78,8 +79,16 @@ def design_filter(spec: Union[Bandpass, Highpass], sample_rate_hz: float) -> np.
     Bilinear transform of the analog prototype with frequency prewarping,
     returned as a fresh, writable ``(sections, 6)`` second-order-section
     cascade. Deterministic: the same spec and rate always yield
-    bitwise-identical coefficients.
+    bitwise-identical coefficients. Each (spec, rate) is designed once per
+    process and cached; every call returns its own copy, because SciPy's
+    ``sosfilt`` rejects a read-only cascade.
     """
+    return _design(spec, sample_rate_hz).copy()
+
+
+@lru_cache(maxsize=64)
+def _design(spec: Union[Bandpass, Highpass], sample_rate_hz: float) -> np.ndarray:
+    """The cached, read-only design behind :func:`design_filter`."""
     if isinstance(spec, Bandpass):
         btype, wn, top = "bandpass", (spec.f_low_hz, spec.f_high_hz), spec.f_high_hz
     else:
@@ -102,6 +111,7 @@ def design_filter(spec: Union[Bandpass, Highpass], sample_rate_hz: float) -> np.
         raise UnstableDesign(
             f"pole on or outside the unit circle for {spec} at {sample_rate_hz} Hz"
         )
+    sos.setflags(write=False)
     return sos
 
 
@@ -142,7 +152,8 @@ def preprocess_all(
     Only the requested kinds and what they are made from are built: FX, FY,
     FZ and FMpre filter the three axes, FMpost filters UFM, and
     HFEN_SPECIAL high-passes the three axes. A threshold sweep asks for the
-    swept kind, UFM and HFEN_SPECIAL. Each kind built is the same array
+    swept kind, plus UFM and HFEN_SPECIAL when it computes its own ENMO and
+    HFEN references. Each kind built is the same array
     whichever others are requested. Filtered kinds keep the startup
     transient. The HFEN input high-passes one axis at a time and squares it
     in its own buffer, so one such axis is alive at once.

@@ -288,6 +288,48 @@ class TestRunPipeline:
             bundled = tmp_path / "bundle" / f"sweep_{metric}_{kind}.csv"
             assert direct.read_bytes() == bundled.read_bytes(), (metric, kind)
 
+    def test_sweep_references_are_the_catalogs_enmo_and_hfen(self, tmp_path, monkeypatch):
+        import actimetrics.pipeline as pipeline
+        from actimetrics.core import epoch_matrix
+        from actimetrics.metrics import enmo_values, hfen_values
+
+        received = []
+        real = pipeline.recording_sweep
+
+        def recording_sweep(metric, kind, rec, *args, references, **kwargs):
+            received.append((rec, references))
+            return real(metric, kind, rec, *args, references=references, **kwargs)
+
+        monkeypatch.setattr(pipeline, "recording_sweep", recording_sweep)
+        config = small_config(sweep=SweepConfig())  # the default ZCM and TAT sweeps
+        run_pipeline(config, corpus(), tmp_path)
+        assert [rec.subject_id for rec, _ in received] == ["s00", "s00", "s01", "s01"]
+        for rec, (enmo, hfen) in received:
+            datasets = preprocess_all(rec, config.bandpass, config.hfen_highpass,
+                                      config.zero_phase)
+            n = int(config.epoch_s * rec.sample_rate_hz)
+            ufm = epoch_matrix(datasets[DatasetKind.UFM].values, n)
+            hfen_input = epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n)
+            assert enmo.dtype == hfen.dtype == np.float64
+            assert enmo.tobytes() == enmo_values(ufm).tobytes()
+            assert hfen.tobytes() == hfen_values(hfen_input).tobytes()
+
+    def test_default_sweeps_run_no_filter_of_their_own(self, tmp_path, monkeypatch):
+        import scipy.signal
+
+        calls = []
+        real = scipy.signal.sosfilt
+
+        def sosfilt(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "sosfilt", sosfilt)
+        run_pipeline(small_config(sweep=SweepConfig()), corpus(), tmp_path)
+        # 7 per subject's catalog; each sweep part adding the 3 HFEN
+        # highpasses for its own references would make it 26
+        assert len(calls) == 2 * 7
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_bundle_does_not_depend_on_input_order(self, tmp_path, jobs):
         config = small_config(sweep=SweepConfig(
@@ -707,6 +749,25 @@ class TestCli:
             direct = tmp_path / f"direct_{metric}_{kind}.csv"
             write_sweep_csv(curve, direct)
             assert direct.read_bytes() == (out / f"sweep_{metric}_{kind}.csv").read_bytes()
+
+    def test_sweeps_without_catalog_references_are_byte_identical(self, tmp_path):
+        paths = self._write_corpus(tmp_path, n=2)
+        settings = {
+            "psd": {"segment_epochs": 8},
+            "sweep": {"metrics": ["ZCM", "TAT"], "kinds": ["UFM", "FMpost"],
+                      "max_steps": 30},
+        }
+        full, dropped = tmp_path / "full", tmp_path / "dropped"
+        for out, catalog in ((full, {}), (dropped, {"exclude": ["ENMO", "HFEN"]})):
+            config = tmp_path / f"{out.name}.json"
+            config.write_text(json.dumps({**settings, "catalog": catalog}))
+            assert main(["--config", str(config), "--out", str(out), "correlate",
+                         *map(str, paths)]) == 0
+        manifest = json.loads((dropped / "manifest.json").read_text())
+        assert manifest["catalog_count"] == 81
+        assert not {"ENMO", "HFEN"} & set(manifest["catalog_labels"])
+        assert len(manifest["sweeps"]) == 4
+        self._same_files(full, dropped, "sweep_*.csv")
 
     def _nan_recording(self, tmp_path):
         """An .actm recording whose first 100 x samples are NaN."""

@@ -137,6 +137,25 @@ class TestDesignFilter:
         assert a.shape == (3, 6) and a.dtype == np.float64  # order 3: 6 poles
         assert a.flags.writeable and not np.shares_memory(a, b)
 
+    def test_each_spec_and_rate_is_designed_once(self, monkeypatch):
+        import scipy.signal
+
+        calls = []
+        real = scipy.signal.butter
+
+        def butter(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "butter", butter)
+        spec = Highpass(order=3, cutoff_hz=0.37)  # designed by no other test
+        first = design_filter(spec, 12.5)
+        expected = first.tobytes()
+        first[:] = 0.0  # a caller's copy is its own
+        assert design_filter(spec, 12.5).tobytes() == expected
+        design_filter(spec, 25.0)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize(
         "low,high", [(0.0, 2.5), (2.5, 0.25), (0.25, 5.0), (0.25, 6.0)]
     )
@@ -414,12 +433,27 @@ class TestPreprocessKinds:
     def test_default_filters_seven_times_and_a_ufm_sweep_pass_three(
         self, bout_recording, monkeypatch
     ):
+        """A UFM sweep part filters only to build its own ENMO/HFEN references."""
+        from dataclasses import astuple
+
         from actimetrics import MetricId, recording_sweep, threshold_sweep
+        from actimetrics.core import epoch_matrix
+        from actimetrics.metrics import enmo_values, hfen_values
 
         calls = _count_filter_calls(monkeypatch)
-        preprocess_all(bout_recording)
+        full = preprocess_all(bout_recording)
         assert len(calls) == 7
+        n = int(60.0 * bout_recording.sample_rate_hz)
+        references = (
+            enmo_values(epoch_matrix(full[DatasetKind.UFM].values, n)),
+            hfen_values(epoch_matrix(full[DatasetKind.HFEN_SPECIAL].values, n)),
+        )
         calls.clear()
+        given = recording_sweep(MetricId.ZCM, DatasetKind.UFM, bout_recording,
+                                references=references, max_steps=20)
+        assert len(calls) == 0
         part = recording_sweep(MetricId.ZCM, DatasetKind.UFM, bout_recording, max_steps=20)
         threshold_sweep(MetricId.ZCM, DatasetKind.UFM, [part], max_steps=20)
         assert len(calls) == 3
+        for a, b in zip(astuple(given), astuple(part)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
