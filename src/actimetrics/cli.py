@@ -1,7 +1,8 @@
 """Command-line interface: synth -> preprocess -> correlate (the full bundle).
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 partial
-failure (some subjects failed, others were processed). Duplicate subject
+failure (some subjects failed, others were processed), 4 a ``--jobs``
+worker process died (no manifest is written). Duplicate subject
 ids, and an epoch or AI noise window that no recording's rate holds, are
 configuration errors, and so is output that cannot be written (an
 ``--out`` that names a file, say). Past that, in ``correlate`` any
@@ -18,7 +19,8 @@ from typing import Optional, Sequence
 
 from . import formats
 from .config import PipelineConfig, load_config, validate_config
-from .errors import ActimetricsError, ConfigError
+from .core import require_jobs
+from .errors import ActimetricsError, ConfigError, WorkerDied
 from .pipeline import preprocess_subject, require_unique_subject_ids, run_pipeline
 from .synthetic import synthesize
 
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
+EXIT_WORKER = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +43,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, help="override the config RNG seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="threads for the per-subject stages (>= 1)")
+                        help="worker processes for the per-subject stages "
+                             "(>= 1; above 1 needs fork)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate synthetic recordings")
@@ -149,8 +153,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
             validate_config(config)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        require_jobs(args.jobs)
         if args.command == "synth" and args.subjects is not None and args.subjects < 1:
             raise ConfigError(f"--subjects must be at least 1, got {args.subjects}")
 
@@ -168,6 +171,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except WorkerDied as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except ActimetricsError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -1,13 +1,13 @@
-"""Domain types, recording validation, epoch matrices and the ordered thread map.
+"""Domain types, recording validation, epoch matrices and the ordered process map.
 
 All types are immutable after construction (array fields are made
-read-only) and safe to share across threads; every operation here but
-:func:`ordered_map`, which runs what it is given, is a pure function of
-its inputs.
+read-only) and picklable; every operation here but :func:`ordered_map`,
+which runs what it is given, is a pure function of its inputs.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
@@ -229,15 +229,50 @@ def epoch_matrix(values: np.ndarray, n: int) -> np.ndarray:
     return values[: m * n].reshape(m, n)
 
 
+def require_jobs(jobs: int) -> None:
+    """ConfigError unless ``jobs`` >= 1 and, above 1, the platform can fork."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError(f"--jobs {jobs} needs worker processes started by fork, "
+                          "which this platform does not have; use --jobs 1")
+
+
+_task: Optional[tuple[Callable, list]] = None  # (fn, items) in a worker process
+
+
+def _init_worker(fn: Callable, items: list) -> None:
+    global _task
+    _task = fn, items
+
+
+def _run_item(index: int):
+    fn, items = _task
+    return fn(items[index])
+
+
 def ordered_map(fn: Callable, items: Iterable, jobs: int = 1) -> Iterator:
     """``fn`` over ``items``, results in input order.
 
-    With ``jobs`` > 1 every item is submitted to that many threads at the
-    first ``next``; otherwise each runs lazily on the caller's thread, so
-    one item's temporaries are gone before the next starts.
+    With ``jobs`` > 1 every item is submitted at the first ``next`` to
+    ``min(jobs, len(items))`` worker processes, started by fork. They
+    inherit ``fn`` and ``items``, so neither is pickled and ``fn`` may be
+    a closure; only the indices go out and the results come back pickled.
+    A worker that dies raises ``BrokenProcessPool`` at the first result
+    not yet yielded, and the pool's other workers are ended with it.
+    Otherwise each item runs lazily on the caller's thread, so one item's
+    temporaries are gone before the next starts.
     """
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(fn, items)
+        items = list(items)
+        if not items:
+            return
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(items)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(fn, items),
+        ) as pool:
+            yield from pool.map(_run_item, range(len(items)))
     else:
         yield from map(fn, items)

@@ -61,8 +61,22 @@ class ParseError(ActimetricsError):
     """A text input failed to parse; ``line`` is the 1-based line number."""
 
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+        # both in ``args``, so that pickling (a worker's exception crossing to
+        # the parent process) rebuilds it
+        super().__init__(line, message)
         self.line = line
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.message}"
+
+
+class WorkerDied(ActimetricsError):
+    """A ``--jobs`` worker process ended without returning its subject's result.
+
+    The message names the first subject without a result; no manifest is
+    written.
+    """
 
 
 class UnreadableRecording(ActimetricsError):

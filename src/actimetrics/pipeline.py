@@ -9,9 +9,13 @@ reduce, over the successful subjects in subject-id order: the time- and
 frequency-domain correlation matrices, one curve per sweep, and a manifest
 tying everything to the config hash and catalog.
 
-With ``jobs`` > 1 the subject tasks run on that many threads. The reduce
-and the manifest run on the caller's thread, so the bundle is
-byte-identical for any ``jobs`` and any input order.
+With ``jobs`` > 1 the subject tasks run in that many worker processes
+(at most one per subject), started by fork: each inherits the config and
+the recordings, and only its subject's signals, written paths and sweep
+parts come back pickled. The reduce and the manifest run in the calling
+process, so the bundle is byte-identical for any ``jobs`` and any input
+order. A worker process that dies ends the run in :class:`WorkerDied`
+before the manifest is written.
 
 A failure in one subject's :func:`process_subject`, whatever the exception,
 is reported in the manifest and does not stop the others. Output is
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import json
 import logging
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -42,9 +47,10 @@ from .core import (
     RawRecording,
     epoch_sample_count,
     ordered_map,
+    require_jobs,
     validate_recording,
 )
-from .errors import ActimetricsError, ConfigError, InvalidRecording
+from .errors import ActimetricsError, ConfigError, InvalidRecording, WorkerDied
 from .metrics import (
     MetricId,
     NoiseVarianceEstimate,
@@ -150,15 +156,17 @@ def run_pipeline(
 ) -> dict:
     """Run the whole pipeline and write the artifact bundle; returns the manifest.
 
-    Config errors (empty catalog, duplicate ids, no fitting rate) are
-    raised before anything is written. Any exception in one subject's
-    :func:`process_subject` fails that subject alone, reported by its own
-    text if a package error, else as ``"<TypeName>: <message>"`` with its
-    traceback logged; an error while writing, or in a subject's sweep part,
-    propagates.
+    Config errors (empty catalog, duplicate ids, no fitting rate, a
+    ``jobs`` :func:`require_jobs` rejects) are raised before anything is
+    written. Any exception in one subject's :func:`process_subject` fails
+    that subject alone, reported by its own text if a package error, else
+    as ``"<TypeName>: <message>"`` with its traceback logged; an error
+    while writing, or in a subject's sweep part, propagates, and so does
+    :class:`WorkerDied` when a worker process dies.
     """
     if not recordings:
         raise ConfigError("no recordings given")
+    require_jobs(jobs)
     labels = [v.label for v in config.variants()]
     recordings = sorted(recordings, key=lambda rec: rec.subject_id)
     require_unique_subject_ids(recordings)
@@ -198,7 +206,16 @@ def run_pipeline(
     failures: dict[str, str] = {}
     outputs: list[str] = []
     parts: list[list[SubjectSweep]] = []  # per ok subject, one per sweep request
-    for rec, result in zip(recordings, ordered_map(_run, recordings, jobs)):
+    results = []  # consumed to the end, so that the pool is shut down here
+    try:
+        for result in ordered_map(_run, recordings, jobs):
+            results.append(result)
+    except BrokenProcessPool:
+        raise WorkerDied(
+            "a worker process died (killed, or out of memory?) before subject "
+            f"{recordings[len(results)].subject_id} returned; no manifest was written"
+        ) from None
+    for rec, result in zip(recordings, results):
         if isinstance(result, str):
             failures[rec.subject_id] = result
         else:

@@ -116,3 +116,20 @@ class TestTypes:
     def test_recording_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             RawRecording("s", 0.0, [0.0], [0.0], [0.0])
+
+
+def test_every_package_error_survives_pickling():
+    # a worker process's exception reaches the parent pickled
+    import inspect
+    import pickle
+
+    from actimetrics import errors
+
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.ActimetricsError)]
+    assert errors.ParseError in classes and errors.WorkerDied in classes
+    for cls in classes:
+        exc = cls(3, "bad") if cls is errors.ParseError else cls("bad")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and str(back) == str(exc)
+    assert str(pickle.loads(pickle.dumps(errors.ParseError(3, "bad")))) == "line 3: bad"

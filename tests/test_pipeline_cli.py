@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -32,6 +34,17 @@ def small_config(**overrides):
                                   active_s=180.0),
     )
     return dataclasses.replace(base, **overrides)
+
+
+def _log_pid(path, tag="-"):
+    """Append ``tag`` and this process's pid as one line (one O_APPEND write)."""
+    with open(path, "a") as fh:
+        fh.write(f"{tag} {os.getpid()}\n")
+
+
+def _logged(path):
+    """The (tag, pid) lines :func:`_log_pid` appended to ``path``."""
+    return [(tag, int(pid)) for tag, pid in map(str.split, path.read_text().splitlines())]
 
 
 def direct_sweep(config, metric, kind, recordings):
@@ -254,12 +267,13 @@ class TestRunPipeline:
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
         run_pipeline(config, corpus(), out1, jobs=1)
         run_pipeline(config, corpus(), out2, jobs=4)
+        assert multiprocessing.active_children() == []
         for rel in sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file()):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
     def test_thresholds_do_not_leak_between_subjects(self, tmp_path):
-        # one threshold memo per subject: two subjects on two threads write
-        # what each writes alone
+        # one threshold memo per subject: two subjects in two worker
+        # processes write what each writes alone
         config = small_config()
         recs = corpus()
         run_pipeline(config, recs, tmp_path / "both", jobs=2)
@@ -398,30 +412,44 @@ class TestRunPipeline:
         assert not (tmp_path / "odd").exists()
 
     def test_one_pool_runs_the_catalog_and_every_sweep_part(self, tmp_path, monkeypatch):
-        import threading
-
         import actimetrics.core as core
         import actimetrics.pipeline as pipeline
 
-        pools, sweep_threads = [], []
-        real_pool, real_sweep = core.ThreadPoolExecutor, pipeline.recording_sweep
+        pools, log = [], tmp_path / "pids.txt"
+        real_pool = core.ProcessPoolExecutor
+        real_process, real_sweep = pipeline.process_subject, pipeline.recording_sweep
 
-        def thread_pool_executor(*args, **kwargs):
-            pools.append(real_pool(*args, **kwargs))
+        def process_pool_executor(*args, initializer, **kwargs):
+            def started(*initargs):
+                _log_pid(log, "worker")
+                initializer(*initargs)
+
+            pools.append(real_pool(*args, initializer=started, **kwargs))
             return pools[-1]
 
-        def recording_sweep(*args, **kwargs):
-            sweep_threads.append(threading.get_ident())
-            return real_sweep(*args, **kwargs)
+        def process_subject(rec, config):
+            _log_pid(log, f"catalog:{rec.subject_id}")
+            return real_process(rec, config)
 
-        monkeypatch.setattr(core, "ThreadPoolExecutor", thread_pool_executor)
+        def recording_sweep(metric, kind, rec, *args, **kwargs):
+            _log_pid(log, f"sweep:{rec.subject_id}")
+            return real_sweep(metric, kind, rec, *args, **kwargs)
+
+        monkeypatch.setattr(core, "ProcessPoolExecutor", process_pool_executor)
+        monkeypatch.setattr(pipeline, "process_subject", process_subject)
         monkeypatch.setattr(pipeline, "recording_sweep", recording_sweep)
         config = small_config(sweep=SweepConfig())  # the default ZCM and TAT sweeps
-        manifest = run_pipeline(config, corpus(), tmp_path, jobs=2)
+        manifest = run_pipeline(config, corpus(), tmp_path / "bundle", jobs=2)
         assert manifest["sweeps"] == ["sweep_ZCM_UFM.csv", "sweep_TAT_UFM.csv"]
         assert len(pools) == 1
-        assert len(sweep_threads) == 2 * 2
-        assert set(sweep_threads) <= {thread.ident for thread in pools[0]._threads}
+        logged = _logged(log)
+        workers = {pid for tag, pid in logged if tag == "worker"}
+        assert os.getpid() not in workers
+        for subject in ("s00", "s01"):
+            catalog = [pid for tag, pid in logged if tag == f"catalog:{subject}"]
+            sweeps = [pid for tag, pid in logged if tag == f"sweep:{subject}"]
+            assert len(catalog) == 1 and catalog[0] in workers
+            assert sweeps == catalog * 2  # each part in its subject's own worker
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_write_error_propagates_not_a_subject_failure(self, tmp_path, monkeypatch, jobs):
@@ -434,6 +462,7 @@ class TestRunPipeline:
         with pytest.raises(OSError, match="No space left"):
             run_pipeline(small_config(), corpus(), tmp_path, jobs=jobs)
         assert not (tmp_path / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
 
 
 def _mad_fails_at_epochs(monkeypatch, epochs):
@@ -602,6 +631,7 @@ class TestCli:
         code = main(["--config", str(config), "--out", str(out), "--jobs", jobs,
                      "correlate", *map(str, paths)])
         assert code == 3
+        assert multiprocessing.active_children() == []
         assert len(list((out / "s00" / "activity").glob("*.csv"))) == 83
         assert not (out / "odd").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -839,9 +869,7 @@ class TestCli:
         for rel in files:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
-    def test_sweep_runs_recordings_on_jobs_threads(self, tmp_path, monkeypatch):
-        import threading
-
+    def test_sweep_runs_recordings_in_jobs_workers(self, tmp_path, monkeypatch):
         import actimetrics.analysis as analysis
 
         config = self._config_file(tmp_path)
@@ -850,25 +878,25 @@ class TestCli:
         assert main(["--config", str(config), "--out", str(serial), "--jobs", "1",
                      "correlate", *map(str, paths)]) == 0
 
-        real = analysis.subject_sweep
-        barrier = threading.Barrier(2, timeout=60)  # breaks unless both run at once
-        threads = set()
+        real, log = analysis.subject_sweep, tmp_path / "pids.txt"
+        # made before the pool, so both workers inherit it; breaks unless both
+        # run at once
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
 
         def subject_sweep(*args, **kwargs):
-            threads.add(threading.get_ident())
+            _log_pid(log)
             barrier.wait()
             return real(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "subject_sweep", subject_sweep)
         assert main(["--config", str(config), "--out", str(parallel), "--jobs", "2",
                      "correlate", *map(str, paths)]) == 0
-        assert len(threads) == 2
-        assert threading.get_ident() not in threads
+        pids = {pid for _, pid in _logged(log)}
+        assert len(pids) == 2
+        assert os.getpid() not in pids
         self._same_files(serial, parallel, "*.csv")
 
-    def test_correlate_writes_activity_files_on_pool_threads(self, tmp_path, monkeypatch):
-        import threading
-
+    def test_correlate_writes_activity_files_in_pool_workers(self, tmp_path, monkeypatch):
         import actimetrics.formats as formats
         import actimetrics.pipeline as pipeline
 
@@ -879,25 +907,88 @@ class TestCli:
                      "correlate", *map(str, paths)]) == 0
 
         real_process, real_write = pipeline.process_subject, formats.write_activity_csv
-        barrier = threading.Barrier(2, timeout=60)
-        subject_threads, writer_threads = set(), set()
+        log = tmp_path / "pids.txt"
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
 
         def process_subject(rec, config):
-            subject_threads.add(threading.get_ident())
+            _log_pid(log, f"catalog:{rec.subject_id}")
             barrier.wait()
             return real_process(rec, config)
 
         def write_activity_csv(signal, path):
-            writer_threads.add(threading.get_ident())
+            _log_pid(log, f"write:{path.parent.parent.name}")
             return real_write(signal, path)
 
         monkeypatch.setattr(pipeline, "process_subject", process_subject)
         monkeypatch.setattr(formats, "write_activity_csv", write_activity_csv)
         assert main(["--config", str(config), "--out", str(parallel), "--jobs", "2",
                      "correlate", *map(str, paths)]) == 0
-        assert len(subject_threads) == 2
-        assert writer_threads == subject_threads
+        logged = _logged(log)
+        catalog = {tag.split(":")[1]: pid for tag, pid in logged if tag.startswith("catalog:")}
+        assert sorted(catalog) == ["s00", "s01"]
+        assert len(set(catalog.values())) == 2
+        assert os.getpid() not in catalog.values()
+        for subject, pid in catalog.items():
+            assert [p for tag, p in logged if tag == f"write:{subject}"] == [pid] * 83
         self._same_files(serial, parallel)
+
+    def test_dead_worker_exits_4_without_manifest_or_traceback(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import actimetrics.pipeline as pipeline
+
+        def process_subject(rec, config):
+            os._exit(3)
+
+        monkeypatch.setattr(pipeline, "process_subject", process_subject)
+        out = tmp_path / "out"
+        code = main(["--config", str(self._config_file(tmp_path)), "--out", str(out),
+                     "--jobs", "2", "correlate", *map(str, self._write_corpus(tmp_path))])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("worker error: a worker process died")
+        assert "before subject s00 returned" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_starts_at_most_one_worker_per_recording(self, tmp_path, monkeypatch):
+        import actimetrics.core as core
+
+        asked = []
+
+        class InProcessPool:
+            """Records the worker count asked for and runs the items here."""
+
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(core, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(core, "_task", None)
+        assert main(["--config", str(self._config_file(tmp_path)),
+                     "--out", str(tmp_path / "out"), "--jobs", "64", "correlate",
+                     *map(str, self._write_corpus(tmp_path))]) == 0
+        assert asked == [2]
+
+    def test_jobs_above_1_without_fork_exits_1_before_any_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        paths = self._write_corpus(tmp_path, n=1)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--jobs", "2", "correlate", str(paths[0])]) == 1
+        assert capsys.readouterr().err.startswith("config error: --jobs 2 needs worker processes")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, jobs", [
         ("preprocess", "1"), ("correlate", "1"), ("correlate", "2"),
