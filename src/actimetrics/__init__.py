@@ -15,6 +15,7 @@ from .analysis import (
     pearson,
     psd,
     recording_sweep,
+    subject_correlation,
     threshold_sweep,
 )
 from .combine import (

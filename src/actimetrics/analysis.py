@@ -1,16 +1,17 @@
 """Correlation of activity signals in time and frequency domain.
 
-Pairs of activity signals are compared per subject with Pearson's
-coefficient (in the frequency domain, between their Welch power spectral
-densities, estimated for all of a subject's signals in one stacked call),
-then aggregated across subjects into mean and SD matrices.
-Threshold sweeps trace how ZCM/TAT relate to reference metrics as their
-threshold grows, with the dataset-SD threshold marked. A sweep is a map and
-a reduce: :func:`recording_sweep` computes one recording's part from its
-preprocessed datasets, and :func:`threshold_sweep` averages the parts. The
-references are the subject's ENMO and HFEN signals: the pipeline passes
-those its catalog already computed, and without them a part computes them
-from its own UFM and HFEN_SPECIAL datasets.
+The matrices and the threshold sweeps are each a map and a reduce.
+:func:`subject_correlation` computes one subject's Pearson matrix over all
+pairs of its activity signals (in the frequency domain, between their Welch
+power spectral densities, estimated in one stacked call), and
+:func:`correlation_matrix` reduces those to mean and SD matrices across
+subjects. Threshold sweeps trace how ZCM/TAT relate to reference metrics as
+their threshold grows, with the dataset-SD threshold marked:
+:func:`recording_sweep` computes one recording's part from its preprocessed
+datasets, and :func:`threshold_sweep` averages the parts. The references
+are the subject's ENMO and HFEN signals: the pipeline passes those its
+catalog already computed, and without them a part computes them from its
+own UFM and HFEN_SPECIAL datasets. Both reduces share one NaN-skipping mean.
 """
 from __future__ import annotations
 
@@ -139,82 +140,77 @@ class CorrelationSummary:
             object.__setattr__(self, name, arr)
 
 
-def _signal_rows(
+def _nanmean(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Elementwise mean over equal-shaped arrays ignoring NaNs; all-NaN cells stay NaN."""
+    stacked = np.stack(rows)
+    mask = np.isfinite(stacked)
+    counts = mask.sum(axis=0)
+    sums = np.where(mask, stacked, 0.0).sum(axis=0)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+
+
+def subject_correlation(
     signals: Mapping[str, ActivitySignal],
     labels: Sequence[str],
-    domain: Domain,
-    psd_params: Optional[PsdParams],
+    domain: Domain = Domain.TIME,
+    psd_params: Optional[PsdParams] = None,
 ) -> np.ndarray:
+    """One subject's Pearson matrix over ``labels``, NaN where a row is constant.
+
+    The rows are the signals themselves in the time domain and their Welch
+    PSDs, from one stacked call, in the frequency domain. The signals must
+    carry exactly ``labels``, all of one length.
+    """
+    if set(signals) != set(labels):
+        raise LabelMismatch(
+            f"signals {sorted(signals)} do not match the labels {sorted(labels)}"
+        )
     rows = [signals[label].values for label in labels]
     lengths = {len(r) for r in rows}
     if len(lengths) != 1:
         raise LabelMismatch(f"signals of one subject differ in length: {sorted(lengths)}")
     rows = np.asarray(rows, dtype=float)
     if domain is Domain.FREQUENCY:
-        return psd(rows, signals[labels[0]].epoch_length_s, psd_params)[1]
-    return rows
-
-
-def _pairwise_r(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs Pearson matrix plus a validity mask (False where degenerate)."""
+        rows = psd(rows, signals[labels[0]].epoch_length_s, psd_params)[1]
     centered = rows - rows.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered * centered).sum(axis=1))
     valid = norms > 0.0
     safe = np.where(valid, norms, 1.0)
     unit = centered / safe[:, None]
     r = np.clip(unit @ unit.T, -1.0, 1.0)
-    mask = np.outer(valid, valid)
-    return r, mask
+    return np.where(np.outer(valid, valid), r, np.nan)
 
 
 def correlation_matrix(
-    per_subject_signals: Mapping[str, Mapping[str, ActivitySignal]],
-    domain: Domain = Domain.TIME,
-    psd_params: Optional[PsdParams] = None,
+    per_subject: Sequence[np.ndarray],
+    domain: Domain,
+    labels: Sequence[str],
 ) -> CorrelationSummary:
-    """Correlate every signal with every other, aggregated across subjects.
+    """Mean and SD across subjects of their :func:`subject_correlation` matrices.
 
-    All subjects must carry the same label set; the label order of the
-    first subject is kept. Each subject contributes one coefficient per
-    pair; means and SDs are taken over subjects, skipping degenerate pairs.
+    The matrices are taken in the order given. A NaN cell (a degenerate
+    pair) leaves that subject out of the cell's mean and SD and is counted
+    in ``excluded``.
     """
-    if not per_subject_signals:
+    if not per_subject:
         raise ValueError("need at least one subject")
-    subjects = sorted(per_subject_signals)
-    labels = tuple(per_subject_signals[subjects[0]].keys())
-    label_set = set(labels)
-    for subject in subjects:
-        if set(per_subject_signals[subject].keys()) != label_set:
-            raise LabelMismatch(f"subject {subject} has a different label set")
-
-    n = len(labels)
-    r_sum = np.zeros((n, n))
-    r_sq_sum = np.zeros((n, n))
-    counts = np.zeros((n, n), dtype=int)
-    for subject in subjects:
-        rows = _signal_rows(per_subject_signals[subject], labels, domain, psd_params)
-        r, mask = _pairwise_r(rows)
-        r_sum += np.where(mask, r, 0.0)
-        r_sq_sum += np.where(mask, r * r, 0.0)
-        counts += mask
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = r_sum / counts
-        var = np.maximum(r_sq_sum / counts - mean * mean, 0.0)
-    sd = np.sqrt(var)
+    mean = _nanmean(per_subject)
+    if mean.shape != (len(labels), len(labels)):
+        raise ValueError(f"matrices of shape {mean.shape} do not fit {len(labels)} labels")
+    sd = np.sqrt(np.maximum(_nanmean([r * r for r in per_subject]) - mean * mean, 0.0))
+    excluded = np.isnan(np.stack(per_subject)).sum(axis=0)
 
     mean = (mean + mean.T) / 2.0
     sd = (sd + sd.T) / 2.0
     np.fill_diagonal(mean, 1.0)
     np.fill_diagonal(sd, 0.0)
-    excluded = len(subjects) - counts
     np.fill_diagonal(excluded, 0)
     return CorrelationSummary(
-        labels=labels,
+        labels=tuple(labels),
         mean=mean,
         sd=sd,
         domain=domain,
-        n_subjects=len(subjects),
+        n_subjects=len(per_subject),
         excluded=excluded,
     )
 
@@ -243,15 +239,6 @@ def _level_values(metric: MetricId, mat: np.ndarray, threshold: float, ts: float
     if metric is MetricId.ZCM:
         return zcm_values(mat, threshold).astype(float)
     return tat_values(mat, threshold, ts)
-
-
-def _nanmean(rows: list[np.ndarray]) -> np.ndarray:
-    """Column means over stacked rows ignoring NaNs; all-NaN columns stay NaN."""
-    stacked = np.vstack(rows)
-    mask = np.isfinite(stacked)
-    counts = mask.sum(axis=0)
-    sums = np.where(mask, stacked, 0.0).sum(axis=0)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 def _nanmean_scalar(values) -> float:

@@ -7,7 +7,8 @@ ids, and an epoch or AI noise window that no recording's rate holds, are
 configuration errors, and so is output that cannot be written (an
 ``--out`` that names a file, say). Past that, in ``correlate`` any
 exception while one subject is validated, preprocessed or evaluated fails
-that subject only; ``preprocess`` stops at the first recording it rejects.
+that subject only, with a ``data error: subject <id> failed: <reason>``
+line; ``preprocess`` stops at the first recording it rejects.
 """
 from __future__ import annotations
 
@@ -118,6 +119,10 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
 def _cmd_correlate(args, config: PipelineConfig) -> int:
     recordings = _load_recordings(args.recordings, args.sample_rate_hz)
     manifest = run_pipeline(config, recordings, args.out, jobs=args.jobs)
+    for subject in manifest["subjects"]:
+        if subject["status"] == "failed":
+            print(f"data error: subject {subject['subject_id']} failed: {subject['error']}",
+                  file=sys.stderr)
     statuses = [s["status"] for s in manifest["subjects"]]
     n_ok = statuses.count("ok")
     print(f"processed {n_ok}/{len(statuses)} subjects, "

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import struct
 from pathlib import Path
 from typing import Optional, Union
@@ -64,16 +65,17 @@ def _read_sidecar(sidecar: Path) -> dict:
 
 
 def _sample_rate(value, path: Path) -> float:
-    """``value`` as a positive, finite rate in Hz, or MissingSampleRate."""
-    try:
-        rate = float(value)
-    except (TypeError, ValueError):
-        rate = math.nan
-    if not (math.isfinite(rate) and rate > 0):
+    """``value`` as a positive, finite rate in Hz, or MissingSampleRate.
+
+    Only a real number that is not a bool counts; the error names
+    ``path``, the file the value came from.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)):
         raise MissingSampleRate(
             f"{path}: sample rate {value!r} is not a positive, finite number of Hz"
         )
-    return rate
+    return float(value)
 
 
 def _write_rows(
@@ -102,13 +104,14 @@ def read_recording_csv(path: PathLike, sample_rate_hz: Optional[float] = None) -
     path = Path(path)
     sidecar = _sidecar_path(path)
     meta = _read_sidecar(sidecar) if sidecar.exists() else {}
+    source = path
     if sample_rate_hz is None:
-        sample_rate_hz = meta.get("sample_rate_hz")
+        sample_rate_hz, source = meta.get("sample_rate_hz"), sidecar
     if sample_rate_hz is None:
         raise MissingSampleRate(
             f"{path}: supply a sample rate or a sidecar {sidecar.name}"
         )
-    sample_rate_hz = _sample_rate(sample_rate_hz, path)
+    sample_rate_hz = _sample_rate(sample_rate_hz, source)
     subject_id = meta.get("subject_id", path.stem)
     if (not isinstance(subject_id, str) or subject_id in ("", ".", "..")
             or any(c in subject_id for c in "/\\\0")):

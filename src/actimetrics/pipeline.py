@@ -5,16 +5,18 @@ preprocess into every dataset kind, evaluate the full variant catalog,
 write one activity file per variant, then compute the subject's part of
 each configured threshold sweep (at the subject's own sample rate, against
 the catalog's own ``ENMO`` and ``HFEN`` signals when it holds both). The
-reduce, over the successful subjects in subject-id order: the time- and
-frequency-domain correlation matrices, one curve per sweep, and a manifest
-tying everything to the config hash and catalog.
+reduce, over the successful subjects in subject-id order: for each of the
+time and frequency domains, every subject's Pearson matrix and then their
+mean and SD matrices; one curve per sweep; and a manifest tying everything
+to the config hash and catalog.
 
 With ``jobs`` > 1 the subject tasks run in that many worker processes
 (at most one per subject), started by fork: each inherits the config and
 the recordings, and only its subject's signals, written paths and sweep
-parts come back pickled. The reduce and the manifest run in the calling
-process, so the bundle is byte-identical for any ``jobs`` and any input
-order. A worker process that dies ends the run in :class:`WorkerDied`
+parts come back pickled. The reduce, the per-subject matrices included,
+and the manifest run in the calling process once the pool has shut down,
+so the bundle is byte-identical for any ``jobs`` and any input order. A
+worker process that dies ends the run in :class:`WorkerDied`
 before the manifest is written.
 
 A failure in one subject's :func:`process_subject`, whatever the exception,
@@ -33,9 +35,9 @@ from typing import Mapping, Sequence
 from . import formats
 from .analysis import (
     Domain,
-    SubjectSweep,
     correlation_matrix,
     recording_sweep,
+    subject_correlation,
     threshold_sweep,
 )
 from .combine import compute_activity
@@ -202,10 +204,6 @@ def run_pipeline(
             for metric, kind in requests
         ]
 
-    per_subject: dict[str, dict[str, ActivitySignal]] = {}
-    failures: dict[str, str] = {}
-    outputs: list[str] = []
-    parts: list[list[SubjectSweep]] = []  # per ok subject, one per sweep request
     results = []  # consumed to the end, so that the pool is shut down here
     try:
         for result in ordered_map(_run, recordings, jobs):
@@ -215,20 +213,21 @@ def run_pipeline(
             "a worker process died (killed, or out of memory?) before subject "
             f"{recordings[len(results)].subject_id} returned; no manifest was written"
         ) from None
-    for rec, result in zip(recordings, results):
-        if isinstance(result, str):
-            failures[rec.subject_id] = result
-        else:
-            per_subject[rec.subject_id], written, subject_parts = result
-            outputs += written
-            parts.append(subject_parts)
+    failures = {rec.subject_id: result for rec, result in zip(recordings, results)
+                if isinstance(result, str)}
+    ok = [result for result in results if not isinstance(result, str)]
+    signals = [s for s, _, _ in ok]  # per ok subject, in subject-id order
+    outputs = [rel for _, written, _ in ok for rel in written]
+    parts = [p for _, _, p in ok]  # per ok subject, one per sweep request
     out_dir.mkdir(parents=True, exist_ok=True)
 
     matrices: dict[str, dict] = {}
-    if per_subject:
+    if signals:
         for domain, stem in ((Domain.TIME, "correlation_time"),
                              (Domain.FREQUENCY, "correlation_frequency")):
-            summary = correlation_matrix(per_subject, domain, config.psd)
+            summary = correlation_matrix(
+                [subject_correlation(s, labels, domain, config.psd) for s in signals],
+                domain, labels)
             formats.write_matrix_csv(summary, out_dir / f"{stem}.csv")
             formats.write_matrix_json(summary, out_dir / f"{stem}.json")
             outputs += [f"{stem}.csv", f"{stem}.json"]
@@ -254,7 +253,7 @@ def run_pipeline(
         "subjects": [
             {
                 "subject_id": rec.subject_id,
-                "status": "ok" if rec.subject_id in per_subject else "failed",
+                "status": "failed" if rec.subject_id in failures else "ok",
                 "error": failures.get(rec.subject_id),
             }
             for rec in recordings

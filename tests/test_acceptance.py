@@ -38,6 +38,7 @@ from actimetrics import (
     preprocess_all,
     psd,
     recording_sweep,
+    subject_correlation,
     synthesize,
     threshold_sweep,
 )
@@ -317,7 +318,12 @@ def test_criterion_6_metric_invariants(corpus, corpus_signals):
 def test_criterion_7_correlation_engine(corpus_signals):
     with criterion(7, "matrix symmetry/diagonal, pearson affine invariance, Parseval"):
         for domain in (Domain.TIME, Domain.FREQUENCY):
-            summary = correlation_matrix(corpus_signals, domain, PsdParams())
+            labels = tuple(next(iter(corpus_signals.values())))
+            summary = correlation_matrix(
+                [subject_correlation(corpus_signals[s], labels, domain, PsdParams())
+                 for s in sorted(corpus_signals)],
+                domain, labels,
+            )
             np.testing.assert_allclose(summary.mean, summary.mean.T, atol=1e-12)
             np.testing.assert_array_equal(np.diag(summary.mean), 1.0)
             np.testing.assert_array_equal(np.diag(summary.sd), 0.0)

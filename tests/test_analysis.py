@@ -17,6 +17,7 @@ from actimetrics import (
     pearson,
     preprocess_all,
     psd,
+    subject_correlation,
     synthesize,
     threshold_sweep,
 )
@@ -69,6 +70,14 @@ class TestPearson:
         assert -1.0 <= pearson(x, 2 * x + 1e-9 * rng.normal(size=10)) <= 1.0
 
 
+def matrix(subjects, domain=Domain.TIME):
+    """The reduce over each subject's matrix, in subject-id order."""
+    labels = tuple(next(iter(subjects.values())))
+    per_subject = [subject_correlation(subjects[s], labels, domain)
+                   for s in sorted(subjects)]
+    return correlation_matrix(per_subject, domain, labels)
+
+
 class TestCorrelationMatrix:
     def _subject(self, rng, labels, n=200):
         return {label: sig(rng.normal(size=n), label) for label in labels}
@@ -77,21 +86,21 @@ class TestCorrelationMatrix:
         rng = np.random.default_rng(4)
         x = rng.normal(size=100)
         subjects = {"s1": {"A": sig(x, "A"), "A-copy": sig(x.copy(), "A-copy")}}
-        out = correlation_matrix(subjects)
+        out = matrix(subjects)
         np.testing.assert_allclose(out.mean, 1.0, atol=1e-12)
         np.testing.assert_allclose(out.sd, 0.0, atol=1e-12)
 
     def test_diagonal_exact(self):
         rng = np.random.default_rng(5)
         subjects = {f"s{i}": self._subject(rng, ["A", "B", "C"]) for i in range(3)}
-        out = correlation_matrix(subjects)
+        out = matrix(subjects)
         np.testing.assert_array_equal(np.diag(out.mean), 1.0)
         np.testing.assert_array_equal(np.diag(out.sd), 0.0)
 
     def test_symmetry_within_1e12(self):
         rng = np.random.default_rng(6)
         subjects = {f"s{i}": self._subject(rng, list("ABCDE")) for i in range(4)}
-        out = correlation_matrix(subjects)
+        out = matrix(subjects)
         np.testing.assert_allclose(out.mean, out.mean.T, atol=1e-12)
         np.testing.assert_allclose(out.sd, out.sd.T, atol=1e-12)
         assert (np.abs(out.mean[np.isfinite(out.mean)]) <= 1.0).all()
@@ -102,17 +111,21 @@ class TestCorrelationMatrix:
         n = 14400
         subjects = {"s1": {"A": sig(rng.normal(size=n), "A"),
                            "B": sig(rng.normal(size=n), "B")}}
-        out = correlation_matrix(subjects)
+        out = matrix(subjects)
         assert abs(out.mean[0, 1]) < 0.05
 
     def test_label_mismatch_rejected(self):
+        # each subject's signals must carry exactly the labels, of one length
         rng = np.random.default_rng(8)
         subjects = {
             "s1": self._subject(rng, ["A", "B"]),
             "s2": self._subject(rng, ["A", "C"]),
         }
         with pytest.raises(LabelMismatch):
-            correlation_matrix(subjects)
+            matrix(subjects)
+        uneven = {"A": sig(rng.normal(size=50), "A"), "B": sig(rng.normal(size=60), "B")}
+        with pytest.raises(LabelMismatch, match="differ in length"):
+            subject_correlation(uneven, ("A", "B"))
 
     def test_degenerate_pairs_excluded_and_counted(self):
         rng = np.random.default_rng(9)
@@ -121,7 +134,7 @@ class TestCorrelationMatrix:
             "s2": {"A": sig(rng.normal(size=50), "A"),
                    "B": sig(rng.normal(size=50), "B")},
         }
-        out = correlation_matrix(subjects)
+        out = matrix(subjects)
         assert out.excluded[0, 1] == 1
         assert np.isfinite(out.mean[0, 1])  # s2 still contributes
 
@@ -132,7 +145,7 @@ class TestCorrelationMatrix:
             "s1": {"A": sig(base, "A"), "B": sig(base * 2, "B")},      # r = 1
             "s2": {"A": sig(base, "A"), "B": sig(-base, "B")},         # r = -1
         }
-        out = correlation_matrix(subjects)
+        out = matrix(subjects)
         assert out.mean[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert out.sd[0, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -144,7 +157,7 @@ class TestCorrelationMatrix:
         b = np.sin(2 * np.pi * t * 16 / 256 + 1.0) + 0.05 * rng.normal(size=n)
         c = rng.normal(size=n)
         subjects = {"s1": {"A": sig(a, "A"), "B": sig(b, "B"), "C": sig(c, "C")}}
-        out = correlation_matrix(subjects, Domain.FREQUENCY)
+        out = matrix(subjects, Domain.FREQUENCY)
         # same spectral content correlates strongly even with phase offset
         assert out.mean[0, 1] > 0.95
         assert out.mean[0, 1] > out.mean[0, 2]
@@ -165,7 +178,7 @@ class TestCorrelationMatrix:
                 "D": rng.normal(size=n),
             }
             subjects[f"s{s}"] = {k: sig(values[k], k) for k in labels}
-        out = correlation_matrix(subjects, Domain.FREQUENCY)
+        out = matrix(subjects, Domain.FREQUENCY)
 
         # oracle: one scipy.signal.welch per label, np.corrcoef per subject
         per_subject = []

@@ -85,7 +85,7 @@ class TestCsvReader:
             read_recording_csv(path)
         assert "r.csv.json" in str(err.value) and shown in str(err.value)
 
-    @pytest.mark.parametrize("rate", [0, -10.0, "fast", float("inf")])
+    @pytest.mark.parametrize("rate", [0, -10.0, "fast", float("inf"), True, "10"])
     def test_unusable_sidecar_rate_rejected(self, tmp_path, rate):
         path = tmp_path / "r.csv"
         path.write_text("x,y,z\n0.1,0.2,0.3\n")

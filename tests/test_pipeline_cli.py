@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -618,7 +621,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_unexpected_exception_in_one_subject_exits_3(self, tmp_path, monkeypatch, jobs):
+    def test_unexpected_exception_in_one_subject_exits_3(
+        self, tmp_path, monkeypatch, capsys, jobs
+    ):
         config = self._config_file(tmp_path)
         good = corpus(1, duration_s=600.0)[0]
         odd = dataclasses.replace(corpus(1, duration_s=900.0, seed0=60)[0], subject_id="odd")
@@ -637,6 +642,26 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         errors = {s["subject_id"]: s["error"] for s in manifest["subjects"]}
         assert errors == {"odd": "ValueError: injected kernel fault", "s00": None}
+        assert ("data error: subject odd failed: ValueError: injected kernel fault\n"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_default_corpus_too_short_for_psd_exits_2(
+        self, tmp_path, monkeypatch, capsys, jobs
+    ):
+        # the default synth corpus is 1 h per subject: 60 epochs, fewer
+        # than the default PSD's 256-epoch segment
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth"]) == 0
+        recordings = sorted(str(p) for p in Path("out").glob("*.actm"))
+        capsys.readouterr()
+        assert main(["--jobs", jobs, "correlate", *recordings]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "256-epoch segment" in err
+        assert "Traceback" not in err
+        assert not Path("out", "manifest.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_bad_sweep_kind_exits_1_before_any_output(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -692,7 +717,9 @@ class TestCli:
         assert err.startswith("data error:") and f"{float(rate)} Hz" in err
         assert not dst.exists()
 
-    @pytest.mark.parametrize("sidecar", ["{not json", "[10.0]"])
+    @pytest.mark.parametrize("sidecar", [
+        "{not json", "[10.0]", '{"sample_rate_hz": true}', '{"sample_rate_hz": "10"}',
+    ])
     def test_malformed_sidecar_exits_2_naming_sidecar(self, tmp_path, capsys, sidecar):
         csv_path = tmp_path / "r.csv"
         write_recording_csv(corpus(1, duration_s=30.0)[0], csv_path)
@@ -813,12 +840,19 @@ class TestCli:
         good = self._write_corpus(tmp_path, n=2)[1]
         bad = self._nan_recording(tmp_path)
         mixed, alone, only_bad = tmp_path / "mixed", tmp_path / "alone", tmp_path / "bad"
-        assert main(["--config", str(config), "--out", str(mixed), "correlate",
-                     str(bad), str(good)]) == 3
+        terminal = io.StringIO()  # stdout and stderr, in the order written
+        with contextlib.redirect_stdout(terminal), contextlib.redirect_stderr(terminal):
+            assert main(["--config", str(config), "--out", str(mixed), "correlate",
+                         str(bad), str(good)]) == 3
         manifest = json.loads((mixed / "manifest.json").read_text())
         statuses = {s["subject_id"]: s["status"] for s in manifest["subjects"]}
         assert statuses == {"nan": "failed", "s01": "ok"}
-        assert "non-finite" in manifest["subjects"][0]["error"]
+        error = manifest["subjects"][0]["error"]
+        assert "non-finite" in error
+        assert terminal.getvalue().splitlines() == [
+            f"data error: subject nan failed: {error}",
+            "processed 1/2 subjects, 83 variants each",
+        ]
         assert main(["--config", str(config), "--out", str(alone), "correlate",
                      str(good)]) == 0
         assert manifest["sweeps"] == ["sweep_ZCM_UFM.csv"]
