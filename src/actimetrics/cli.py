@@ -5,10 +5,13 @@ failure (some subjects failed, others were processed), 4 a ``--jobs``
 worker process died (no manifest is written). Duplicate subject
 ids, and an epoch or AI noise window that no recording's rate holds, are
 configuration errors, and so is output that cannot be written (an
-``--out`` that names a file, say). Past that, in ``correlate`` any
-exception while one subject is validated, preprocessed or evaluated fails
-that subject only, with a ``data error: subject <id> failed: <reason>``
-line; ``preprocess`` stops at the first recording it rejects.
+``--out`` that names a file, say). Every recording is first opened by its
+header alone (``formats.open_recording``): a missing or unreadable file,
+and a bad ``.actm`` header or CSV sidecar, is a data error before any
+output. Past that, in ``correlate`` any exception while one subject is
+decoded, validated, preprocessed or evaluated fails that subject only,
+with a ``data error: subject <id> failed: <reason>`` line; ``preprocess``
+decodes one recording at a time and stops at the first it rejects.
 """
 from __future__ import annotations
 
@@ -82,10 +85,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_recordings(paths: Sequence[Path], sample_rate_hz: Optional[float]):
-    return [formats.read_recording(path, sample_rate_hz) for path in paths]
-
-
 def _cmd_synth(args, config: PipelineConfig) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -102,9 +101,10 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def _cmd_preprocess(args, config: PipelineConfig) -> int:
-    recordings = _load_recordings(args.recordings, args.sample_rate_hz)
-    require_unique_subject_ids(recordings)
-    for rec in recordings:
+    sources = [formats.open_recording(p, args.sample_rate_hz) for p in args.recordings]
+    require_unique_subject_ids(sources)
+    for source in sources:
+        rec = source.load()
         datasets = preprocess_subject(rec, config)
         subject_dir = args.out / rec.subject_id / "datasets"
         subject_dir.mkdir(parents=True, exist_ok=True)
@@ -117,8 +117,8 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
 
 
 def _cmd_correlate(args, config: PipelineConfig) -> int:
-    recordings = _load_recordings(args.recordings, args.sample_rate_hz)
-    manifest = run_pipeline(config, recordings, args.out, jobs=args.jobs)
+    sources = [formats.open_recording(p, args.sample_rate_hz) for p in args.recordings]
+    manifest = run_pipeline(config, sources, args.out, jobs=args.jobs)
     for subject in manifest["subjects"]:
         if subject["status"] == "failed":
             print(f"data error: subject {subject['subject_id']} failed: {subject['error']}",

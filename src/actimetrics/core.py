@@ -91,6 +91,10 @@ class RawRecording:
     def n_samples(self) -> int:
         return int(self.x.size)
 
+    def load(self) -> RawRecording:
+        """This recording: the in-memory source of a run (see ``formats.RecordingSource``)."""
+        return self
+
 
 @dataclass(frozen=True)
 class Finding:

@@ -11,6 +11,10 @@ version u16, sample rate u16 in deci-hertz, sample count u64 - followed by
 interleaved x,y,z float32 samples in g. Write-then-read round-trips
 bitwise.
 
+:func:`open_recording` reads only what a run orders and admits recordings
+by (the subject id and the sample rate: the ``.actm`` header, or the CSV
+sidecar); :meth:`RecordingSource.load` decodes the samples later.
+
 Result files are plain CSV with ``#``-prefixed metadata lines, plus a
 machine-readable JSON twin for correlation matrices.
 """
@@ -21,6 +25,8 @@ import json
 import math
 import numbers
 import struct
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -99,9 +105,8 @@ def _write_rows(
             fh.write("".join(map(row.__mod__, zip(*block))))
 
 
-def read_recording_csv(path: PathLike, sample_rate_hz: Optional[float] = None) -> RawRecording:
-    """Read a recording from CSV; parse failures name the file and the offending line."""
-    path = Path(path)
+def _csv_meta(path: Path, sample_rate_hz: Optional[float]) -> tuple[str, float, dict]:
+    """(subject id, rate, sidecar) of a CSV recording, every check made before its body."""
     sidecar = _sidecar_path(path)
     meta = _read_sidecar(sidecar) if sidecar.exists() else {}
     source = path
@@ -120,6 +125,13 @@ def read_recording_csv(path: PathLike, sample_rate_hz: Optional[float] = None) -
             "directory: it must be a non-empty string, not '.' or '..', "
             "with no '/', '\\' or NUL"
         )
+    return subject_id, sample_rate_hz, meta
+
+
+def read_recording_csv(path: PathLike, sample_rate_hz: Optional[float] = None) -> RawRecording:
+    """Read a recording from CSV; parse failures name the file and the offending line."""
+    path = Path(path)
+    subject_id, sample_rate_hz, meta = _csv_meta(path, sample_rate_hz)
 
     xs: list[float] = []
     ys: list[float] = []
@@ -182,10 +194,8 @@ def write_recording_csv(rec: RawRecording, path: PathLike) -> None:
     _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
-def read_recording_bin(path: PathLike) -> RawRecording:
-    """Read the native binary format; header errors are typed."""
-    path = Path(path)
-    blob = path.read_bytes()
+def _bin_header(path: Path, blob: bytes) -> tuple[float, int]:
+    """(rate, sample count) from the header at the start of ``blob``; errors are typed."""
     if len(blob) < _HEADER.size:
         raise TruncatedPayload(f"{path}: {len(blob)} bytes is too short for a header")
     magic, version, deci_hz, count = _HEADER.unpack_from(blob, 0)
@@ -193,7 +203,14 @@ def read_recording_bin(path: PathLike) -> RawRecording:
         raise BadMagic(f"{path}: magic {magic!r}, expected {MAGIC!r}")
     if version != BIN_VERSION:
         raise VersionUnsupported(f"{path}: version {version}, supported: {BIN_VERSION}")
-    sample_rate_hz = _sample_rate(deci_hz / 10.0, path)
+    return _sample_rate(deci_hz / 10.0, path), count
+
+
+def read_recording_bin(path: PathLike) -> RawRecording:
+    """Read the native binary format; header errors are typed."""
+    path = Path(path)
+    blob = path.read_bytes()
+    sample_rate_hz, count = _bin_header(path, blob)
     need = count * 3 * 4
     have = len(blob) - _HEADER.size
     if have < need:
@@ -231,15 +248,61 @@ def write_recording_bin(rec: RawRecording, path: PathLike) -> None:
         fh.write(interleaved.tobytes())
 
 
+@contextmanager
+def _reading(path: Path):
+    """Turn an OSError while ``path`` is read into :class:`UnreadableRecording`."""
+    try:
+        yield
+    except OSError as exc:
+        raise UnreadableRecording(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def read_recording(path: PathLike, sample_rate_hz: Optional[float] = None) -> RawRecording:
     """Dispatch on extension: .csv or the native binary format."""
     path = Path(path)
-    try:
+    with _reading(path):
         if path.suffix.lower() == ".csv":
             return read_recording_csv(path, sample_rate_hz)
         return read_recording_bin(path)
-    except OSError as exc:
-        raise UnreadableRecording(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+@dataclass(frozen=True)
+class RecordingSource:
+    """A recording file known by its header: what ordering and admission read.
+
+    Made by :func:`open_recording`; :meth:`load` decodes the samples. A
+    :class:`RawRecording` also has ``subject_id``, ``sample_rate_hz`` and
+    a ``load()`` (that returns itself), so a run takes either.
+    """
+
+    path: Path
+    subject_id: str
+    sample_rate_hz: float
+
+    def load(self) -> RawRecording:
+        """Decode the file; payload errors surface here, typed as by :func:`read_recording`."""
+        return read_recording(self.path, self.sample_rate_hz)
+
+
+def open_recording(path: PathLike, sample_rate_hz: Optional[float] = None) -> RecordingSource:
+    """Probe a recording without decoding its samples.
+
+    An ``.actm`` file is known by its 16-byte header and its stem, a CSV
+    file by ``sample_rate_hz`` or its sidecar, and the sidecar's
+    ``subject_id`` or its stem. Every error :func:`read_recording` raises
+    before the payload or the CSV body is raised here; the file must also
+    open for reading.
+    """
+    path = Path(path)
+    with _reading(path):
+        if path.suffix.lower() == ".csv":
+            subject_id, sample_rate_hz, _ = _csv_meta(path, sample_rate_hz)
+            path.open("rb").close()
+        else:
+            with path.open("rb") as fh:
+                sample_rate_hz, _ = _bin_header(path, fh.read(_HEADER.size))
+            subject_id = path.stem
+    return RecordingSource(path, subject_id, sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------

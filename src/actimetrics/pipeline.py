@@ -1,28 +1,37 @@
 """End-to-end batch pipeline over a set of recordings.
 
-One map and one reduce. The map is one task per subject: validate,
-preprocess into every dataset kind, evaluate the full variant catalog,
-write one activity file per variant, then compute the subject's part of
-each configured threshold sweep (at the subject's own sample rate, against
-the catalog's own ``ENMO`` and ``HFEN`` signals when it holds both). The
-reduce, over the successful subjects in subject-id order: for each of the
-time and frequency domains, every subject's Pearson matrix and then their
-mean and SD matrices; one curve per sweep; and a manifest tying everything
-to the config hash and catalog.
+One map and one reduce. The map is one task per subject: decode the
+recording, validate, preprocess into every dataset kind, evaluate the
+full variant catalog, write one activity file per variant, then compute
+the subject's part of each configured threshold sweep (at the subject's
+own sample rate, against the catalog's own ``ENMO`` and ``HFEN`` signals
+when it holds both). The reduce, over the successful subjects in
+subject-id order: for each of the time and frequency domains, every
+subject's Pearson matrix and then their mean and SD matrices; one curve
+per sweep; and a manifest tying everything to the config hash and
+catalog.
+
+A run takes recording sources: each has a ``subject_id``, a
+``sample_rate_hz`` and a ``load()`` that returns the
+:class:`RawRecording`. A :class:`formats.RecordingSource` holds only what
+the file's header (or CSV sidecar) says and decodes the file in ``load``;
+a :class:`RawRecording` returns itself. The calling process orders and
+admits subjects by id and rate alone, and each subject task decodes its
+own recording, so no process holds the whole cohort's samples.
 
 With ``jobs`` > 1 the subject tasks run in that many worker processes
 (at most one per subject), started by fork: each inherits the config and
-the recordings, and only its subject's signals, written paths and sweep
-parts come back pickled. The reduce, the per-subject matrices included,
-and the manifest run in the calling process once the pool has shut down,
-so the bundle is byte-identical for any ``jobs`` and any input order. A
-worker process that dies ends the run in :class:`WorkerDied`
-before the manifest is written.
+every recording's path, id and rate, and only its subject's signals,
+written paths and sweep parts come back pickled. The reduce, the
+per-subject matrices included, and the manifest run in the calling
+process once the pool has shut down, so the bundle is byte-identical for
+any ``jobs`` and any input order. A worker process that dies ends the
+run in :class:`WorkerDied` before the manifest is written.
 
-A failure in one subject's :func:`process_subject`, whatever the exception,
-is reported in the manifest and does not stop the others. Output is
-deterministic: rerunning with the same config and inputs produces
-byte-identical files.
+A failure in one subject's decode or :func:`process_subject`, whatever
+the exception, is reported in the manifest and does not stop the others.
+Output is deterministic: rerunning with the same config and inputs
+produces byte-identical files.
 """
 from __future__ import annotations
 
@@ -30,7 +39,7 @@ import json
 import logging
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 from . import formats
 from .analysis import (
@@ -62,6 +71,9 @@ from .metrics import (
 from .preprocess import preprocess_all
 
 MANIFEST_SCHEMA = 1
+
+# what run_pipeline takes: anything with subject_id, sample_rate_hz and load()
+Source = Union[RawRecording, formats.RecordingSource]
 
 _log = logging.getLogger(__name__)
 
@@ -105,7 +117,7 @@ def process_subject(
     return signals
 
 
-def require_unique_subject_ids(recordings: Sequence[RawRecording]) -> None:
+def require_unique_subject_ids(recordings: Sequence[Source]) -> None:
     """Raise ConfigError if two recordings share a subject id, which names their output."""
     ids = [rec.subject_id for rec in recordings]
     if len(set(ids)) != len(ids):
@@ -113,7 +125,7 @@ def require_unique_subject_ids(recordings: Sequence[RawRecording]) -> None:
 
 
 def _require_a_fitting_rate(
-    config: PipelineConfig, recordings: Sequence[RawRecording]
+    config: PipelineConfig, recordings: Sequence[Source]
 ) -> None:
     """Raise the first rate's ConfigError unless some rate suits ``config``.
 
@@ -152,25 +164,27 @@ def write_activity_files(
 
 def run_pipeline(
     config: PipelineConfig,
-    recordings: Sequence[RawRecording],
+    recordings: Sequence[Source],
     out_dir,
     jobs: int = 1,
 ) -> dict:
     """Run the whole pipeline and write the artifact bundle; returns the manifest.
 
-    Config errors (empty catalog, duplicate ids, no fitting rate, a
-    ``jobs`` :func:`require_jobs` rejects) are raised before anything is
-    written. Any exception in one subject's :func:`process_subject` fails
-    that subject alone, reported by its own text if a package error, else
-    as ``"<TypeName>: <message>"`` with its traceback logged; an error
-    while writing, or in a subject's sweep part, propagates, and so does
+    ``recordings`` are sources (see the module docstring); each is loaded
+    inside its own subject task. Config errors (empty catalog, duplicate
+    ids, no fitting rate, a ``jobs`` :func:`require_jobs` rejects) are
+    raised before anything is written. Any exception in one subject's
+    ``load()`` or :func:`process_subject` fails that subject alone,
+    reported by its own text if a package error, else as
+    ``"<TypeName>: <message>"`` with its traceback logged; an error while
+    writing, or in a subject's sweep part, propagates, and so does
     :class:`WorkerDied` when a worker process dies.
     """
     if not recordings:
         raise ConfigError("no recordings given")
     require_jobs(jobs)
     labels = [v.label for v in config.variants()]
-    recordings = sorted(recordings, key=lambda rec: rec.subject_id)
+    recordings = sorted(recordings, key=lambda source: source.subject_id)
     require_unique_subject_ids(recordings)
     _require_a_fitting_rate(config, recordings)
     out_dir = Path(out_dir)
@@ -178,16 +192,17 @@ def run_pipeline(
     requests = [(MetricId(m), DatasetKind(k)) for m, k in config.sweep_requests()]
     grid = {"step_g": config.sweep.step_g, "max_steps": config.sweep.max_steps}
 
-    def _run(rec: RawRecording):
+    def _run(source: Source):
         """(signals, written paths, sweep parts) of one subject, or the text of its failure."""
         try:
+            rec = source.load()
             signals = process_subject(rec, config)
         except ActimetricsError as exc:
             return str(exc)
         except Exception as exc:
-            _log.error("subject %s failed", rec.subject_id, exc_info=exc)
+            _log.error("subject %s failed", source.subject_id, exc_info=exc)
             return f"{type(exc).__name__}: {exc}"
-        written = write_activity_files(signals, out_dir, rec.subject_id)
+        written = write_activity_files(signals, out_dir, source.subject_id)
         # the sweeps' references are these very signals; a catalog filter
         # may drop them, and then each part computes its own
         enmo, hfen = signals.get(MetricId.ENMO.value), signals.get(MetricId.HFEN.value)

@@ -199,6 +199,64 @@ class TestBinaryFormat:
         assert not (tmp_path / "r.actm").exists()
 
 
+class TestRecordingSource:
+    """open_recording reads the header (or sidecar); load() decodes."""
+
+    def _actm(self, tmp_path, n=100):
+        path = tmp_path / "sub7.actm"
+        write_recording_bin(RawRecording("ignored", 12.5, *np.zeros((3, n))), path)
+        return path
+
+    def test_probe_never_decodes_and_load_reads_through_the_module(
+        self, tmp_path, monkeypatch
+    ):
+        path = self._actm(tmp_path)
+        calls = []
+        real = formats.read_recording
+        monkeypatch.setattr(formats, "read_recording",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        source = formats.open_recording(path)
+        assert (source.path, source.subject_id, source.sample_rate_hz) == (path, "sub7", 12.5)
+        assert calls == []
+        rec = source.load()
+        assert calls[0][0] == path  # the benchmark sizes each read by this argument
+        assert (rec.subject_id, rec.sample_rate_hz, rec.n_samples) == ("sub7", 12.5, 100)
+
+    def test_truncated_payload_opens_and_fails_on_load(self, tmp_path):
+        path = self._actm(tmp_path)
+        path.write_bytes(path.read_bytes()[:-24])
+        source = formats.open_recording(path)
+        with pytest.raises(TruncatedPayload, match="payload has"):
+            source.load()
+
+    @pytest.mark.parametrize("offset, patch, error", [
+        (0, b"XXXX", BadMagic),
+        (4, (99).to_bytes(2, "little"), VersionUnsupported),
+        (6, (0).to_bytes(2, "little"), MissingSampleRate),
+    ], ids=["magic", "version", "rate"])
+    def test_header_errors_raise_on_open(self, tmp_path, offset, patch, error):
+        path = self._actm(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + len(patch)] = patch
+        path.write_bytes(bytes(blob))
+        with pytest.raises(error, match="sub7.actm"):
+            formats.open_recording(path)
+
+    def test_csv_is_known_by_its_sidecar_and_body_errors_wait_for_load(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("x,y,z\n0.0,up,1.0\n")
+        (tmp_path / "r.csv.json").write_text(json.dumps(
+            {"sample_rate_hz": 25, "subject_id": "alice"}))
+        source = formats.open_recording(path)
+        assert (source.subject_id, source.sample_rate_hz) == ("alice", 25.0)
+        with pytest.raises(ParseError, match="r.csv"):
+            source.load()
+
+    def test_in_memory_recording_is_its_own_source(self):
+        rec = RawRecording("s", 10.0, [0.0], [0.0], [1.0])
+        assert rec.load() is rec
+
+
 class TestSynthesize:
     def test_noise_free_rest_ufm_is_exactly_1(self):
         rec = synthesize(SyntheticSpec(duration_s=60.0, rest_s=60.0, active_s=0.0))
@@ -313,6 +371,23 @@ _actm_bytes = st.binary() | st.tuples(_header, st.binary()).map(b"".join)
 _csv_bytes = st.binary() | st.binary().map(lambda b: b"x,y,z\n" + b)
 
 
+def _probed_read(path, sample_rate_hz=None):
+    """read_recording through open_recording, checking that the two agree.
+
+    A probe error is one read_recording raises too; past the probe, the
+    decoded recording has the id and rate the probe gave.
+    """
+    try:
+        source = formats.open_recording(path, sample_rate_hz)
+    except ActimetricsError as exc:
+        with pytest.raises(type(exc)):
+            read_recording(path, sample_rate_hz)
+        raise
+    rec = source.load()
+    assert (rec.subject_id, rec.sample_rate_hz) == (source.subject_id, source.sample_rate_hz)
+    return rec
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -327,7 +402,7 @@ class TestReadersOnArbitraryBytes:
         path = fuzz_dir / "f.actm"
         path.write_bytes(blob)
         try:
-            assert isinstance(read_recording(path), RawRecording)
+            assert isinstance(_probed_read(path), RawRecording)
         except ActimetricsError:
             pass
 
@@ -337,6 +412,6 @@ class TestReadersOnArbitraryBytes:
         path = fuzz_dir / "f.csv"
         path.write_bytes(blob)
         try:
-            assert isinstance(read_recording(path, sample_rate_hz=10.0), RawRecording)
+            assert isinstance(_probed_read(path, sample_rate_hz=10.0), RawRecording)
         except ActimetricsError:
             pass

@@ -756,16 +756,98 @@ class TestCli:
     def test_csv_decode_error_names_the_bad_file_among_several(
         self, tmp_path, capsys, content
     ):
+        # the body is decoded in bad's own subject task, so bad fails alone;
+        # 8-epoch PSD segments fit good's 10 epochs
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"psd": {"segment_epochs": 8}}))
         good = tmp_path / "good.csv"
         write_recording_csv(corpus(1, duration_s=600.0)[0], good)
         bad = tmp_path / "bad.csv"
         bad.write_text(content)
-        args = ["--out", str(tmp_path / "out"), "correlate", str(good), str(bad),
-                "--sample-rate-hz", "10"]
-        assert main(args) == 2
+        out = tmp_path / "out"
+        args = ["--config", str(config), "--out", str(out), "correlate", str(good),
+                str(bad), "--sample-rate-hz", "10"]
+        assert main(args) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {s["subject_id"]: s["status"] for s in manifest["subjects"]} == {
+            "bad": "failed", "s00": "ok"}
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and str(bad) in err
+        line, = [line for line in err.splitlines()
+                 if line.startswith("data error: subject bad failed:")]
+        assert str(bad) in line
         assert str(good) not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_truncated_payload_fails_its_subject_alone(self, tmp_path, capsys, jobs):
+        good, cut = self._write_corpus(tmp_path)
+        cut.write_bytes(cut.read_bytes()[:-1000])  # header intact, payload cut
+        out = tmp_path / "out"
+        code = main(["--config", str(self._config_file(tmp_path)), "--out", str(out),
+                     "--jobs", jobs, "correlate", str(good), str(cut)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert multiprocessing.active_children() == []
+        assert len(list((out / "s00" / "activity").glob("*.csv"))) == 83
+        assert not (out / "s01").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        errors = {s["subject_id"]: s["error"] for s in manifest["subjects"]}
+        assert errors["s00"] is None
+        assert "s01.actm" in errors["s01"] and "payload has" in errors["s01"]
+        assert f"data error: subject s01 failed: {errors['s01']}\n" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_magic_beside_a_good_recording_exits_2_before_any_output(
+        self, tmp_path, capsys, jobs
+    ):
+        good, bad = self._write_corpus(tmp_path)
+        bad.write_bytes(b"XXXX" + bad.read_bytes()[4:])
+        out = tmp_path / "out"
+        code = main(["--config", str(self._config_file(tmp_path)), "--out", str(out),
+                     "--jobs", jobs, "correlate", str(good), str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and "s01.actm" in err and "magic" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_preprocess_keeps_the_files_before_a_truncated_payload(self, tmp_path, capsys):
+        good, cut = self._write_corpus(tmp_path)
+        cut.write_bytes(cut.read_bytes()[:-1000])
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "preprocess", str(good), str(cut)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "s01.actm" in err and "payload has" in err
+        assert len(list((out / "s00" / "datasets").glob("*.csv"))) == 11
+        assert sorted(p.name for p in out.iterdir()) == ["s00"]
+
+    def test_calling_process_does_not_grow_with_the_cohort(self, tmp_path, capsys):
+        # each subject task decodes its own recording, so the traced peak of
+        # an in-process run is one subject's work whatever the cohort size
+        import tracemalloc
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"psd": {"segment_epochs": 8}}))
+        paths = []
+        for rec in corpus(6, duration_s=3600.0):
+            paths.append(tmp_path / f"{rec.subject_id}.actm")
+            write_recording_bin(rec, paths[-1])
+        float64_bytes = 3 * rec.n_samples * 8  # one decoded recording
+
+        def peak(n, out):
+            tracemalloc.start()
+            try:
+                assert main(["--config", str(config), "--out", str(tmp_path / out),
+                             "correlate", *map(str, paths[:n])]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["--config", str(config), "--out", str(tmp_path / "warm"),
+              "correlate", str(paths[0])])  # first-call imports and caches
+        small, large = peak(2, "two"), peak(6, "six")
+        capsys.readouterr()
+        assert large - small < float64_bytes
 
     def test_config_not_utf8_exits_1_without_traceback(self, tmp_path, capsys):
         config = tmp_path / "c.json"
