@@ -7,11 +7,13 @@ power spectral densities, estimated in one stacked call), and
 :func:`correlation_matrix` reduces those to mean and SD matrices across
 subjects. Threshold sweeps trace how ZCM/TAT relate to reference metrics as
 their threshold grows, with the dataset-SD threshold marked:
-:func:`recording_sweep` computes one recording's part from its preprocessed
-datasets, and :func:`threshold_sweep` averages the parts. The references
-are the subject's ENMO and HFEN signals: the pipeline passes those its
-catalog already computed, and without them a part computes them from its
-own UFM and HFEN_SPECIAL datasets. Both reduces share one NaN-skipping mean.
+:func:`recording_sweep` computes one recording's part, a one-subject
+:class:`SweepCurve` that carries its metric, kind and grid, and
+:func:`threshold_sweep` averages the parts, taking those three from them.
+The references are the subject's ENMO and HFEN signals: the pipeline passes
+those its catalog already computed, and without them a part computes them
+from its own UFM and HFEN_SPECIAL datasets. Both reduces share one
+NaN-skipping mean.
 """
 from __future__ import annotations
 
@@ -217,11 +219,14 @@ def correlation_matrix(
 
 @dataclass(frozen=True, eq=False)
 class SweepCurve:
-    """Mean correlation against references on an ascending threshold grid.
+    """Correlation against references on an ascending threshold grid.
 
-    ``sd_marker`` is the subject-mean adaptive threshold for the swept
-    dataset; the ``sd_anchor_*`` scalars are the mean correlations of the
-    adaptively thresholded variant itself against the references.
+    One subject's part (:func:`subject_sweep`) holds the full grid, the
+    epoch-mean activity per grid point in ``mean_activity``, its adaptive
+    threshold in ``sd_marker`` and, in the ``sd_anchor_*`` scalars, the
+    correlations of the activity at that threshold against the references
+    (NaN where degenerate). The reduce (:func:`threshold_sweep`) holds the
+    means over its parts, on the grid cut where the activity fades.
     """
 
     metric: MetricId
@@ -230,6 +235,7 @@ class SweepCurve:
     r_vs_enmo: np.ndarray
     r_vs_hfen: np.ndarray
     r_vs_sd_anchored: np.ndarray
+    mean_activity: np.ndarray
     sd_marker: float
     sd_anchor_r_vs_enmo: float
     sd_anchor_r_vs_hfen: float
@@ -241,42 +247,6 @@ def _level_values(metric: MetricId, mat: np.ndarray, threshold: float, ts: float
     return tat_values(mat, threshold, ts)
 
 
-def _nanmean_scalar(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    return float(finite.mean()) if finite.size else float("nan")
-
-
-def _sweep_grid(
-    metric: MetricId, kind: DatasetKind, step_g: float, max_steps: int
-) -> np.ndarray:
-    """The ascending threshold grid of one sweep; rejects non-level metrics."""
-    if metric not in (MetricId.ZCM, MetricId.TAT):
-        raise ValueError("threshold sweeps are defined for ZCM and TAT only")
-    require_applicable(metric, kind)
-    start = 1.0 if kind is DatasetKind.UFM else 0.0
-    return start + step_g * np.arange(max_steps)
-
-
-@dataclass(frozen=True, eq=False)
-class SubjectSweep:
-    """One subject's share of a threshold sweep, before the reduce.
-
-    Rows are indexed by grid point. ``mean_activity`` is the epoch-mean
-    activity per grid point; ``sd_threshold`` is the subject's adaptive
-    threshold and the ``anchor_*`` scalars correlate the activity at that
-    threshold against the references (NaN where degenerate).
-    """
-
-    r_vs_enmo: np.ndarray
-    r_vs_hfen: np.ndarray
-    r_vs_sd_anchored: np.ndarray
-    mean_activity: np.ndarray
-    sd_threshold: float
-    anchor_r_vs_enmo: float
-    anchor_r_vs_hfen: float
-
-
 def subject_sweep(
     metric: MetricId,
     kind: DatasetKind,
@@ -286,16 +256,21 @@ def subject_sweep(
     references: Optional[tuple[np.ndarray, np.ndarray]] = None,
     step_g: float = 0.05,
     max_steps: int = 200,
-) -> SubjectSweep:
-    """Evaluate one subject's already-preprocessed datasets on the sweep grid.
+) -> SweepCurve:
+    """One subject's part of a sweep, from its already-preprocessed datasets.
 
+    The grid starts at 1 g for UFM (which still carries gravity) and at
+    0 g otherwise, ascending in ``step_g`` increments, ``max_steps`` points.
     ``references`` is the subject's (ENMO, HFEN) per-epoch values, such as
     its catalog's ``ENMO`` and ``HFEN`` signals; when None they are computed
     from ``datasets``' UFM and HFEN_SPECIAL series, which then must be
     there. The self-reference curve correlates each grid point against the
     activity at the grid point nearest the subject's adaptive SD threshold.
     """
-    grid = _sweep_grid(metric, kind, step_g, max_steps)
+    if metric not in (MetricId.ZCM, MetricId.TAT):
+        raise ValueError("threshold sweeps are defined for ZCM and TAT only")
+    require_applicable(metric, kind)
+    grid = (1.0 if kind is DatasetKind.UFM else 0.0) + step_g * np.arange(max_steps)
     series = datasets[kind]
     n = epoch_sample_count(te_s, series.sample_rate_hz)
     mat = epoch_matrix(series.values, n)
@@ -338,14 +313,17 @@ def subject_sweep(
         except DegenerateInput:
             return np.nan
 
-    return SubjectSweep(
+    return SweepCurve(
+        metric=metric,
+        kind=kind,
+        thresholds=grid,
         r_vs_enmo=_r_curve(ref_enmo),
         r_vs_hfen=_r_curve(ref_hfen),
         r_vs_sd_anchored=_r_curve(activities[anchor_idx]),
         mean_activity=activities.mean(axis=1),
-        sd_threshold=sd_thr,
-        anchor_r_vs_enmo=_r_scalar(ref_enmo),
-        anchor_r_vs_hfen=_r_scalar(ref_hfen),
+        sd_marker=sd_thr,
+        sd_anchor_r_vs_enmo=_r_scalar(ref_enmo),
+        sd_anchor_r_vs_hfen=_r_scalar(ref_hfen),
     )
 
 
@@ -361,8 +339,8 @@ def recording_sweep(
     references: Optional[tuple[np.ndarray, np.ndarray]] = None,
     step_g: float = 0.05,
     max_steps: int = 200,
-) -> SubjectSweep:
-    """One recording's share of a threshold sweep.
+) -> SweepCurve:
+    """One recording's part of a threshold sweep.
 
     The recording is preprocessed into only the kinds the sweep reads, with
     filters designed at its own sample rate, then run through
@@ -379,28 +357,29 @@ def recording_sweep(
                          step_g=step_g, max_steps=max_steps)
 
 
-def threshold_sweep(
-    metric: MetricId,
-    kind: DatasetKind,
-    parts: Sequence[SubjectSweep],
-    *,
-    step_g: float = 0.05,
-    max_steps: int = 200,
-) -> SweepCurve:
-    """Average per-subject sweeps into one curve, in the order given.
+def threshold_sweep(parts: Sequence[SweepCurve]) -> SweepCurve:
+    """Average one-subject sweeps into one curve, in the order given.
 
-    The grid starts at 1 g for UFM (which still carries gravity) and at
-    0 g otherwise, ascending in ``step_g`` increments, capped at
-    ``max_steps`` points; the parts must come from the same grid. It is
-    cut once the subject-mean activity falls below 1% of its maximum; the
-    SD marker is the mean of the subjects' adaptive thresholds.
+    Metric, kind and grid are the parts' own, and ValueError is raised
+    unless every part has the same three. The grid is cut once the
+    subject-mean activity falls below 1% of its maximum; the SD marker is
+    the mean of the subjects' adaptive thresholds.
     """
-    grid = _sweep_grid(metric, kind, step_g, max_steps)
     if not parts:
         raise ValueError("need at least one recording")
+    first = parts[0]
+
+    def described(part: SweepCurve) -> str:
+        return (f"{part.metric.value} {part.kind.value} on "
+                f"{np.array2string(part.thresholds, threshold=6, edgeitems=2)}")
+
+    for part in parts:
+        if (part.metric is not first.metric or part.kind is not first.kind
+                or not np.array_equal(part.thresholds, first.thresholds)):
+            raise ValueError(f"sweep parts differ: {described(part)} vs {described(first)}")
     mean_activity = _nanmean([p.mean_activity for p in parts])
     peak = float(mean_activity.max())
-    cut = grid.size
+    cut = mean_activity.size
     if peak > 0:
         below = np.nonzero(mean_activity < 0.01 * peak)[0]
         if below.size:
@@ -408,13 +387,14 @@ def threshold_sweep(
 
     keep = slice(0, cut)
     return SweepCurve(
-        metric=metric,
-        kind=kind,
-        thresholds=grid[keep],
+        metric=first.metric,
+        kind=first.kind,
+        thresholds=first.thresholds[keep],
         r_vs_enmo=_nanmean([p.r_vs_enmo for p in parts])[keep],
         r_vs_hfen=_nanmean([p.r_vs_hfen for p in parts])[keep],
         r_vs_sd_anchored=_nanmean([p.r_vs_sd_anchored for p in parts])[keep],
-        sd_marker=float(np.mean([p.sd_threshold for p in parts])),
-        sd_anchor_r_vs_enmo=_nanmean_scalar([p.anchor_r_vs_enmo for p in parts]),
-        sd_anchor_r_vs_hfen=_nanmean_scalar([p.anchor_r_vs_hfen for p in parts]),
+        mean_activity=mean_activity[keep],
+        sd_marker=float(np.mean([p.sd_marker for p in parts])),
+        sd_anchor_r_vs_enmo=float(_nanmean([p.sd_anchor_r_vs_enmo for p in parts])),
+        sd_anchor_r_vs_hfen=float(_nanmean([p.sd_anchor_r_vs_hfen for p in parts])),
     )

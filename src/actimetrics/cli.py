@@ -9,8 +9,8 @@ configuration errors, and so is output that cannot be written (an
 header alone (``formats.open_recording``): a missing or unreadable file,
 and a bad ``.actm`` header or CSV sidecar, is a data error before any
 output. Past that, in ``correlate`` any exception while one subject is
-decoded, validated, preprocessed or evaluated fails that subject only,
-with a ``data error: subject <id> failed: <reason>`` line; ``preprocess``
+decoded, validated, preprocessed, evaluated or swept fails that subject
+only, with a ``data error: subject <id> failed: <reason>`` line; ``preprocess``
 decodes one recording at a time and stops at the first it rejects.
 """
 from __future__ import annotations

@@ -79,7 +79,6 @@ class RawRecording:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    start_time: Optional[str] = None
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:

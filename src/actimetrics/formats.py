@@ -105,8 +105,8 @@ def _write_rows(
             fh.write("".join(map(row.__mod__, zip(*block))))
 
 
-def _csv_meta(path: Path, sample_rate_hz: Optional[float]) -> tuple[str, float, dict]:
-    """(subject id, rate, sidecar) of a CSV recording, every check made before its body."""
+def _csv_meta(path: Path, sample_rate_hz: Optional[float]) -> tuple[str, float]:
+    """(subject id, rate) of a CSV recording, every check made before its body."""
     sidecar = _sidecar_path(path)
     meta = _read_sidecar(sidecar) if sidecar.exists() else {}
     source = path
@@ -125,13 +125,13 @@ def _csv_meta(path: Path, sample_rate_hz: Optional[float]) -> tuple[str, float, 
             "directory: it must be a non-empty string, not '.' or '..', "
             "with no '/', '\\' or NUL"
         )
-    return subject_id, sample_rate_hz, meta
+    return subject_id, sample_rate_hz
 
 
 def read_recording_csv(path: PathLike, sample_rate_hz: Optional[float] = None) -> RawRecording:
     """Read a recording from CSV; parse failures name the file and the offending line."""
     path = Path(path)
-    subject_id, sample_rate_hz, meta = _csv_meta(path, sample_rate_hz)
+    subject_id, sample_rate_hz = _csv_meta(path, sample_rate_hz)
 
     xs: list[float] = []
     ys: list[float] = []
@@ -177,7 +177,6 @@ def read_recording_csv(path: PathLike, sample_rate_hz: Optional[float] = None) -
         x=xs,
         y=ys,
         z=zs,
-        start_time=meta.get("start_time"),
     )
 
 
@@ -189,8 +188,6 @@ def write_recording_csv(rec: RawRecording, path: PathLike) -> None:
         "subject_id": rec.subject_id,
         "sample_rate_hz": rec.sample_rate_hz,
     }
-    if rec.start_time is not None:
-        sidecar["start_time"] = rec.start_time
     _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
@@ -296,7 +293,7 @@ def open_recording(path: PathLike, sample_rate_hz: Optional[float] = None) -> Re
     path = Path(path)
     with _reading(path):
         if path.suffix.lower() == ".csv":
-            subject_id, sample_rate_hz, _ = _csv_meta(path, sample_rate_hz)
+            subject_id, sample_rate_hz = _csv_meta(path, sample_rate_hz)
             path.open("rb").close()
         else:
             with path.open("rb") as fh:

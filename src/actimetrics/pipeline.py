@@ -2,14 +2,14 @@
 
 One map and one reduce. The map is one task per subject: decode the
 recording, validate, preprocess into every dataset kind, evaluate the
-full variant catalog, write one activity file per variant, then compute
-the subject's part of each configured threshold sweep (at the subject's
-own sample rate, against the catalog's own ``ENMO`` and ``HFEN`` signals
-when it holds both). The reduce, over the successful subjects in
+full variant catalog, compute the subject's part of each configured
+threshold sweep (at the subject's own sample rate, against the catalog's
+own ``ENMO`` and ``HFEN`` signals when it holds both), then write one
+activity file per variant. The reduce, over the successful subjects in
 subject-id order: for each of the time and frequency domains, every
 subject's Pearson matrix and then their mean and SD matrices; one curve
-per sweep; and a manifest tying everything to the config hash and
-catalog.
+per sweep, from its parts alone (each part carries its metric, kind and
+grid); and a manifest tying everything to the config hash and catalog.
 
 A run takes recording sources: each has a ``subject_id``, a
 ``sample_rate_hz`` and a ``load()`` that returns the
@@ -28,8 +28,9 @@ process once the pool has shut down, so the bundle is byte-identical for
 any ``jobs`` and any input order. A worker process that dies ends the
 run in :class:`WorkerDied` before the manifest is written.
 
-A failure in one subject's decode or :func:`process_subject`, whatever
-the exception, is reported in the manifest and does not stop the others.
+A failure in one subject's decode, :func:`process_subject` or sweep
+parts, whatever the exception, is reported in the manifest and does not
+stop the others.
 Output is deterministic: rerunning with the same config and inputs
 produces byte-identical files.
 """
@@ -174,10 +175,10 @@ def run_pipeline(
     inside its own subject task. Config errors (empty catalog, duplicate
     ids, no fitting rate, a ``jobs`` :func:`require_jobs` rejects) are
     raised before anything is written. Any exception in one subject's
-    ``load()`` or :func:`process_subject` fails that subject alone,
-    reported by its own text if a package error, else as
-    ``"<TypeName>: <message>"`` with its traceback logged; an error while
-    writing, or in a subject's sweep part, propagates, and so does
+    ``load()``, :func:`process_subject` or sweep parts fails that subject
+    alone, before its activity files are written, reported by its own text
+    if a package error, else as ``"<TypeName>: <message>"`` with its
+    traceback logged; an error while writing propagates, and so does
     :class:`WorkerDied` when a worker process dies.
     """
     if not recordings:
@@ -197,27 +198,27 @@ def run_pipeline(
         try:
             rec = source.load()
             signals = process_subject(rec, config)
+            # the sweeps' references are these very signals; a catalog filter
+            # may drop them, and then each part computes its own
+            enmo, hfen = signals.get(MetricId.ENMO.value), signals.get(MetricId.HFEN.value)
+            references = None if enmo is None or hfen is None else (enmo.values, hfen.values)
+            parts = [
+                recording_sweep(
+                    metric, kind, rec, config.epoch_s,
+                    bandpass=config.bandpass,
+                    hfen_spec=config.hfen_highpass,
+                    zero_phase=config.zero_phase,
+                    references=references,
+                    **grid,
+                )
+                for metric, kind in requests
+            ]
         except ActimetricsError as exc:
             return str(exc)
         except Exception as exc:
             _log.error("subject %s failed", source.subject_id, exc_info=exc)
             return f"{type(exc).__name__}: {exc}"
-        written = write_activity_files(signals, out_dir, source.subject_id)
-        # the sweeps' references are these very signals; a catalog filter
-        # may drop them, and then each part computes its own
-        enmo, hfen = signals.get(MetricId.ENMO.value), signals.get(MetricId.HFEN.value)
-        references = None if enmo is None or hfen is None else (enmo.values, hfen.values)
-        return signals, written, [
-            recording_sweep(
-                metric, kind, rec, config.epoch_s,
-                bandpass=config.bandpass,
-                hfen_spec=config.hfen_highpass,
-                zero_phase=config.zero_phase,
-                references=references,
-                **grid,
-            )
-            for metric, kind in requests
-        ]
+        return signals, write_activity_files(signals, out_dir, source.subject_id), parts
 
     results = []  # consumed to the end, so that the pool is shut down here
     try:
@@ -252,9 +253,9 @@ def run_pipeline(
 
     sweeps: list[str] = []
     # zip(*parts) is empty when no subject succeeded
-    for (metric, kind), sweep_parts in zip(requests, zip(*parts)):
-        curve = threshold_sweep(metric, kind, sweep_parts, **grid)
-        rel = f"sweep_{metric.value}_{kind.value}.csv"
+    for sweep_parts in zip(*parts):
+        curve = threshold_sweep(sweep_parts)
+        rel = f"sweep_{curve.metric.value}_{curve.kind.value}.csv"
         formats.write_sweep_csv(curve, out_dir / rel)
         sweeps.append(rel)
     outputs += sweeps

@@ -351,7 +351,7 @@ def test_criterion_7_correlation_engine(corpus_signals):
 def test_criterion_8_sd_threshold_near_optimality(corpus):
     with criterion(8, "adaptive SD threshold reaches >= 0.97 of the sweep maximum"):
         for metric in (MetricId.ZCM, MetricId.TAT):
-            curve = threshold_sweep(metric, DatasetKind.UFM, [
+            curve = threshold_sweep([
                 recording_sweep(metric, DatasetKind.UFM, rec, EPOCH_S) for rec in corpus
             ])
             best = float(np.nanmax(curve.r_vs_enmo))

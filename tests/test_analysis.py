@@ -282,11 +282,8 @@ def _sweep_corpus(n_subjects=2, duration_s=3600.0):
 
 def _sweep(metric, kind, recordings, te_s=60.0, **kwargs):
     """The reduce over each recording's part, in the order given."""
-    grid = {k: kwargs[k] for k in ("step_g", "max_steps") if k in kwargs}
-    return threshold_sweep(
-        metric, kind, [recording_sweep(metric, kind, rec, te_s, **kwargs) for rec in recordings],
-        **grid,
-    )
+    return threshold_sweep([recording_sweep(metric, kind, rec, te_s, **kwargs)
+                            for rec in recordings])
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +328,23 @@ class TestThresholdSweep:
     def test_non_level_metric_rejected(self):
         with pytest.raises(ValueError):
             _sweep(MetricId.MAD, DatasetKind.UFM, _sweep_corpus(1))
+
+    @pytest.mark.parametrize("metric, kind, step_g, max_steps", [
+        (MetricId.TAT, DatasetKind.UFM, 0.1, 20),
+        (MetricId.TAT, DatasetKind.UFM, 0.05, 20),
+        (MetricId.ZCM, DatasetKind.FMPOST, 0.05, 20),
+        (MetricId.ZCM, DatasetKind.UFM, 0.1, 20),
+        (MetricId.ZCM, DatasetKind.UFM, 0.05, 21),
+    ])
+    def test_parts_that_differ_are_rejected(
+        self, sweep_corpus_datasets, metric, kind, step_g, max_steps
+    ):
+        datasets = sweep_corpus_datasets[1][False][0]
+        zcm = subject_sweep(MetricId.ZCM, DatasetKind.UFM, datasets, max_steps=20)
+        other = subject_sweep(metric, kind, datasets, step_g=step_g, max_steps=max_steps)
+        for parts in ([zcm, other], [other, zcm]):
+            with pytest.raises(ValueError, match="sweep parts differ"):
+                threshold_sweep(parts)
 
     def test_one_recordings_datasets_alive_at_a_time(self):
         import tracemalloc
@@ -407,9 +421,7 @@ class TestSweepReadsOnlyWhatItNeeds:
     ):
         recordings, full = sweep_corpus_datasets
         curve = _sweep(metric, kind, recordings, zero_phase=zero_phase)
-        expected = threshold_sweep(
-            metric, kind, [subject_sweep(metric, kind, d) for d in full[zero_phase]]
-        )
+        expected = threshold_sweep([subject_sweep(metric, kind, d) for d in full[zero_phase]])
         for field in dataclasses.fields(SweepCurve):
             got, want = getattr(curve, field.name), getattr(expected, field.name)
             if field.name in ("metric", "kind"):
@@ -437,7 +449,7 @@ class TestSweepReadsOnlyWhatItNeeds:
             zcm_values(mat, thr) if metric is MetricId.ZCM else tat_values(mat, thr, series.ts)
             for thr in grid
         ]
-        nearest_sd = int(np.clip(round((part.sd_threshold - grid[0]) / step_g), 0, max_steps - 1))
+        nearest_sd = int(np.clip(round((part.sd_marker - grid[0]) / step_g), 0, max_steps - 1))
 
         def every_row(reference):
             out = np.full(max_steps, np.nan)

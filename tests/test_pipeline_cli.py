@@ -59,7 +59,7 @@ def direct_sweep(config, metric, kind, recordings):
                         hfen_spec=config.hfen_highpass, zero_phase=config.zero_phase, **grid)
         for rec in recordings
     ]
-    return threshold_sweep(metric, kind, parts, **grid)
+    return threshold_sweep(parts)
 
 
 def corpus(n=2, duration_s=1200.0, seed0=50):
@@ -795,6 +795,27 @@ class TestCli:
         assert "s01.actm" in errors["s01"] and "payload has" in errors["s01"]
         assert f"data error: subject s01 failed: {errors['s01']}\n" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_sweep_part_fails_only_its_subject(self, tmp_path, capsys, jobs):
+        paths = self._write_corpus(tmp_path)
+        short = tmp_path / "c.actm"  # one 60 s epoch: its catalog runs, its sweep cannot
+        write_recording_bin(corpus(1, duration_s=90.0)[0], short)
+        out = tmp_path / "out"
+        code = main(["--config", str(self._config_file(tmp_path)), "--out", str(out),
+                     "--jobs", jobs, "correlate", *map(str, paths), str(short)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert multiprocessing.active_children() == []
+        reason = "a threshold sweep needs at least 2 epochs, got 1"
+        assert f"data error: subject c failed: {reason}\n" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subjects"][0] == {"subject_id": "c", "status": "failed",
+                                           "error": reason}
+        assert [s["status"] for s in manifest["subjects"][1:]] == ["ok", "ok"]
+        assert manifest["sweeps"] == ["sweep_ZCM_UFM.csv"]
+        assert (out / "correlation_frequency.csv").is_file()
+        assert not (out / "c").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_magic_beside_a_good_recording_exits_2_before_any_output(

@@ -453,7 +453,7 @@ class TestPreprocessKinds:
                                 references=references, max_steps=20)
         assert len(calls) == 0
         part = recording_sweep(MetricId.ZCM, DatasetKind.UFM, bout_recording, max_steps=20)
-        threshold_sweep(MetricId.ZCM, DatasetKind.UFM, [part], max_steps=20)
+        threshold_sweep([part])
         assert len(calls) == 3
         for a, b in zip(astuple(given), astuple(part)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
