@@ -32,7 +32,7 @@ because each can be computed in exactly one way.)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fnmatch import fnmatch
 from typing import Mapping, Optional, Sequence, Union
@@ -188,8 +188,15 @@ class VariantDescriptor:
                 f"no variant family takes {kind} with rule {rule.value} "
                 f"and squared={self.squared}"
             )
-        for series_kind in kind.axes if triple else (kind,):
+        for series_kind in self.datasets:
             require_applicable(metric, series_kind)
+
+    @property
+    def datasets(self) -> tuple[DatasetKind, ...]:
+        """The dataset kinds the variant reads: its kind, or its triple's axes."""
+        if isinstance(self.kind, AxisTriple):
+            return self.kind.axes
+        return (self.kind,)
 
     @property
     def label(self) -> str:
@@ -246,7 +253,9 @@ def _single_values(
     table; the kernel applies the metric's correction for ``series.kind``.
     A ZCM/TAT threshold is resolved once per key of ``thresholds``. A
     squared input is squared block by block inside the kernel; the whole
-    squared series exists only while its threshold is being resolved.
+    squared series exists only while its threshold is being resolved, and
+    :func:`~actimetrics.metrics.sd_threshold` centres it in its own memory,
+    so that is the one full-length temporary of a call.
     """
     metric, squared = variant.metric, variant.squared
     n = epoch_sample_count(te_s, series.sample_rate_hz)
@@ -261,9 +270,7 @@ def _single_values(
         key = (series.kind, squared, policy)
         threshold = thresholds.get(key)
         if threshold is None:
-            threshold = thresholds[key] = policy.resolve(
-                replace(series, values=series.values ** 2) if squared else series
-            )
+            threshold = thresholds[key] = policy.resolve(series, squared=squared)
         if metric is MetricId.ZCM:
             return zcm_values(mat, threshold, squared=squared).astype(float)
         return tat_values(mat, threshold, ts, squared=squared)
@@ -310,7 +317,7 @@ def compute_activity(
     if variant.metric is MetricId.AI:
         if noise is None:
             raise ValueError(f"{variant.label} needs a noise-variance estimate")
-        sx, sy, sz = (_series(k) for k in variant.kind.axes)
+        sx, sy, sz = (_series(k) for k in variant.datasets)
         n = epoch_sample_count(te_s, sx.sample_rate_hz)
         values = ai_values(
             epoch_matrix(sx.values, n),
@@ -320,11 +327,10 @@ def compute_activity(
             ai_subtract_per_axis,
         )
     else:
-        kinds = (
-            variant.kind.axes if isinstance(variant.kind, AxisTriple)
-            else (variant.kind,)
-        )
-        base = [_single_values(variant, _series(kind), te_s, thresholds) for kind in kinds]
+        base = [
+            _single_values(variant, _series(kind), te_s, thresholds)
+            for kind in variant.datasets
+        ]
         epochs = [v.size for v in base]
         if len(set(epochs)) > 1:
             raise SeriesMismatch(

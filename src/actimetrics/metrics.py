@@ -103,10 +103,11 @@ class ThresholdPolicy:
     def fixed(cls, value: float) -> "ThresholdPolicy":
         return cls("fixed", value)
 
-    def resolve(self, series: PreprocessedSeries) -> float:
+    def resolve(self, series: PreprocessedSeries, *, squared: bool = False) -> float:
+        """The threshold for ``series``, or for its square if ``squared``."""
         if self.mode == "fixed":
             return float(self.fixed_g)
-        return sd_threshold(series)
+        return sd_threshold(series, squared=squared)
 
 
 @dataclass(frozen=True)
@@ -122,17 +123,27 @@ class NoiseVarianceEstimate:
             raise ValueError("sigma_bar_sq must be >= 0")
 
 
-def sd_threshold(series: PreprocessedSeries) -> float:
-    """Population SD of the whole series; +1 g for UFM.
+def sd_threshold(series: PreprocessedSeries, *, squared: bool = False) -> float:
+    """Population SD of the whole series, or of its square; +1 g for UFM.
 
     One threshold per (subject, dataset): epochs computed from the same
     series all share it. It is a whole-series pass, so callers get it once
     per series: the catalog memoizes it per (dataset, squared input,
     policy) for one subject's datasets (see ``combine.compute_activity``).
+
+    The SD takes ``ndarray.std``'s own NumPy steps (sum, divide, subtract,
+    square, sum, divide, sqrt), so it is ``float(values.std())``, or
+    ``float((values ** 2).std())`` when ``squared``, bit for bit. It holds
+    one full-length temporary: the centered copy of the series, or the
+    square of the series, centered in its own memory.
     """
-    if series.n_samples == 0:
+    n = series.n_samples
+    if n == 0:
         raise EmptySeries("cannot take the SD of an empty series")
-    sd = float(series.values.std())
+    x = np.square(series.values) if squared else series.values
+    deviations = np.subtract(x, x.sum() / n, out=x if squared else None)
+    variance = np.square(deviations, out=deviations).sum() / n
+    sd = float(np.sqrt(variance))
     if series.kind is DatasetKind.UFM:
         sd += 1.0
     return sd

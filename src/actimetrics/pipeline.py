@@ -2,7 +2,9 @@
 
 One map and one reduce. The map is one task per subject: decode the
 recording, validate, preprocess into every dataset kind, evaluate the
-full variant catalog, compute the subject's part of each configured
+full variant catalog (one dataset at a time, each dropped after its last
+reader; the signals still come back in catalog order, see
+:func:`process_subject`), compute the subject's part of each configured
 threshold sweep (at the subject's own sample rate, against the catalog's
 own ``ENMO`` and ``HFEN`` signals when it holds both), then write one
 activity file per variant. The reduce, over the successful subjects in
@@ -53,6 +55,8 @@ from .analysis import (
 from .combine import compute_activity
 from .config import PipelineConfig
 from .core import (
+    FILTERED_AXES,
+    UNFILTERED_AXES,
     ActivitySignal,
     DatasetKind,
     PreprocessedSeries,
@@ -94,19 +98,42 @@ def preprocess_subject(
     return preprocess_all(rec, config.bandpass, config.hfen_highpass, config.zero_phase)
 
 
+# The order in which process_subject goes through the datasets: first the
+# magnitudes, each read by a few single-series variants, then the axes,
+# which the AI and combined variants read in threes. So every magnitude
+# is freed before a squared axis needs its full-length temporary.
+_EVALUATION_ORDER = (
+    DatasetKind.HFEN_SPECIAL, DatasetKind.UFNM, DatasetKind.FMPRE,
+    DatasetKind.FMPOST, DatasetKind.UFM, *UNFILTERED_AXES, *FILTERED_AXES,
+)
+
+
 def process_subject(
     rec: RawRecording, config: PipelineConfig
 ) -> dict[str, ActivitySignal]:
-    """All cataloged activity signals for one recording, keyed by label."""
+    """All cataloged activity signals for one recording, keyed by label.
+
+    The signals come back in catalog order. They are evaluated in
+    ``_EVALUATION_ORDER`` of the last dataset each variant reads, and each
+    dataset leaves the map after the last variant that reads it (one that
+    no variant reads, before the first), so its memory is freed as early
+    as the catalog allows.
+    """
     datasets = preprocess_subject(rec, config)
     if config.ai.sigma_sq_override is not None:
         noise = NoiseVarianceEstimate(config.ai.sigma_sq_override, 0.0, -1)
     else:
         noise = estimate_noise_variance(rec, config.ai.noise_window_s)
 
+    variants = config.variants()
+    plan = sorted(variants, key=lambda v: max(map(_EVALUATION_ORDER.index, v.datasets)))
+    last_read = {kind: i for i, variant in enumerate(plan) for kind in variant.datasets}
+    for kind in datasets.keys() - last_read.keys():
+        del datasets[kind]
+
     thresholds = {}  # resolved ZCM/TAT thresholds of this subject's datasets
     signals: dict[str, ActivitySignal] = {}
-    for variant in config.variants():
+    for i, variant in enumerate(plan):
         signals[variant.label] = compute_activity(
             variant,
             datasets,
@@ -115,7 +142,10 @@ def process_subject(
             ai_subtract_per_axis=config.ai.subtract_per_axis,
             thresholds=thresholds,
         )
-    return signals
+        for kind in variant.datasets:
+            if last_read[kind] == i:
+                del datasets[kind]
+    return {variant.label: signals[variant.label] for variant in variants}
 
 
 def require_unique_subject_ids(recordings: Sequence[Source]) -> None:

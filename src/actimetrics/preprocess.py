@@ -127,16 +127,23 @@ def filter_values(
     return spsignal.sosfilt(sos, x)
 
 
+def _square_in_place(values: np.ndarray) -> np.ndarray:
+    """``values * values``, written over ``values`` (a fresh array of our own)."""
+    return np.multiply(values, values, out=values)
+
+
 def _norm(squares) -> np.ndarray:
     """sqrt((s0 + s1) + s2) of the squared axes, summed in s0's own memory.
 
     ``squares`` may be a generator, so that only the running sum and the
-    next square are alive at once; each square must be a fresh array.
+    next square are alive at once; each square must be a fresh array, and
+    each is dropped as soon as it is added, before the next is made.
     """
     squares = iter(squares)
     total = next(squares)
     for sq in squares:
         total += sq
+        del sq
     return np.sqrt(total, out=total)
 
 
@@ -154,9 +161,15 @@ def preprocess_all(
     HFEN_SPECIAL high-passes the three axes. A threshold sweep asks for the
     swept kind, plus UFM and HFEN_SPECIAL when it computes its own ENMO and
     HFEN references. Each kind built is the same array
-    whichever others are requested. Filtered kinds keep the startup
-    transient. The HFEN input high-passes one axis at a time and squares it
-    in its own buffer, so one such axis is alive at once.
+    whichever others are requested, and the map lists them in
+    :class:`DatasetKind` order. Filtered kinds keep the startup transient.
+
+    Each build holds at most one full-length temporary besides the array
+    it makes: a magnitude's running sum has the next square beside it,
+    and the HFEN input's the next high-passed axis, squared in its own
+    buffer. HFEN_SPECIAL is built first, while only the raw axes exist,
+    and FMpost, which needs no temporary, last, so the peak of the whole
+    call is the finished datasets themselves.
     """
     fs = rec.sample_rate_hz
     axes = (rec.x, rec.y, rec.z)
@@ -179,6 +192,10 @@ def preprocess_all(
         out[kind] = PreprocessedSeries(kind, values, fs)
         return out[kind].values
 
+    if need(DatasetKind.HFEN_SPECIAL):
+        put(DatasetKind.HFEN_SPECIAL, _norm(
+            _square_in_place(filter_values(a, high, zero_phase)) for a in axes
+        ))
     for kind, a in zip(UNFILTERED_AXES, axes):
         put(kind, a)
     if need(*FILTERED_AXES, DatasetKind.FMPRE):
@@ -195,7 +212,4 @@ def preprocess_all(
         put(DatasetKind.FMPRE, _norm(f * f for f in filtered))
     if need(DatasetKind.FMPOST):
         put(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase))
-    if need(DatasetKind.HFEN_SPECIAL):
-        highpassed = (filter_values(a, high, zero_phase) for a in axes)
-        put(DatasetKind.HFEN_SPECIAL, _norm(np.multiply(h, h, out=h) for h in highpassed))
-    return {kind: series for kind, series in out.items() if kind in wanted}
+    return {kind: out[kind] for kind in DatasetKind if kind in wanted}

@@ -578,9 +578,9 @@ class TestThresholdMemo:
         resolved = Counter()
         real = metrics.sd_threshold
 
-        def counting(series):
+        def counting(series, **kwargs):
             resolved[series.kind] += 1
-            return real(series)
+            return real(series, **kwargs)
 
         monkeypatch.setattr(metrics, "sd_threshold", counting)
         thresholds = {}
@@ -601,6 +601,7 @@ class TestThresholdMemo:
     def test_process_subject_resolves_ten_thresholds(self, bout_recording, monkeypatch):
         calls = []
         real = metrics.sd_threshold
-        monkeypatch.setattr(metrics, "sd_threshold", lambda s: calls.append(s) or real(s))
+        monkeypatch.setattr(metrics, "sd_threshold",
+                            lambda s, **kwargs: calls.append(s) or real(s, **kwargs))
         process_subject(bout_recording, PipelineConfig())
         assert len(calls) == 10

@@ -1,0 +1,134 @@
+"""What one subject task holds, and that holding less changes no byte.
+
+A 24 h recording at 10 Hz has 864,000 samples per axis, so one
+full-length series is 6.9 MB. ``preprocess_subject`` builds 8 datasets
+(the 3 raw axes pass through), and its peak must be those 8 series. The
+peak of ``process_subject`` may add the catalog's signals and its row
+blocks, but no ninth series: each dataset leaves the map after its last
+reader, and an SD threshold centres its one temporary in place.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from actimetrics import (
+    DatasetKind,
+    PipelineConfig,
+    PreprocessedSeries,
+    SyntheticSpec,
+    compute_activity,
+    config_from_dict,
+    estimate_noise_variance,
+    sd_threshold,
+    synthesize,
+)
+from actimetrics import pipeline
+from actimetrics.pipeline import preprocess_subject, process_subject
+
+MIB = 1 << 20
+MAGNITUDES = {DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPRE,
+              DatasetKind.FMPOST, DatasetKind.HFEN_SPECIAL}
+
+
+@pytest.fixture(scope="module")
+def day_recording():
+    return synthesize(SyntheticSpec(
+        subject_id="day", duration_s=86_400.0, amp_jitter=0.3, noise_sd_g=0.02, seed=3,
+    ))
+
+
+def _peak_bytes(fn, *args) -> int:
+    """The most memory ``fn(*args)`` held at once, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_preprocess_subject_peaks_at_its_eight_datasets(day_recording):
+    series = day_recording.x.nbytes
+    peak = _peak_bytes(preprocess_subject, day_recording, PipelineConfig())
+    assert peak <= 8 * series + MIB // 2, f"{peak / series:.2f} series"
+
+
+def test_process_subject_holds_no_ninth_series(day_recording):
+    series = day_recording.x.nbytes
+    peak = _peak_bytes(process_subject, day_recording, PipelineConfig())
+    assert peak <= 8 * series + 2 * MIB, f"{peak / series:.2f} series"
+
+
+# --- the in-place SD is ndarray.std, bit for bit
+
+_lengths = st.sampled_from([1, 2, 127, 128, 129, 1000, 4099]) | st.integers(1, 700)
+
+
+@st.composite
+def sd_inputs(draw):
+    n = draw(_lengths)
+    if draw(st.booleans()):
+        values = np.full(n, draw(st.floats(-4.0, 4.0)))
+    else:
+        values = draw(arrays(np.float64, n, elements=st.floats(-4.0, 4.0)))
+    return values + draw(st.sampled_from([0.0, 1.0, -3.5, 1e3, 1e6]))
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(sd_inputs())
+def test_sd_threshold_is_ndarray_std_bit_for_bit(values):
+    values.setflags(write=False)
+    before = values.tobytes()
+    fx = PreprocessedSeries(DatasetKind.FX, values, 10.0)
+    assert sd_threshold(fx).hex() == float(values.std()).hex()
+    assert sd_threshold(fx, squared=True).hex() == float((values ** 2).std()).hex()
+    ufm = PreprocessedSeries(DatasetKind.UFM, values, 10.0)
+    assert sd_threshold(ufm).hex() == (float(values.std()) + 1.0).hex()
+    assert values.tobytes() == before
+
+
+# --- evaluation order is not output order
+
+@pytest.mark.parametrize("catalog", [
+    {},
+    {"exclude": ["HFEN", "*(UFM*", "*FXYZ*", "*(FZ*"]},
+], ids=["default", "exclude"])
+def test_process_subject_gives_each_signal_alone_in_catalog_order(bout_recording, catalog):
+    config = config_from_dict({"catalog": catalog})
+    signals = process_subject(bout_recording, config)
+    variants = config.variants()
+    assert list(signals) == [v.label for v in variants]
+    datasets = preprocess_subject(bout_recording, config)
+    noise = estimate_noise_variance(bout_recording, config.ai.noise_window_s)
+    for variant in variants:
+        alone = compute_activity(variant, datasets, config.epoch_s, noise=noise)
+        assert signals[variant.label].values.tobytes() == alone.values.tobytes(), variant.label
+        assert signals[variant.label].units == alone.units
+
+
+def test_each_dataset_leaves_after_its_last_reader(bout_recording, monkeypatch):
+    held = []  # (variant, kinds in the map) per evaluated variant
+
+    def recording(variant, datasets, *args, **kwargs):
+        held.append((variant, set(datasets)))
+        return compute_activity(variant, datasets, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_activity", recording)
+    process_subject(bout_recording, PipelineConfig())
+    assert (held[0][0].label, held[0][1]) == ("HFEN", set(DatasetKind))
+    # no magnitude is left once a squared axis is centred for its threshold
+    squared = [kinds for variant, kinds in held if variant.squared]
+    assert len(squared) == 20
+    assert all(kinds.isdisjoint(MAGNITUDES) for kinds in squared)
+
+    held.clear()
+    config = config_from_dict({"catalog": {"include": ["PIM(UFNM)", "MAD(FX)"]}})
+    process_subject(bout_recording, config)
+    assert [(variant.label, kinds) for variant, kinds in held] == [
+        ("PIM(UFNM)", {DatasetKind.UFNM, DatasetKind.FX}),
+        ("MAD(FX)", {DatasetKind.FX}),
+    ]
