@@ -37,7 +37,7 @@ from .metrics import (
     MetricId,
     enmo_values,
     hfen_values,
-    require_applicable,
+    require_sweepable,
     sd_threshold,
     tat_values,
     zcm_values,
@@ -267,9 +267,7 @@ def subject_sweep(
     there. The self-reference curve correlates each grid point against the
     activity at the grid point nearest the subject's adaptive SD threshold.
     """
-    if metric not in (MetricId.ZCM, MetricId.TAT):
-        raise ValueError("threshold sweeps are defined for ZCM and TAT only")
-    require_applicable(metric, kind)
+    require_sweepable(metric, kind)
     grid = (1.0 if kind is DatasetKind.UFM else 0.0) + step_g * np.arange(max_steps)
     series = datasets[kind]
     n = epoch_sample_count(te_s, series.sample_rate_hz)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import formats
-from .config import PipelineConfig, load_config, validate_config
+from .config import PipelineConfig, load_config
 from .core import require_jobs
 from .errors import ActimetricsError, ConfigError, WorkerDied
 from .pipeline import preprocess_subject, require_unique_subject_ids, run_pipeline
@@ -156,8 +156,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = load_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-            validate_config(config)
+            config = dataclasses.replace(config, seed=args.seed)  # runs its checks
         require_jobs(args.jobs)
         if args.command == "synth" and args.subjects is not None and args.subjects < 1:
             raise ConfigError(f"--subjects must be at least 1, got {args.subjects}")

@@ -1,12 +1,14 @@
 """Pipeline configuration: JSON schema, strict validation, canonical hashing.
 
 The config file is JSON with a ``schema_version`` field. Unknown keys are
-rejected anywhere in the document, every value must have its field's
-annotated type (numbers finite, lists lists of strings), and every
-parameter is validated against the invariants of the module that consumes
-it before any work starts. The ``threshold``, ``psd``, ``bandpass`` and
-``hfen_highpass`` sections are the domain types themselves, so their own
-constructors check them.
+rejected anywhere in the document, and every value must have its field's
+annotated type (numbers finite, lists lists of strings). Every other check
+is in a section's constructor, so a file, Python and ``dataclasses.replace``
+meet the same :class:`ConfigError`: :class:`AiConfig`, :class:`SweepConfig`
+and :class:`SyntheticConfig` check their own fields; :class:`PipelineConfig`
+its scalars, a non-empty catalog and both filters at a nominal 10 Hz; and
+the ``threshold``, ``psd``, ``bandpass`` and ``hfen_highpass`` sections are
+domain types that check themselves.
 """
 from __future__ import annotations
 
@@ -23,16 +25,15 @@ from .core import DatasetKind
 from .errors import ActimetricsError, ConfigError, InapplicableMetric, InvalidCutoffs
 from .metrics import (
     DEFAULT_NOISE_WINDOW_S,
+    THRESHOLD_METRICS,
     IntegrationMethod,
     MetricId,
     ThresholdPolicy,
-    require_applicable,
+    require_sweepable,
 )
 from .preprocess import Bandpass, Highpass, design_filter
 
 SCHEMA_VERSION = 1
-
-_DATASET_KINDS = {kind.value for kind in DatasetKind}
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,12 @@ class AiConfig:
     noise_window_s: float = DEFAULT_NOISE_WINDOW_S
     subtract_per_axis: bool = False
     sigma_sq_override: Optional[float] = None
+
+    def __post_init__(self):
+        if self.noise_window_s <= 0:
+            raise ConfigError("ai.noise_window_s must be positive")
+        if self.sigma_sq_override is not None and self.sigma_sq_override < 0:
+            raise ConfigError("ai.sigma_sq_override must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,28 @@ class SweepConfig:
     step_g: float = 0.05
     max_steps: int = 200
 
+    def __post_init__(self):
+        for metric in self.metrics:
+            if metric not in (m.value for m in THRESHOLD_METRICS):
+                raise ConfigError(f"sweep.metrics: {metric!r} is not ZCM or TAT")
+        kinds = sorted(kind.value for kind in DatasetKind)
+        for kind in self.kinds:
+            if kind not in kinds:
+                raise ConfigError(f"sweep.kinds: {kind!r} is not one of {kinds}")
+        for name, values in (("sweep.metrics", self.metrics), ("sweep.kinds", self.kinds)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} holds duplicates")
+        for metric in self.metrics:
+            for kind in self.kinds:
+                try:
+                    require_sweepable(MetricId(metric), DatasetKind(kind))
+                except InapplicableMetric as exc:
+                    raise ConfigError(f"sweep: {exc}") from None
+        if self.step_g <= 0:
+            raise ConfigError("sweep.step_g must be positive")
+        if self.max_steps < 1:
+            raise ConfigError("sweep.max_steps must be >= 1")
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -66,6 +95,14 @@ class SyntheticConfig:
     active_amp_g: float = 0.5
     amp_jitter: float = 0.3
     noise_sd_g: float = 0.02
+
+    def __post_init__(self):
+        if self.subjects < 1:
+            raise ConfigError("synthetic.subjects must be >= 1")
+        try:
+            self.subject_spec(0, 0)
+        except ValueError as exc:
+            raise ConfigError(f"synthetic: {exc}") from None
 
     def subject_spec(self, i: int, seed: int):
         """The ``SyntheticSpec`` of subject ``i`` (from 0), seeded ``seed + i``."""
@@ -93,6 +130,35 @@ class PipelineConfig:
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.schema_version != SCHEMA_VERSION:
+            raise ConfigError(f"schema_version {self.schema_version} unsupported "
+                              f"(expected {SCHEMA_VERSION})")
+        if self.epoch_s <= 0:
+            raise ConfigError("epoch_s must be positive")
+        if self.full_scale_g <= 0:
+            raise ConfigError("full_scale_g must be positive")
+        if self.filter_phase not in ("causal", "zero-phase"):
+            raise ConfigError("filter_phase must be causal or zero-phase")
+        if not self.pim_integrations:
+            raise ConfigError("pim_integrations cannot be empty")
+        try:
+            self.integration_methods()
+        except ValueError as exc:
+            raise ConfigError(f"pim_integrations: {exc}") from None
+        if len(set(self.pim_integrations)) != len(self.pim_integrations):
+            raise ConfigError("pim_integrations holds duplicates")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not self.variants():
+            raise ConfigError("empty catalog: include/exclude filters left no variants")
+        for name, spec in (("bandpass", self.bandpass),
+                           ("hfen_highpass", self.hfen_highpass)):
+            try:
+                design_filter(spec, 10.0)
+            except (ActimetricsError, ArithmeticError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+
     # -- derived views -------------------------------------------------
 
     @property
@@ -103,16 +169,13 @@ class PipelineConfig:
         return tuple(IntegrationMethod(name) for name in self.pim_integrations)
 
     def variants(self) -> list[VariantDescriptor]:
-        """The configured catalog; a ConfigError when the filters empty it."""
-        variants = catalog(
+        """The configured catalog, never empty (the constructor checks it)."""
+        return catalog(
             integrations=self.integration_methods(),
             threshold_policy=self.threshold,
             include=self.catalog.include,
             exclude=self.catalog.exclude,
         )
-        if not variants:
-            raise ConfigError("empty catalog: include/exclude filters left no variants")
-        return variants
 
     def sweep_requests(self) -> list[tuple[str, str]]:
         return [(m, k) for m in self.sweep.metrics for k in self.sweep.kinds]
@@ -185,9 +248,7 @@ def _build_section(cls, data: Mapping[str, Any], path: str):
 
 
 def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
-    config = _build_section(PipelineConfig, data, "")
-    validate_config(config)
-    return config
+    return _build_section(PipelineConfig, data, "")
 
 
 def load_config(path) -> PipelineConfig:
@@ -198,68 +259,3 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"{path}: {exc}") from None
     return config_from_dict(data)
 
-
-def validate_config(config: PipelineConfig) -> None:
-    """Cross-check every parameter against its consumer's invariants."""
-    if config.schema_version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version {config.schema_version} unsupported "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    if config.epoch_s <= 0:
-        raise ConfigError("epoch_s must be positive")
-    if config.full_scale_g <= 0:
-        raise ConfigError("full_scale_g must be positive")
-    if config.filter_phase not in ("causal", "zero-phase"):
-        raise ConfigError("filter_phase must be causal or zero-phase")
-    if not config.pim_integrations:
-        raise ConfigError("pim_integrations cannot be empty")
-    try:
-        config.integration_methods()
-    except ValueError as exc:
-        raise ConfigError(f"pim_integrations: {exc}") from None
-    if len(set(config.pim_integrations)) != len(config.pim_integrations):
-        raise ConfigError("pim_integrations holds duplicates")
-    if config.ai.noise_window_s <= 0:
-        raise ConfigError("ai.noise_window_s must be positive")
-    if config.ai.sigma_sq_override is not None and config.ai.sigma_sq_override < 0:
-        raise ConfigError("ai.sigma_sq_override must be >= 0")
-    for metric in config.sweep.metrics:
-        if metric not in (MetricId.ZCM.value, MetricId.TAT.value):
-            raise ConfigError(f"sweep.metrics: {metric!r} is not ZCM or TAT")
-    for kind in config.sweep.kinds:
-        if kind not in _DATASET_KINDS:
-            raise ConfigError(
-                f"sweep.kinds: {kind!r} is not one of {sorted(_DATASET_KINDS)}"
-            )
-    for name, values in (("sweep.metrics", config.sweep.metrics),
-                         ("sweep.kinds", config.sweep.kinds)):
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{name} holds duplicates")
-    for metric, kind in config.sweep_requests():
-        try:
-            require_applicable(MetricId(metric), DatasetKind(kind))
-        except InapplicableMetric as exc:
-            raise ConfigError(f"sweep: {exc}") from None
-    if config.sweep.step_g <= 0:
-        raise ConfigError("sweep.step_g must be positive")
-    if config.sweep.max_steps < 1:
-        raise ConfigError("sweep.max_steps must be >= 1")
-    if config.seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if config.synthetic.subjects < 1:
-        raise ConfigError("synthetic.subjects must be >= 1")
-    try:
-        config.synthetic.subject_spec(0, config.seed)
-    except ValueError as exc:
-        raise ConfigError(f"synthetic: {exc}") from None
-    config.variants()
-
-    # cutoffs are checked against Nyquist at a nominal 10 Hz here and again
-    # at each recording's own rate in the pipeline
-    for name, spec in (("bandpass", config.bandpass),
-                       ("hfen_highpass", config.hfen_highpass)):
-        try:
-            design_filter(spec, 10.0)
-        except (ActimetricsError, ArithmeticError) as exc:
-            raise ConfigError(f"{name}: {exc}") from None

@@ -218,6 +218,13 @@ def require_applicable(metric: MetricId, kind: DatasetKind) -> Applicability:
     return mode
 
 
+def require_sweepable(metric: MetricId, kind: DatasetKind) -> None:
+    """Raise unless ``metric`` is ZCM or TAT (ValueError) and legal on ``kind``."""
+    if metric not in THRESHOLD_METRICS:
+        raise ValueError("threshold sweeps are defined for ZCM and TAT only")
+    require_applicable(metric, kind)
+
+
 def applicable_kinds(metric: MetricId) -> tuple[DatasetKind, ...]:
     """The kinds ``metric`` may run on, in the table's column order."""
     return tuple(
@@ -259,18 +266,15 @@ def _by_row_blocks(kernel, *mats: np.ndarray, squared: bool = False) -> np.ndarr
     reduced exactly as on the whole matrix; the kernel must be row-wise.
     ``squared`` hands the kernel ``b * b`` (bitwise ``values ** 2``) for
     each block ``b``, written into one scratch block per input that the
-    kernel may overwrite. A matrix that fits in one block is passed
-    through whole.
+    kernel may overwrite. A matrix without rows makes one empty block.
     """
     m, n = mats[0].shape
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    if m <= rows:
-        return kernel(*((b * b for b in mats) if squared else mats))
     # one scratch block reused for every block: a fresh one per block can
     # cost more in page faults than the squaring itself
-    scratch = [np.empty((rows, n)) for _ in mats] if squared else None
+    scratch = [np.empty((min(rows, m), n)) for _ in mats] if squared else None
     parts = []
-    for lo in range(0, m, rows):
+    for lo in range(0, max(m, 1), rows):
         blocks = [mat[lo : lo + rows] for mat in mats]
         if squared:
             blocks = [np.multiply(b, b, out=s[: len(b)]) for b, s in zip(blocks, scratch)]

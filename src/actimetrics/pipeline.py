@@ -120,12 +120,13 @@ def process_subject(
     as the catalog allows.
     """
     datasets = preprocess_subject(rec, config)
+    variants = config.variants()
+    noise = None  # read by the AI variants alone
     if config.ai.sigma_sq_override is not None:
         noise = NoiseVarianceEstimate(config.ai.sigma_sq_override, 0.0, -1)
-    else:
+    elif _estimates_noise(config):
         noise = estimate_noise_variance(rec, config.ai.noise_window_s)
 
-    variants = config.variants()
     plan = sorted(variants, key=lambda v: max(map(_EVALUATION_ORDER.index, v.datasets)))
     last_read = {kind: i for i, variant in enumerate(plan) for kind in variant.datasets}
     for kind in datasets.keys() - last_read.keys():
@@ -155,20 +156,27 @@ def require_unique_subject_ids(recordings: Sequence[Source]) -> None:
         raise ConfigError(f"duplicate subject ids: {sorted(ids)}")
 
 
+def _estimates_noise(config: PipelineConfig) -> bool:
+    """Whether a subject estimates its AI noise: an AI variant, no sigma² override."""
+    return config.ai.sigma_sq_override is None and any(
+        variant.metric is MetricId.AI for variant in config.variants())
+
+
 def _require_a_fitting_rate(
     config: PipelineConfig, recordings: Sequence[Source]
 ) -> None:
     """Raise the first rate's ConfigError unless some rate suits ``config``.
 
-    Checked once per distinct sample rate: the epoch rule and, unless
-    sigma² is overridden, the AI noise window. A recording at a failing
+    Checked once per distinct sample rate: the epoch rule and, if a subject
+    estimates its AI noise, the noise window. A recording at a failing
     rate is left to fail alone when its subject runs.
     """
+    estimates_noise = _estimates_noise(config)
     errors = []
     for rate in dict.fromkeys(rec.sample_rate_hz for rec in recordings):
         try:
             epoch_sample_count(config.epoch_s, rate)
-            if config.ai.sigma_sq_override is None:
+            if estimates_noise:
                 noise_window_samples(config.ai.noise_window_s, rate)
             return
         except ConfigError as exc:
@@ -202,9 +210,9 @@ def run_pipeline(
     """Run the whole pipeline and write the artifact bundle; returns the manifest.
 
     ``recordings`` are sources (see the module docstring); each is loaded
-    inside its own subject task. Config errors (empty catalog, duplicate
-    ids, no fitting rate, a ``jobs`` :func:`require_jobs` rejects) are
-    raised before anything is written. Any exception in one subject's
+    inside its own subject task. Config errors (duplicate ids, no fitting
+    rate, a ``jobs`` :func:`require_jobs` rejects) are raised before
+    anything is written. Any exception in one subject's
     ``load()``, :func:`process_subject` or sweep parts fails that subject
     alone, before its activity files are written, reported by its own text
     if a package error, else as ``"<TypeName>: <message>"`` with its

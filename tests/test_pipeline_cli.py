@@ -378,14 +378,41 @@ class TestRunPipeline:
         assert errors[0] == errors[1]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("settings", [
+        {"catalog": {"include": ["PIM(UFNM)", "MAD(UFM)"]}},
+        {"catalog": {"include": ["PIM(UFNM)"]}, "ai": {"noise_window_s": 0.1}},
+    ], ids=["no-noise-window-of-data", "noise-window-of-1-sample"])
+    def test_catalog_without_ai_estimates_no_noise(self, tmp_path, settings):
+        # 50 s holds no 60 s noise window, so an estimate would fail the subject
+        rec = synthesize(SyntheticSpec(subject_id="short", duration_s=50.0, seed=3))
+        config = config_from_dict({"epoch_s": 10.0, "sweep": {"metrics": []},
+                                   "psd": {"segment_epochs": 2}, **settings})
+        manifest = run_pipeline(config, [rec], tmp_path)
+        assert manifest["subjects"] == [
+            {"subject_id": "short", "status": "ok", "error": None}]
+
+    def test_default_catalog_estimates_noise_once_per_subject(self, tmp_path, monkeypatch):
+        import actimetrics.pipeline as pipeline
+
+        calls = []
+        real = pipeline.estimate_noise_variance
+
+        def estimate_noise_variance(rec, window_s):
+            calls.append(rec.subject_id)
+            return real(rec, window_s)
+
+        monkeypatch.setattr(pipeline, "estimate_noise_variance", estimate_noise_variance)
+        run_pipeline(small_config(sweep=SweepConfig(metrics=())), corpus(), tmp_path)
+        assert calls == ["s00", "s01"]
+
     def test_empty_catalog_aborts_before_work(self, tmp_path):
+        # the config cannot be built, so no run can start
         config = small_config()
-        config = dataclasses.replace(
-            config, catalog=dataclasses.replace(config.catalog, include=("NOPE*",))
-        )
-        with pytest.raises(ConfigError):
-            run_pipeline(config, corpus(1), tmp_path)
-        assert not (tmp_path / "manifest.json").exists()
+        with pytest.raises(ConfigError, match="^empty catalog: "):
+            dataclasses.replace(
+                config, catalog=dataclasses.replace(config.catalog, include=("NOPE*",))
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_subject_isolated(self, tmp_path):
         from actimetrics import RawRecording
