@@ -350,7 +350,7 @@ def recording_sweep(
     kinds = (kind,)
     if references is None:
         kinds += (DatasetKind.UFM, DatasetKind.HFEN_SPECIAL)
-    datasets = preprocess_all(rec, bandpass, hfen_spec, zero_phase, kinds=kinds)
+    datasets = dict(preprocess_all(rec, bandpass, hfen_spec, zero_phase, kinds=kinds))
     return subject_sweep(metric, kind, datasets, te_s, references=references,
                          step_g=step_g, max_steps=max_steps)
 

@@ -8,10 +8,11 @@ configuration errors, and so is output that cannot be written (an
 ``--out`` that names a file, say). Every recording is first opened by its
 header alone (``formats.open_recording``): a missing or unreadable file,
 and a bad ``.actm`` header or CSV sidecar, is a data error before any
-output. Past that, in ``correlate`` any exception while one subject is
-decoded, validated, preprocessed, evaluated or swept fails that subject
-only, with a ``data error: subject <id> failed: <reason>`` line; ``preprocess``
-decodes one recording at a time and stops at the first it rejects.
+output. Past that, any exception while one subject is decoded,
+validated, preprocessed, evaluated or swept fails that subject only, with
+a ``data error: subject <id> failed: <reason>`` line, and the others are
+still written: ``preprocess`` and ``correlate`` exit 3, or 2 if no
+subject succeeded.
 """
 from __future__ import annotations
 
@@ -25,7 +26,13 @@ from . import formats
 from .config import PipelineConfig, load_config
 from .core import require_jobs
 from .errors import ActimetricsError, ConfigError, WorkerDied
-from .pipeline import preprocess_subject, require_unique_subject_ids, run_pipeline
+from .pipeline import (
+    preprocess_subject,
+    require_a_fitting_rate,
+    require_unique_subject_ids,
+    run_pipeline,
+    subject_failure,
+)
 from .synthetic import synthesize
 
 EXIT_OK = 0
@@ -86,11 +93,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(args, config: PipelineConfig) -> int:
+    synthetic = config.synthetic
+    if args.subjects is not None:
+        synthetic = dataclasses.replace(synthetic, subjects=args.subjects)  # runs its checks
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    n_subjects = config.synthetic.subjects if args.subjects is None else args.subjects
-    for i in range(n_subjects):
-        spec = config.synthetic.subject_spec(i, config.seed)
+    for i in range(synthetic.subjects):
+        spec = synthetic.subject_spec(i, config.seed)
         rec = synthesize(spec)
         if args.format == "csv":
             formats.write_recording_csv(rec, out / f"{spec.subject_id}.csv")
@@ -103,17 +112,23 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
 def _cmd_preprocess(args, config: PipelineConfig) -> int:
     sources = [formats.open_recording(p, args.sample_rate_hz) for p in args.recordings]
     require_unique_subject_ids(sources)
+    require_a_fitting_rate(config, sources, estimates_noise=False)
+    n_ok = 0
     for source in sources:
-        rec = source.load()
-        datasets = preprocess_subject(rec, config)
-        subject_dir = args.out / rec.subject_id / "datasets"
+        try:
+            datasets = preprocess_subject(source.load(), config)
+        except Exception as exc:
+            _report_failure(source.subject_id, subject_failure(source.subject_id, exc))
+            continue
+        subject_dir = args.out / source.subject_id / "datasets"
         subject_dir.mkdir(parents=True, exist_ok=True)
         for kind, series in datasets.items():
             formats.write_dataset_csv(
                 series, subject_dir / f"{formats.label_slug(kind.value)}.csv"
             )
-        print(f"{rec.subject_id}: wrote {len(datasets)} dataset kinds")
-    return EXIT_OK
+        print(f"{source.subject_id}: wrote {len(datasets)} dataset kinds")
+        n_ok += 1
+    return _exit_code(n_ok, len(sources))
 
 
 def _cmd_correlate(args, config: PipelineConfig) -> int:
@@ -121,15 +136,23 @@ def _cmd_correlate(args, config: PipelineConfig) -> int:
     manifest = run_pipeline(config, sources, args.out, jobs=args.jobs)
     for subject in manifest["subjects"]:
         if subject["status"] == "failed":
-            print(f"data error: subject {subject['subject_id']} failed: {subject['error']}",
-                  file=sys.stderr)
+            _report_failure(subject["subject_id"], subject["error"])
     statuses = [s["status"] for s in manifest["subjects"]]
     n_ok = statuses.count("ok")
     print(f"processed {n_ok}/{len(statuses)} subjects, "
           f"{manifest['catalog_count']} variants each")
+    return _exit_code(n_ok, len(statuses))
+
+
+def _report_failure(subject_id: str, reason: str) -> None:
+    print(f"data error: subject {subject_id} failed: {reason}", file=sys.stderr)
+
+
+def _exit_code(n_ok: int, n_subjects: int) -> int:
+    """0 if every subject succeeded, 3 if only some did, 2 if none did."""
     if n_ok == 0:
         return EXIT_DATA
-    return EXIT_PARTIAL if n_ok < len(statuses) else EXIT_OK
+    return EXIT_PARTIAL if n_ok < n_subjects else EXIT_OK
 
 
 def _cmd_catalog(config: PipelineConfig) -> int:
@@ -158,8 +181,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)  # runs its checks
         require_jobs(args.jobs)
-        if args.command == "synth" and args.subjects is not None and args.subjects < 1:
-            raise ConfigError(f"--subjects must be at least 1, got {args.subjects}")
 
         if args.command == "synth":
             return _cmd_synth(args, config)

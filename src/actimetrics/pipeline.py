@@ -1,13 +1,13 @@
 """End-to-end batch pipeline over a set of recordings.
 
 One map and one reduce. The map is one task per subject: decode the
-recording, validate, preprocess into every dataset kind, evaluate the
-full variant catalog (one dataset at a time, each dropped after its last
-reader; the signals still come back in catalog order, see
-:func:`process_subject`), compute the subject's part of each configured
-threshold sweep (at the subject's own sample rate, against the catalog's
-own ``ENMO`` and ``HFEN`` signals when it holds both), then write one
-activity file per variant. The reduce, over the successful subjects in
+recording, validate, build the dataset kinds the catalog reads one at a
+time, evaluating each variant as soon as its datasets exist and dropping
+each dataset after its last reader (the signals still come back in
+catalog order, see :func:`process_subject`), compute the subject's part
+of each configured threshold sweep (at the subject's own sample rate,
+against the catalog's own ``ENMO`` and ``HFEN`` signals when it holds
+both), then write one activity file per variant. The reduce, over the successful subjects in
 subject-id order: for each of the time and frequency domains, every
 subject's Pearson matrix and then their mean and SD matrices; one curve
 per sweep, from its parts alone (each part carries its metric, kind and
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -55,8 +56,6 @@ from .analysis import (
 from .combine import compute_activity
 from .config import PipelineConfig
 from .core import (
-    FILTERED_AXES,
-    UNFILTERED_AXES,
     ActivitySignal,
     DatasetKind,
     PreprocessedSeries,
@@ -83,29 +82,29 @@ Source = Union[RawRecording, formats.RecordingSource]
 _log = logging.getLogger(__name__)
 
 
-def preprocess_subject(
-    rec: RawRecording, config: PipelineConfig
-) -> dict[DatasetKind, PreprocessedSeries]:
-    """Every dataset kind of one recording, filtered at its rate.
+def _admit(rec: RawRecording, config: PipelineConfig) -> None:
+    """Reject ``rec`` unless ``config`` can process it.
 
-    Rejects ``rec`` first: :class:`InvalidRecording` on any validation
-    finding, then :func:`epoch_sample_count`'s rule.
+    :class:`InvalidRecording` on any validation finding, then
+    :func:`epoch_sample_count`'s rule.
     """
     report = validate_recording(rec, config.full_scale_g)
     if not report.ok:
         raise InvalidRecording(f"{rec.subject_id}: {report.summary()}")
     epoch_sample_count(config.epoch_s, rec.sample_rate_hz)
-    return preprocess_all(rec, config.bandpass, config.hfen_highpass, config.zero_phase)
 
 
-# The order in which process_subject goes through the datasets: first the
-# magnitudes, each read by a few single-series variants, then the axes,
-# which the AI and combined variants read in threes. So every magnitude
-# is freed before a squared axis needs its full-length temporary.
-_EVALUATION_ORDER = (
-    DatasetKind.HFEN_SPECIAL, DatasetKind.UFNM, DatasetKind.FMPRE,
-    DatasetKind.FMPOST, DatasetKind.UFM, *UNFILTERED_AXES, *FILTERED_AXES,
-)
+def preprocess_subject(
+    rec: RawRecording, config: PipelineConfig
+) -> dict[DatasetKind, PreprocessedSeries]:
+    """Every dataset kind of one recording, filtered at its rate.
+
+    The map lists them in :class:`DatasetKind` order. Rejects ``rec``
+    first, as :func:`process_subject` does.
+    """
+    _admit(rec, config)
+    made = dict(preprocess_all(rec, config.bandpass, config.hfen_highpass, config.zero_phase))
+    return {kind: made[kind] for kind in DatasetKind}
 
 
 def process_subject(
@@ -113,13 +112,14 @@ def process_subject(
 ) -> dict[str, ActivitySignal]:
     """All cataloged activity signals for one recording, keyed by label.
 
-    The signals come back in catalog order. They are evaluated in
-    ``_EVALUATION_ORDER`` of the last dataset each variant reads, and each
-    dataset leaves the map after the last variant that reads it (one that
-    no variant reads, before the first), so its memory is freed as early
-    as the catalog allows.
+    The signals come back in catalog order. Only the kinds the catalog
+    reads are built, and each variant is evaluated as soon as
+    :func:`preprocess_all` has made every dataset it reads, so its build
+    order is also the evaluation order. Each dataset leaves the map after
+    the last variant that reads it, so its memory is freed before the
+    datasets made after it exist.
     """
-    datasets = preprocess_subject(rec, config)
+    _admit(rec, config)
     variants = config.variants()
     noise = None  # read by the AI variants alone
     if config.ai.sigma_sq_override is not None:
@@ -127,25 +127,29 @@ def process_subject(
     elif _estimates_noise(config):
         noise = estimate_noise_variance(rec, config.ai.noise_window_s)
 
-    plan = sorted(variants, key=lambda v: max(map(_EVALUATION_ORDER.index, v.datasets)))
-    last_read = {kind: i for i, variant in enumerate(plan) for kind in variant.datasets}
-    for kind in datasets.keys() - last_read.keys():
-        del datasets[kind]
-
+    readers = Counter(kind for variant in variants for kind in variant.datasets)
+    datasets: dict[DatasetKind, PreprocessedSeries] = {}
     thresholds = {}  # resolved ZCM/TAT thresholds of this subject's datasets
     signals: dict[str, ActivitySignal] = {}
-    for i, variant in enumerate(plan):
-        signals[variant.label] = compute_activity(
-            variant,
-            datasets,
-            config.epoch_s,
-            noise=noise,
-            ai_subtract_per_axis=config.ai.subtract_per_axis,
-            thresholds=thresholds,
-        )
-        for kind in variant.datasets:
-            if last_read[kind] == i:
-                del datasets[kind]
+    for kind, series in preprocess_all(rec, config.bandpass, config.hfen_highpass,
+                                       config.zero_phase, kinds=readers):
+        datasets[kind] = series
+        del series  # the map alone holds it, so that its last reader frees it
+        for variant in variants:
+            if kind not in variant.datasets or not datasets.keys() >= set(variant.datasets):
+                continue  # evaluated when the last kind it reads is made
+            signals[variant.label] = compute_activity(
+                variant,
+                datasets,
+                config.epoch_s,
+                noise=noise,
+                ai_subtract_per_axis=config.ai.subtract_per_axis,
+                thresholds=thresholds,
+            )
+            for read in variant.datasets:
+                readers[read] -= 1
+                if not readers[read]:
+                    del datasets[read]
     return {variant.label: signals[variant.label] for variant in variants}
 
 
@@ -162,16 +166,15 @@ def _estimates_noise(config: PipelineConfig) -> bool:
         variant.metric is MetricId.AI for variant in config.variants())
 
 
-def _require_a_fitting_rate(
-    config: PipelineConfig, recordings: Sequence[Source]
+def require_a_fitting_rate(
+    config: PipelineConfig, recordings: Sequence[Source], estimates_noise: bool
 ) -> None:
     """Raise the first rate's ConfigError unless some rate suits ``config``.
 
-    Checked once per distinct sample rate: the epoch rule and, if a subject
-    estimates its AI noise, the noise window. A recording at a failing
+    Checked once per distinct sample rate: the epoch rule and, if
+    ``estimates_noise``, the AI noise window. A recording at a failing
     rate is left to fail alone when its subject runs.
     """
-    estimates_noise = _estimates_noise(config)
     errors = []
     for rate in dict.fromkeys(rec.sample_rate_hz for rec in recordings):
         try:
@@ -183,6 +186,18 @@ def _require_a_fitting_rate(
             errors.append(exc)
     if errors:
         raise errors[0]
+
+
+def subject_failure(subject_id: str, exc: Exception) -> str:
+    """How one subject's failure is reported.
+
+    A package error by its own text, anything else as
+    ``"<TypeName>: <message>"``, with its traceback logged.
+    """
+    if isinstance(exc, ActimetricsError):
+        return str(exc)
+    _log.error("subject %s failed", subject_id, exc_info=exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def write_activity_files(
@@ -214,9 +229,8 @@ def run_pipeline(
     rate, a ``jobs`` :func:`require_jobs` rejects) are raised before
     anything is written. Any exception in one subject's
     ``load()``, :func:`process_subject` or sweep parts fails that subject
-    alone, before its activity files are written, reported by its own text
-    if a package error, else as ``"<TypeName>: <message>"`` with its
-    traceback logged; an error while writing propagates, and so does
+    alone, before its activity files are written, reported as
+    :func:`subject_failure` words it; an error while writing propagates, and so does
     :class:`WorkerDied` when a worker process dies.
     """
     if not recordings:
@@ -225,7 +239,7 @@ def run_pipeline(
     labels = [v.label for v in config.variants()]
     recordings = sorted(recordings, key=lambda source: source.subject_id)
     require_unique_subject_ids(recordings)
-    _require_a_fitting_rate(config, recordings)
+    require_a_fitting_rate(config, recordings, _estimates_noise(config))
     out_dir = Path(out_dir)
 
     requests = [(MetricId(m), DatasetKind(k)) for m, k in config.sweep_requests()]
@@ -251,11 +265,8 @@ def run_pipeline(
                 )
                 for metric, kind in requests
             ]
-        except ActimetricsError as exc:
-            return str(exc)
         except Exception as exc:
-            _log.error("subject %s failed", source.subject_id, exc_info=exc)
-            return f"{type(exc).__name__}: {exc}"
+            return subject_failure(source.subject_id, exc)
         return signals, write_activity_files(signals, out_dir, source.subject_id), parts
 
     results = []  # consumed to the end, so that the pool is shut down here

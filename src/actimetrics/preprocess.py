@@ -7,6 +7,9 @@ the axes and the raw magnitude are bandpassed (FXYZ, FMpost), FMpre is the
 magnitude of the filtered axes, UFNM is the gravity-normalized magnitude,
 and the HFEN input is the magnitude of the high-passed axes. Whether a
 filter runs per axis or on a magnitude is therefore read in one place.
+It yields each kind as it is made, in one fixed build order, so that a
+consumer can use and drop each dataset before the later ones exist; that
+order is also the order in which the pipeline evaluates the catalog.
 
 A filter is specified without a sample rate, as a :class:`Bandpass` or a
 :class:`Highpass`, and :func:`design_filter` designs it at the rate of the
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 from scipy import signal as spsignal
@@ -127,24 +130,39 @@ def filter_values(
     return spsignal.sosfilt(sos, x)
 
 
-def _square_in_place(values: np.ndarray) -> np.ndarray:
-    """``values * values``, written over ``values`` (a fresh array of our own)."""
-    return np.multiply(values, values, out=values)
+# Samples per block of a magnitude's running sum: the square added to it is
+# one 256 KiB block at a time, never a full-length series beside the sum.
+_SUM_BLOCK = 1 << 15
 
 
-def _norm(squares) -> np.ndarray:
-    """sqrt((s0 + s1) + s2) of the squared axes, summed in s0's own memory.
+def _add_square(total: np.ndarray, a: np.ndarray) -> None:
+    """``total += a * a``, one block at a time."""
+    for lo in range(0, total.size, _SUM_BLOCK):
+        block = a[lo : lo + _SUM_BLOCK]
+        total[lo : lo + _SUM_BLOCK] += block * block
 
-    ``squares`` may be a generator, so that only the running sum and the
-    next square are alive at once; each square must be a fresh array, and
-    each is dropped as soon as it is added, before the next is made.
+
+def _norm(axes: Iterable[np.ndarray]) -> np.ndarray:
+    """sqrt((a0² + a1²) + a2²) of the axes, summed in one fresh array.
+
+    ``axes`` may be a generator, so that only the running sum and the
+    next axis are alive at once: each axis is dropped as soon as its
+    square is in the sum, before the next is made.
     """
-    squares = iter(squares)
-    total = next(squares)
-    for sq in squares:
-        total += sq
-        del sq
+    axes = iter(axes)
+    first = next(axes)
+    total = first * first
+    del first
+    for a in axes:
+        _add_square(total, a)
+        del a
     return np.sqrt(total, out=total)
+
+
+def _gravity_free(ufm: np.ndarray) -> np.ndarray:
+    """|UFM − 1 g|, in one fresh array."""
+    out = ufm - 1.0
+    return np.abs(out, out=out)
 
 
 def preprocess_all(
@@ -153,63 +171,75 @@ def preprocess_all(
     hfen_spec: Highpass = Highpass(),
     zero_phase: bool = False,
     kinds: Iterable[DatasetKind] = tuple(DatasetKind),
-) -> dict[DatasetKind, PreprocessedSeries]:
-    """Produce the dataset ``kinds`` from one recording (all 11 by default).
+) -> Iterator[tuple[DatasetKind, PreprocessedSeries]]:
+    """The dataset ``kinds`` of one recording (all 11 by default), as made.
 
-    Only the requested kinds and what they are made from are built: FX, FY,
-    FZ and FMpre filter the three axes, FMpost filters UFM, and
-    HFEN_SPECIAL high-passes the three axes. A threshold sweep asks for the
-    swept kind, plus UFM and HFEN_SPECIAL when it computes its own ENMO and
-    HFEN references. Each kind built is the same array
-    whichever others are requested, and the map lists them in
-    :class:`DatasetKind` order. Filtered kinds keep the startup transient.
+    Yields ``(kind, series)`` pairs in one fixed build order: HFEN_SPECIAL,
+    UFX, UFY, UFZ, UFM, UFNM, FMpost, FX, FY, FZ, FMpre. Only the requested
+    kinds are yielded, and only they and what they are made from are
+    built: FX, FY, FZ and FMpre filter the three axes, UFNM and FMpost are
+    made from UFM, and HFEN_SPECIAL high-passes the three axes. A threshold
+    sweep asks for the swept kind, plus UFM and HFEN_SPECIAL when it
+    computes its own ENMO and HFEN references. Each kind built is the same
+    array whichever others are requested; take ``dict(...)`` of the pairs
+    for a map. Filtered kinds keep the startup transient.
 
-    Each build holds at most one full-length temporary besides the array
-    it makes: a magnitude's running sum has the next square beside it,
-    and the HFEN input's the next high-passed axis, squared in its own
-    buffer. HFEN_SPECIAL is built first, while only the raw axes exist,
-    and FMpost, which needs no temporary, last, so the peak of the whole
-    call is the finished datasets themselves.
+    The recording and the filters are checked at the call; each kind is
+    built when its pair is drawn. The build keeps no series it will not
+    read again: UFM goes once FMpost has been drawn, each filtered axis
+    once its square is in FMpre, and a magnitude adds each later square
+    to its running sum block by block. So a consumer that drops each
+    series after its last use holds at most the three filtered axes and
+    FMpre's sum at once (causal filtering), and one that keeps them all
+    holds the finished datasets and one block.
     """
     fs = rec.sample_rate_hz
-    axes = (rec.x, rec.y, rec.z)
     if not (rec.x.size == rec.y.size == rec.z.size):
         raise SeriesMismatch(
             f"axis lengths differ: x={rec.x.size} y={rec.y.size} z={rec.z.size}"
         )
     band = design_filter(bandpass, fs)
     high = design_filter(hfen_spec, fs)
-    wanted = frozenset(kinds)
+    return _build(rec, band, high, zero_phase, frozenset(kinds))
+
+
+def _build(rec, band, high, zero_phase, wanted):
+    """The pairs of :func:`preprocess_all`, made one at a time."""
+    fs = rec.sample_rate_hz
+    axes = (rec.x, rec.y, rec.z)
 
     def need(*made_from) -> bool:
         return not wanted.isdisjoint(made_from)
 
-    out: dict[DatasetKind, PreprocessedSeries] = {}
-
-    def put(kind, values):
+    def made(kind, values):
         # wrapped as soon as made: a zero-phase output is a reversed view,
         # and its contiguous copy must replace it before the next is filtered
-        out[kind] = PreprocessedSeries(kind, values, fs)
-        return out[kind].values
+        return kind, PreprocessedSeries(kind, values, fs)
 
     if need(DatasetKind.HFEN_SPECIAL):
-        put(DatasetKind.HFEN_SPECIAL, _norm(
-            _square_in_place(filter_values(a, high, zero_phase)) for a in axes
+        yield made(DatasetKind.HFEN_SPECIAL, _norm(
+            filter_values(a, high, zero_phase) for a in axes
         ))
     for kind, a in zip(UNFILTERED_AXES, axes):
-        put(kind, a)
-    if need(*FILTERED_AXES, DatasetKind.FMPRE):
-        filtered = [
-            put(kind, filter_values(a, band, zero_phase))
-            for kind, a in zip(FILTERED_AXES, axes)
-        ]
+        if kind in wanted:
+            yield made(kind, a)
     if need(DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPOST):
-        ufm = put(DatasetKind.UFM, _norm(a * a for a in axes))
-    if need(DatasetKind.UFNM):
-        ufnm = ufm - 1.0
-        put(DatasetKind.UFNM, np.abs(ufnm, out=ufnm))
-    if need(DatasetKind.FMPRE):
-        put(DatasetKind.FMPRE, _norm(f * f for f in filtered))
-    if need(DatasetKind.FMPOST):
-        put(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase))
-    return {kind: out[kind] for kind in DatasetKind if kind in wanted}
+        ufm = _norm(axes)
+        if DatasetKind.UFM in wanted:
+            yield made(DatasetKind.UFM, ufm)
+        if DatasetKind.UFNM in wanted:
+            yield made(DatasetKind.UFNM, _gravity_free(ufm))
+        if DatasetKind.FMPOST in wanted:
+            yield made(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase))
+        del ufm
+    if need(*FILTERED_AXES, DatasetKind.FMPRE):
+        filtered = []  # the filtered axes FMpre is made from
+        for kind, a in zip(FILTERED_AXES, axes):
+            pair = made(kind, filter_values(a, band, zero_phase))
+            if DatasetKind.FMPRE in wanted:
+                filtered.append(pair[1].values)
+            if kind in wanted:
+                yield pair
+            del pair
+        if DatasetKind.FMPRE in wanted:
+            yield made(DatasetKind.FMPRE, _norm(filtered.pop(0) for _ in FILTERED_AXES))

@@ -24,7 +24,7 @@ def bout_recording():
 
 @pytest.fixture(scope="session")
 def bout_datasets(bout_recording):
-    return preprocess_all(bout_recording)
+    return dict(preprocess_all(bout_recording))
 
 
 @pytest.fixture(scope="session")

@@ -104,7 +104,7 @@ def corpus_signals(corpus):
     )
     out = {}
     for rec in corpus:
-        datasets = preprocess_all(rec)
+        datasets = dict(preprocess_all(rec))
         noise = estimate_noise_variance(rec, 60.0)
         out[rec.subject_id] = {
             v.label: compute_activity(v, datasets, EPOCH_S, noise=noise)
@@ -237,7 +237,7 @@ _APPLICABLE_CELLS = {
 def test_criterion_5_applicability_matrix(corpus):
     with criterion(5, "compute_activity accepts exactly the applicable metric/kind cells"):
         rec = synthesize(dataclasses.replace(corpus_specs()[0], duration_s=600.0))
-        datasets = preprocess_all(rec)
+        datasets = dict(preprocess_all(rec))
         noise = estimate_noise_variance(rec)
         for metric, applicable in _APPLICABLE_CELLS.items():
             for column, kinds in _FIG_COLUMNS.items():
@@ -285,7 +285,7 @@ def test_criterion_6_metric_invariants(corpus, corpus_signals):
             subject_id="rest", duration_s=3600.0, rest_s=3600.0, active_s=0.0,
             noise_sd_g=0.0, seed=5,
         ))
-        rest_sets = preprocess_all(rest)
+        rest_sets = dict(preprocess_all(rest))
         enmo_sig = compute_activity(
             VariantDescriptor(MetricId.ENMO, DatasetKind.UFM), rest_sets, EPOCH_S
         )
@@ -294,7 +294,7 @@ def test_criterion_6_metric_invariants(corpus, corpus_signals):
         # constant recording, zero noise variance: AI exactly zero
         const = RawRecording("const", 10.0, np.zeros(36000), np.zeros(36000),
                              np.ones(36000))
-        const_sets = preprocess_all(const)
+        const_sets = dict(preprocess_all(const))
         ai_sig = compute_activity(
             VariantDescriptor(MetricId.AI, AxisTriple.UFXYZ), const_sets, EPOCH_S,
             noise=estimate_noise_variance(const),
@@ -303,7 +303,7 @@ def test_criterion_6_metric_invariants(corpus, corpus_signals):
 
         # TAT totals monotone non-increasing over a 20-point threshold grid
         for rec in corpus:
-            ufm = preprocess_all(rec)[DatasetKind.UFM]
+            ufm = dict(preprocess_all(rec))[DatasetKind.UFM]
             mat = ufm.values[: (ufm.n_samples // 600) * 600].reshape(-1, 600)
             totals = [
                 float(tat_values(mat, thr, 0.1).sum())
@@ -406,7 +406,7 @@ def _mean_r(recordings, label_a, label_b):
     variants = {v.label: v for v in catalog()}
     rs = []
     for rec in recordings:
-        datasets = preprocess_all(rec)
+        datasets = dict(preprocess_all(rec))
         a = compute_activity(variants[label_a], datasets, EPOCH_S)
         b = compute_activity(variants[label_b], datasets, EPOCH_S)
         rs.append(pearson(a.values, b.values))

@@ -374,7 +374,7 @@ class TestSubjectSweep:
             subject_id="still", duration_s=1200.0, rest_s=240.0, active_s=active_s,
             noise_sd_g=0.0, seed=3,
         ))
-        datasets = preprocess_all(rec)
+        datasets = dict(preprocess_all(rec))
         ufm = datasets[DatasetKind.UFM].values
         assert (ufm == 1.0).any()
         epochs = ufm.reshape(-1, 600)
@@ -391,7 +391,7 @@ class TestSubjectSweep:
         rec = synthesize(SyntheticSpec(subject_id="short", duration_s=60.0,
                                        noise_sd_g=0.02, seed=1))
         with pytest.raises(SignalTooShort):
-            subject_sweep(MetricId.ZCM, DatasetKind.UFM, preprocess_all(rec), 60.0)
+            subject_sweep(MetricId.ZCM, DatasetKind.UFM, dict(preprocess_all(rec)), 60.0)
 
 
 _SWEEP_KINDS = (DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPRE, DatasetKind.FMPOST,
@@ -407,7 +407,7 @@ def sweep_corpus_datasets():
     """A short two-subject corpus and its full builds, causal and zero-phase."""
     recordings = _sweep_corpus(2, 1800.0)
     return recordings, {
-        zero_phase: [preprocess_all(rec, zero_phase=zero_phase) for rec in recordings]
+        zero_phase: [dict(preprocess_all(rec, zero_phase=zero_phase)) for rec in recordings]
         for zero_phase in (False, True)
     }
 

@@ -343,7 +343,7 @@ class TestComputeActivity:
     def test_mad_on_constant_axis_is_zero(self, rest_recording):
         from actimetrics import preprocess_all
 
-        datasets = preprocess_all(rest_recording)
+        datasets = dict(preprocess_all(rest_recording))
         out = compute_activity(
             VariantDescriptor(MetricId.MAD, DatasetKind.UFX), datasets, 60.0
         )

@@ -449,7 +449,7 @@ class TestAdaptiveTatOnRest:
         from actimetrics import compute_activity, preprocess_all
         from actimetrics.combine import VariantDescriptor
 
-        datasets = preprocess_all(rec)
+        datasets = dict(preprocess_all(rec))
         variant = VariantDescriptor(MetricId.TAT, DatasetKind.UFM)
         sig = compute_activity(variant, datasets, 60.0)
 

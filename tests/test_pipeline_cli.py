@@ -171,7 +171,7 @@ class TestConfig:
 
         config = config_from_dict({"threshold": {"mode": "fixed", "fixed_g": 0.15}})
         rec = corpus(1, duration_s=600.0)[0]
-        datasets = preprocess_all(rec)
+        datasets = dict(preprocess_all(rec))
         variant = VariantDescriptor(
             MetricId.TAT, DatasetKind.FY,
             threshold_policy=config.threshold,
@@ -202,7 +202,7 @@ class TestConfig:
         rec = corpus(1, duration_s=600.0)[0]
         config = config_from_dict({"filter_phase": "zero-phase"})
         signals = process_subject(rec, config)
-        datasets = preprocess_all(rec, zero_phase=True)
+        datasets = dict(preprocess_all(rec, zero_phase=True))
         noise = estimate_noise_variance(rec)
         for variant in config.variants():
             expected = compute_activity(variant, datasets, config.epoch_s, noise=noise)
@@ -322,8 +322,8 @@ class TestRunPipeline:
         run_pipeline(config, corpus(), tmp_path)
         assert [rec.subject_id for rec, _ in received] == ["s00", "s00", "s01", "s01"]
         for rec, (enmo, hfen) in received:
-            datasets = preprocess_all(rec, config.bandpass, config.hfen_highpass,
-                                      config.zero_phase)
+            datasets = dict(preprocess_all(rec, config.bandpass, config.hfen_highpass,
+                                           config.zero_phase))
             n = int(config.epoch_s * rec.sample_rate_hz)
             ufm = epoch_matrix(datasets[DatasetKind.UFM].values, n)
             hfen_input = epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n)
@@ -567,7 +567,7 @@ class TestCli:
         names = sorted(p.name for p in (out / "s00" / "datasets").glob("*.csv"))
         assert len(names) == 11
         assert "FMpre.csv" in names
-        ufm = preprocess_all(read_recording(paths[0]))[DatasetKind.UFM].values
+        ufm = dict(preprocess_all(read_recording(paths[0])))[DatasetKind.UFM].values
         lines = (out / "s00" / "datasets" / "UFM.csv").read_text().splitlines()
         assert lines[:3] == ["# kind: UFM", "# sample_rate_hz: 10.0", "index,value"]
         assert lines[3:] == [f"{i},{v!r}" for i, v in enumerate(ufm.tolist())]
@@ -859,15 +859,31 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_preprocess_keeps_the_files_before_a_truncated_payload(self, tmp_path, capsys):
-        good, cut = self._write_corpus(tmp_path)
+    def test_preprocess_fails_a_truncated_payload_alone(self, tmp_path, capsys):
+        cut, good = self._write_corpus(tmp_path)
         cut.write_bytes(cut.read_bytes()[:-1000])
         out = tmp_path / "out"
-        assert main(["--out", str(out), "preprocess", str(good), str(cut)]) == 2
+        assert main(["--out", str(out), "preprocess", str(cut), str(good)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "s01.actm" in err and "payload has" in err
-        assert len(list((out / "s00" / "datasets").glob("*.csv"))) == 11
+        assert err.startswith("data error: subject s00 failed:")
+        assert "s00.actm" in err and "payload has" in err
+        assert len(list((out / "s01" / "datasets").glob("*.csv"))) == 11
+        assert sorted(p.name for p in out.iterdir()) == ["s01"]
+
+    def test_preprocess_fails_an_invalid_csv_alone(self, tmp_path, capsys):
+        good = self._write_corpus(tmp_path, n=1)[0]
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("x,y,z\n" + "\n".join(["0.1,0.2,nan"] * 600) + "\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "preprocess", "--sample-rate-hz", "10",
+                     str(bad_csv), str(good)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: subject bad failed: bad: z[0] is non-finite")
+        assert captured.err.count("\n") == 1
+        assert "s00: wrote 11 dataset kinds" in captured.out
         assert sorted(p.name for p in out.iterdir()) == ["s00"]
+        assert main(["--out", str(tmp_path / "solo"), "preprocess", str(good)]) == 0
+        self._same_files(out, tmp_path / "solo")
 
     def test_calling_process_does_not_grow_with_the_cohort(self, tmp_path, capsys):
         # each subject task decodes its own recording, so the traced peak of
@@ -1210,7 +1226,8 @@ class TestCli:
     def test_subjects_below_1_exits_1_before_any_output(self, tmp_path, capsys, subjects):
         out = tmp_path / "data"
         assert main(["--out", str(out), "synth", "--subjects", subjects]) == 1
-        assert capsys.readouterr().err.startswith("config error: --subjects")
+        # the same check and text as "synthetic": {"subjects": 0} in a config file
+        assert capsys.readouterr().err == "config error: synthetic.subjects must be >= 1\n"
         assert not out.exists()
 
     def test_escaping_sidecar_subject_id_exits_2_writing_nothing(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from actimetrics import (
     Bandpass,
     DatasetKind,
     Highpass,
+    PipelineConfig,
     RawRecording,
     SyntheticSpec,
     design_filter,
@@ -15,14 +16,21 @@ from actimetrics import (
     synthesize,
 )
 from actimetrics.errors import InvalidCutoffs, SeriesMismatch, UnstableDesign
+from actimetrics.pipeline import preprocess_subject
 from actimetrics.preprocess import filter_values
 
 FS = 10.0
+# the order in which preprocess_all makes and yields the kinds
+BUILD_ORDER = (
+    DatasetKind.HFEN_SPECIAL, DatasetKind.UFX, DatasetKind.UFY, DatasetKind.UFZ,
+    DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPOST,
+    DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ, DatasetKind.FMPRE,
+)
 
 
 def datasets_of(x, y, z, **kwargs):
     """preprocess_all of a small recording built from the three axes."""
-    return preprocess_all(RawRecording("t", FS, x, y, z), **kwargs)
+    return dict(preprocess_all(RawRecording("t", FS, x, y, z), **kwargs))
 
 
 def gain(sos, f_hz):
@@ -277,7 +285,7 @@ class TestFmpre:
 
 class TestHfenPreprocess:
     def test_rest_recording_decays_to_zero(self, rest_recording):
-        out = preprocess_all(rest_recording)[DatasetKind.HFEN_SPECIAL]
+        out = dict(preprocess_all(rest_recording))[DatasetKind.HFEN_SPECIAL]
         assert out.kind is DatasetKind.HFEN_SPECIAL
         assert np.max(out.values[600:]) < 1e-3
 
@@ -324,7 +332,7 @@ class TestMagnitudesMatchTheDirectFormula:
         rec = bout_recording
         filt = design_filter(Highpass(), FS)
         hx, hy, hz = (filter_values(a, filt, zero_phase) for a in (rec.x, rec.y, rec.z))
-        out = preprocess_all(rec, zero_phase=zero_phase)[DatasetKind.HFEN_SPECIAL].values
+        out = dict(preprocess_all(rec, zero_phase=zero_phase))[DatasetKind.HFEN_SPECIAL].values
         assert out.tobytes() == self._norm(hx, hy, hz).tobytes()
 
     def test_ufnm(self, bout_datasets):
@@ -360,20 +368,26 @@ class TestMagnitudesMatchTheDirectFormula:
         }
         subset = (DatasetKind.HFEN_SPECIAL, DatasetKind.FMPOST, DatasetKind.UFNM, DatasetKind.FX)
         for kinds in (tuple(DatasetKind), subset):
-            out = preprocess_all(rec, zero_phase=zero_phase, kinds=kinds)
-            # DatasetKind order, whatever order the kinds are built in
-            assert list(out) == [kind for kind in expected if kind in kinds]
-            for kind, series in out.items():
+            out = list(preprocess_all(rec, zero_phase=zero_phase, kinds=kinds))
+            assert [kind for kind, _ in out] == [kind for kind in BUILD_ORDER if kind in kinds]
+            for kind, series in out:
                 assert series.values.tobytes() == expected[kind].tobytes(), kind
 
 
 class TestPreprocessAll:
-    def test_map_has_exactly_11_entries(self, bout_datasets):
-        assert len(bout_datasets) == 11
-        assert list(bout_datasets) == list(DatasetKind)
+    def test_map_has_exactly_11_entries(self, bout_recording, bout_datasets):
+        assert list(bout_datasets) == list(BUILD_ORDER)
+        assert list(preprocess_subject(bout_recording, PipelineConfig())) == list(DatasetKind)
+
+    def test_checks_come_at_the_call(self):
+        x = np.zeros(10)
+        with pytest.raises(SeriesMismatch):
+            preprocess_all(RawRecording("t", FS, x, x, np.zeros(9)))
+        with pytest.raises(InvalidCutoffs):
+            preprocess_all(RawRecording("t", 4.0, x, x, x))
 
     def test_rest_recording_ufm_1_ufnm_0(self, rest_recording):
-        datasets = preprocess_all(rest_recording)
+        datasets = dict(preprocess_all(rest_recording))
         np.testing.assert_allclose(datasets[DatasetKind.UFM].values, 1.0, atol=1e-12)
         np.testing.assert_allclose(datasets[DatasetKind.UFNM].values, 0.0, atol=1e-12)
 
@@ -424,11 +438,11 @@ class TestPreprocessKinds:
     def test_requested_kinds_equal_the_full_build_and_nothing_else_is_filtered(
         self, bout_recording, monkeypatch, kinds, zero_phase
     ):
-        full = preprocess_all(bout_recording, zero_phase=zero_phase)
+        full = dict(preprocess_all(bout_recording, zero_phase=zero_phase))
         calls = _count_filter_calls(monkeypatch)
-        out = preprocess_all(bout_recording, zero_phase=zero_phase, kinds=kinds)
+        out = dict(preprocess_all(bout_recording, zero_phase=zero_phase, kinds=kinds))
         assert len(calls) == _filter_calls(kinds)
-        assert list(out) == [kind for kind in DatasetKind if kind in kinds]
+        assert list(out) == [kind for kind in BUILD_ORDER if kind in kinds]
         for kind, series in out.items():
             assert series.values.tobytes() == full[kind].values.tobytes(), kind
             assert series.values.flags.c_contiguous
@@ -444,7 +458,7 @@ class TestPreprocessKinds:
         from actimetrics.metrics import enmo_values, hfen_values
 
         calls = _count_filter_calls(monkeypatch)
-        full = preprocess_all(bout_recording)
+        full = dict(preprocess_all(bout_recording))
         assert len(calls) == 7
         n = int(60.0 * bout_recording.sample_rate_hz)
         references = (

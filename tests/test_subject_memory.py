@@ -2,10 +2,12 @@
 
 A 24 h recording at 10 Hz has 864,000 samples per axis, so one
 full-length series is 6.9 MB. ``preprocess_subject`` builds 8 datasets
-(the 3 raw axes pass through), and its peak must be those 8 series. The
-peak of ``process_subject`` may add the catalog's signals and its row
-blocks, but no ninth series: each dataset leaves the map after its last
-reader, and an SD threshold centres its one temporary in place.
+(the 3 raw axes pass through), and its peak must be those 8 series.
+``process_subject`` evaluates each variant as soon as its datasets are
+made and drops each dataset after its last reader, so it never holds
+more than the three filtered axes, FMpre's running sum and one
+temporary; zero-phase filtering needs one more series. Its peak may add
+the catalog's signals and its row blocks.
 """
 import tracemalloc
 
@@ -23,6 +25,7 @@ from actimetrics import (
     compute_activity,
     config_from_dict,
     estimate_noise_variance,
+    preprocess_all,
     sd_threshold,
     synthesize,
 )
@@ -57,10 +60,32 @@ def test_preprocess_subject_peaks_at_its_eight_datasets(day_recording):
     assert peak <= 8 * series + MIB // 2, f"{peak / series:.2f} series"
 
 
-def test_process_subject_holds_no_ninth_series(day_recording):
+@pytest.mark.parametrize("filter_phase, held", [("causal", 5), ("zero-phase", 6)])
+def test_process_subject_holds_a_few_series(day_recording, filter_phase, held):
     series = day_recording.x.nbytes
-    peak = _peak_bytes(process_subject, day_recording, PipelineConfig())
-    assert peak <= 8 * series + 2 * MIB, f"{peak / series:.2f} series"
+    config = PipelineConfig(filter_phase=filter_phase)
+    peak = _peak_bytes(process_subject, day_recording, config)
+    assert peak <= held * series + 2 * MIB, f"{peak / series:.2f} series"
+
+
+@pytest.mark.parametrize("filter_phase", ["causal", "zero-phase"])
+@pytest.mark.parametrize("kinds", [
+    tuple(DatasetKind),
+    (DatasetKind.FMPRE, DatasetKind.UFNM),
+    (DatasetKind.FY, DatasetKind.FMPOST, DatasetKind.HFEN_SPECIAL),
+], ids=["all", "fmpre+ufnm", "fy+fmpost+hfen"])
+def test_each_kind_drawn_and_dropped_is_the_eager_maps_bytes(
+    bout_recording, filter_phase, kinds
+):
+    config = PipelineConfig(filter_phase=filter_phase)
+    eager = preprocess_subject(bout_recording, config)
+    drawn = []
+    for kind, series in preprocess_all(bout_recording, config.bandpass,
+                                       config.hfen_highpass, config.zero_phase, kinds):
+        assert series.values.tobytes() == eager[kind].values.tobytes(), kind
+        drawn.append(kind)
+        del series  # freed before the next kind is made
+    assert sorted(drawn, key=list(DatasetKind).index) == [k for k in DatasetKind if k in kinds]
 
 
 # --- the in-place SD is ndarray.std, bit for bit
@@ -111,24 +136,50 @@ def test_process_subject_gives_each_signal_alone_in_catalog_order(bout_recording
 
 
 def test_each_dataset_leaves_after_its_last_reader(bout_recording, monkeypatch):
-    held = []  # (variant, kinds in the map) per evaluated variant
+    events = []  # ("made", kind) per yielded kind, ("read", variant, kinds in the map)
+
+    def building(*args, **kwargs):
+        for kind, series in preprocess_all(*args, **kwargs):
+            events.append(("made", kind))
+            yield kind, series
 
     def recording(variant, datasets, *args, **kwargs):
-        held.append((variant, set(datasets)))
+        events.append(("read", variant, set(datasets)))
         return compute_activity(variant, datasets, *args, **kwargs)
 
+    monkeypatch.setattr(pipeline, "preprocess_all", building)
     monkeypatch.setattr(pipeline, "compute_activity", recording)
-    process_subject(bout_recording, PipelineConfig())
-    assert (held[0][0].label, held[0][1]) == ("HFEN", set(DatasetKind))
+
+    def evaluations(config):
+        events.clear()
+        process_subject(bout_recording, config)
+        reads = [event[1:] for event in events if event[0] == "read"]
+        made, n_read = [], 0
+        for event in events:
+            if event[0] == "made":
+                made.append(event[1])
+                continue
+            variant, held = event[1:]
+            # evaluated once its last dataset is made, before the next kind is
+            assert made[-1] in variant.datasets and set(variant.datasets) <= set(made)
+            # holding only the kinds made so far that it or a later variant reads
+            later = {kind for v, _ in reads[n_read:] for kind in v.datasets}
+            assert held == set(made) & later, variant.label
+            n_read += 1
+        return reads
+
+    reads = evaluations(PipelineConfig())
+    assert (reads[0][0].label, reads[0][1]) == ("HFEN", {DatasetKind.HFEN_SPECIAL})
+    assert len(reads) == 83
     # no magnitude is left once a squared axis is centred for its threshold
-    squared = [kinds for variant, kinds in held if variant.squared]
+    squared = [kinds for variant, kinds in reads if variant.squared]
     assert len(squared) == 20
     assert all(kinds.isdisjoint(MAGNITUDES) for kinds in squared)
 
-    held.clear()
     config = config_from_dict({"catalog": {"include": ["PIM(UFNM)", "MAD(FX)"]}})
-    process_subject(bout_recording, config)
-    assert [(variant.label, kinds) for variant, kinds in held] == [
-        ("PIM(UFNM)", {DatasetKind.UFNM, DatasetKind.FX}),
+    assert [(variant.label, kinds) for variant, kinds in evaluations(config)] == [
+        ("PIM(UFNM)", {DatasetKind.UFNM}),
         ("MAD(FX)", {DatasetKind.FX}),
     ]
+    assert [event[1] for event in events if event[0] == "made"] == [
+        DatasetKind.UFNM, DatasetKind.FX]
