@@ -29,10 +29,11 @@ from .core import (
     DatasetKind,
     PreprocessedSeries,
     RawRecording,
+    check_fields,
     epoch_matrix,
     epoch_sample_count,
 )
-from .errors import DegenerateInput, LabelMismatch, SignalTooShort
+from .errors import ConfigError, DegenerateInput, LabelMismatch, SignalTooShort
 from .metrics import (
     MetricId,
     enmo_values,
@@ -81,14 +82,15 @@ class PsdParams:
     window: str = "hann"
 
     def __post_init__(self):
+        check_fields(self, "psd")
         if self.segment_epochs < 2:
-            raise ValueError("segment_epochs must be >= 2")
+            raise ConfigError("psd: segment_epochs must be >= 2")
         if not 0.0 <= self.overlap < 1.0:
-            raise ValueError("overlap must be in [0, 1)")
+            raise ConfigError("psd: overlap must be in [0, 1)")
         try:
             spsignal.get_window(self.window, self.segment_epochs)
         except ValueError as exc:
-            raise ValueError(f"window {self.window!r}: {exc}") from None
+            raise ConfigError(f"psd: window {self.window!r}: {exc}") from None
 
 
 def psd(

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from . import formats
 from .config import PipelineConfig, load_config
-from .core import require_jobs
+from .core import DatasetKind, require_jobs
 from .errors import ActimetricsError, ConfigError, WorkerDied
 from .pipeline import (
     preprocess_subject,
@@ -122,11 +122,9 @@ def _cmd_preprocess(args, config: PipelineConfig) -> int:
             continue
         subject_dir = args.out / source.subject_id / "datasets"
         subject_dir.mkdir(parents=True, exist_ok=True)
-        for kind, series in datasets.items():
-            formats.write_dataset_csv(
-                series, subject_dir / f"{formats.label_slug(kind.value)}.csv"
-            )
-        print(f"{source.subject_id}: wrote {len(datasets)} dataset kinds")
+        for kind in list(datasets):  # each series is freed once written
+            formats.write_dataset_csv(datasets.pop(kind), subject_dir / f"{kind.value}.csv")
+        print(f"{source.subject_id}: wrote {len(DatasetKind)} dataset kinds")
         n_ok += 1
     return _exit_code(n_ok, len(sources))
 

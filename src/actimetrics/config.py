@@ -1,28 +1,25 @@
 """Pipeline configuration: JSON schema, strict validation, canonical hashing.
 
-The config file is JSON with a ``schema_version`` field. Unknown keys are
-rejected anywhere in the document, and every value must have its field's
-annotated type (numbers finite, lists lists of strings). Every other check
-is in a section's constructor, so a file, Python and ``dataclasses.replace``
-meet the same :class:`ConfigError`: :class:`AiConfig`, :class:`SweepConfig`
-and :class:`SyntheticConfig` check their own fields; :class:`PipelineConfig`
-its scalars, a non-empty catalog and both filters at a nominal 10 Hz; and
-the ``threshold``, ``psd``, ``bandpass`` and ``hfen_highpass`` sections are
-domain types that check themselves.
+The config file is JSON with a ``schema_version`` field. Each section's
+constructor checks its field types (:func:`core.check_fields`), then its
+values, so a file, Python and ``dataclasses.replace`` meet the same
+:class:`ConfigError`; :func:`config_from_dict` only rejects unknown keys and
+maps JSON onto the constructors. :class:`PipelineConfig` also designs both
+filters at a nominal 10 Hz. The ``threshold``, ``psd``, ``bandpass`` and
+``hfen_highpass`` sections are the library's own domain types.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Mapping, Optional, get_type_hints
 
 from .analysis import PsdParams
 from .combine import VariantDescriptor, catalog
-from .core import DatasetKind
-from .errors import ActimetricsError, ConfigError, InapplicableMetric, InvalidCutoffs
+from .core import DatasetKind, check_fields
+from .errors import ActimetricsError, ConfigError, InapplicableMetric
 from .metrics import (
     DEFAULT_NOISE_WINDOW_S,
     THRESHOLD_METRICS,
@@ -43,6 +40,7 @@ class AiConfig:
     sigma_sq_override: Optional[float] = None
 
     def __post_init__(self):
+        check_fields(self, "ai")
         if self.noise_window_s <= 0:
             raise ConfigError("ai.noise_window_s must be positive")
         if self.sigma_sq_override is not None and self.sigma_sq_override < 0:
@@ -54,6 +52,9 @@ class CatalogConfig:
     include: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        check_fields(self, "catalog")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -63,6 +64,7 @@ class SweepConfig:
     max_steps: int = 200
 
     def __post_init__(self):
+        check_fields(self, "sweep")
         for metric in self.metrics:
             if metric not in (m.value for m in THRESHOLD_METRICS):
                 raise ConfigError(f"sweep.metrics: {metric!r} is not ZCM or TAT")
@@ -97,6 +99,7 @@ class SyntheticConfig:
     noise_sd_g: float = 0.02
 
     def __post_init__(self):
+        check_fields(self, "synthetic")
         if self.subjects < 1:
             raise ConfigError("synthetic.subjects must be >= 1")
         try:
@@ -131,6 +134,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, "")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(f"schema_version {self.schema_version} unsupported "
                               f"(expected {SCHEMA_VERSION})")
@@ -156,7 +160,7 @@ class PipelineConfig:
                            ("hfen_highpass", self.hfen_highpass)):
             try:
                 design_filter(spec, 10.0)
-            except (ActimetricsError, ArithmeticError) as exc:
+            except (ActimetricsError, ArithmeticError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from None
 
     # -- derived views -------------------------------------------------
@@ -181,74 +185,36 @@ class PipelineConfig:
         return [(m, k) for m in self.sweep.metrics for k in self.sweep.kinds]
 
     def canonical_dict(self) -> dict:
-        return _tuples_to_lists(asdict(self))
+        return json.loads(json.dumps(asdict(self)))  # as its JSON document: tuples as lists
 
     def config_hash(self) -> str:
-        canonical = json.dumps(
-            self.canonical_dict(), sort_keys=True, separators=(",", ":")
-        )
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _tuples_to_lists(obj):
-    if isinstance(obj, dict):
-        return {k: _tuples_to_lists(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tuples_to_lists(v) for v in obj]
-    return obj
+def _build_section(cls, data: Mapping[str, Any], where: str):
+    """``cls`` from the JSON object ``data``, named ``where`` in errors.
 
-
-def _typed(value, hint, path: str):
-    """``value`` as a field annotated ``hint`` takes it, else a ConfigError.
-
-    An int rejects bool, a float takes a finite int or float, a tuple of
-    strings takes a list of strings, and None is only for Optional fields.
-    A dataclass field takes an object, built by :func:`_build_section`.
+    Lists become tuples and objects sections; the constructors check the rest.
     """
-    if get_origin(hint) is Union:  # Optional[X]
-        if value is None:
-            return None
-        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
-    if is_dataclass(hint):
-        return _build_section(hint, value, path)
-    if hint == tuple[str, ...]:
-        if isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return tuple(value)
-        raise ConfigError(f"{path}: expected a list of strings, got {value!r}")
-    if hint is float:
-        # an int compares exactly, so one too large for a float is caught too
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    elif hint is int:
-        ok = isinstance(value, int)
-    else:
-        ok = isinstance(value, hint)
-    if not ok or (hint is not bool and isinstance(value, bool)):
-        noun = "a finite number" if hint is float else f"a {hint.__name__}"
-        raise ConfigError(f"{path}: expected {noun}, got {value!r}")
-    return value
-
-
-def _build_section(cls, data: Mapping[str, Any], path: str):
-    """``cls`` from the JSON object ``data``; ``path`` locates it in errors."""
-    where = path or "config"
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(data) - {f.name for f in fields(cls)}
+    hints = get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    hints = get_type_hints(cls)
-    kwargs = {
-        key: _typed(value, hints[key], f"{path}.{key}" if path else key)
-        for key, value in data.items()
-    }
-    try:
-        return cls(**kwargs)
-    except (ValueError, InvalidCutoffs) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    kwargs = {}
+    for key, value in data.items():
+        if isinstance(value, Mapping) and is_dataclass(hints[key]):
+            value = _build_section(hints[key], value, key)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
-    return _build_section(PipelineConfig, data, "")
+    if not isinstance(data, Mapping):
+        raise ConfigError("config: expected an object")
+    return _build_section(PipelineConfig, data, "config")
 
 
 def load_config(path) -> PipelineConfig:

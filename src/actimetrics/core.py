@@ -1,4 +1,4 @@
-"""Domain types, recording validation, epoch matrices and the ordered process map.
+"""Domain types, settings field checks, recording validation, epoch matrices, process map.
 
 All types are immutable after construction (array fields are made
 read-only) and picklable; every operation here but :func:`ordered_map`,
@@ -7,10 +7,11 @@ which runs what it is given, is a pure function of its inputs.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -28,6 +29,35 @@ def as_float_array(values) -> np.ndarray:
     arr = np.ascontiguousarray(arr).view()
     arr.setflags(write=False)
     return arr
+
+
+def check_fields(section, path: str) -> None:
+    """ConfigError unless each field of the settings ``section`` (named ``path``) has its type.
+
+    An int rejects bool, a float must be finite, a tuple must hold strings,
+    None is only for Optional fields, and a section field takes only its
+    section. Nothing is converted, so a config hashes what it was given.
+    """
+    for name, hint in get_type_hints(type(section)).items():
+        value, where = getattr(section, name), f"{path}.{name}" if path else name
+        if type(None) in get_args(hint):  # Optional[X]
+            hint = type(None) if value is None else get_args(hint)[0]
+        if is_dataclass(hint) and not isinstance(value, hint):
+            raise ConfigError(f"{where}: expected an object")
+        if hint == tuple[str, ...]:
+            ok = isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+            # a config file's lists arrive as tuples, so only Python passes a list
+            noun = "a tuple of strings" if isinstance(value, list) else "a list of strings"
+        elif hint is float:
+            # an int compares exactly, so one too large for a float is caught too
+            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            noun = "a finite number"
+        else:
+            ok = isinstance(value, hint)
+            noun = f"a {hint.__name__}"
+        if not ok or (hint is not bool and isinstance(value, bool)):
+            shown = list(value) if isinstance(value, tuple) else value  # as JSON has it
+            raise ConfigError(f"{where}: expected {noun}, got {shown!r}")
 
 
 class DatasetKind(Enum):

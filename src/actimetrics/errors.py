@@ -21,8 +21,8 @@ class InvalidRecording(ActimetricsError):
     """Recording failed validation; the message lists the findings."""
 
 
-class InvalidCutoffs(ActimetricsError):
-    """Filter cutoffs violate 0 < f_low < f_high < Nyquist."""
+class InvalidCutoffs(ConfigError):
+    """Filter cutoffs violate 0 < f_low < f_high < Nyquist (at a recording's rate)."""
 
 
 class UnstableDesign(ActimetricsError):

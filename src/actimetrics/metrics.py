@@ -36,6 +36,7 @@ from .core import (
     DatasetKind,
     PreprocessedSeries,
     RawRecording,
+    check_fields,
 )
 from .errors import (
     ConfigError,
@@ -87,13 +88,14 @@ class ThresholdPolicy:
     fixed_g: Optional[float] = None
 
     def __post_init__(self):
+        check_fields(self, "threshold")
         if self.mode not in ("adaptive_sd", "fixed"):
-            raise ValueError(f"unknown threshold mode: {self.mode}")
+            raise ConfigError(f"threshold: unknown threshold mode: {self.mode}")
         if self.mode == "fixed":
-            if self.fixed_g is None or not 0 <= self.fixed_g < np.inf:
-                raise ValueError("fixed threshold needs a finite fixed_g >= 0")
+            if self.fixed_g is None or self.fixed_g < 0:
+                raise ConfigError("threshold: fixed threshold needs a finite fixed_g >= 0")
         elif self.fixed_g is not None:
-            raise ValueError("adaptive_sd takes no fixed value")
+            raise ConfigError("threshold: adaptive_sd takes no fixed value")
 
     @classmethod
     def adaptive(cls) -> "ThresholdPolicy":

@@ -36,8 +36,9 @@ from .core import (
     DatasetKind,
     PreprocessedSeries,
     RawRecording,
+    check_fields,
 )
-from .errors import InvalidCutoffs, SeriesMismatch, UnstableDesign
+from .errors import ConfigError, InvalidCutoffs, SeriesMismatch, UnstableDesign
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,12 @@ class Bandpass:
     f_high_hz: float = 2.5
 
     def __post_init__(self):
+        check_fields(self, "bandpass")
         if self.order < 1:
-            raise ValueError("order must be >= 1")
+            raise ConfigError("bandpass: order must be >= 1")
         if not 0.0 < self.f_low_hz < self.f_high_hz:
-            raise InvalidCutoffs(
-                f"need 0 < f_low < f_high, got ({self.f_low_hz}, {self.f_high_hz})"
-            )
+            raise InvalidCutoffs(f"bandpass: need 0 < f_low < f_high, "
+                                 f"got ({self.f_low_hz}, {self.f_high_hz})")
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,11 @@ class Highpass:
     cutoff_hz: float = 0.2
 
     def __post_init__(self):
+        check_fields(self, "hfen_highpass")
         if self.order < 1:
-            raise ValueError("order must be >= 1")
+            raise ConfigError("hfen_highpass: order must be >= 1")
         if not self.cutoff_hz > 0.0:
-            raise InvalidCutoffs(f"need 0 < cutoff, got {self.cutoff_hz}")
+            raise InvalidCutoffs(f"hfen_highpass: need 0 < cutoff, got {self.cutoff_hz}")
 
 
 def design_filter(spec: Union[Bandpass, Highpass], sample_rate_hz: float) -> np.ndarray:

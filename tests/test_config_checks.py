@@ -1,16 +1,29 @@
 """One table of invalid settings, each rejected the same way three ways.
 
-A config is checked when it is built, so a setting fails with one
-``ConfigError`` text whether it comes from a config file's dict, from the
-constructor of the section that owns it, or from ``dataclasses.replace``
+A config is checked when it is built, types first, so a setting fails with
+one ``ConfigError`` text whether it comes from a config file's dict, from
+the constructor of the section that owns it, or from ``dataclasses.replace``
 on a valid config. No config that a run could record in its manifest holds
-a setting the run would not use.
+a setting the run would not use. A property test draws whole documents and
+holds the three ways to the same error text or the same config hash.
 """
 import dataclasses
 
 import pytest
 
-from actimetrics import PipelineConfig, config_from_dict
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from actimetrics import (
+    Bandpass,
+    Highpass,
+    PipelineConfig,
+    PsdParams,
+    ThresholdPolicy,
+    config_from_dict,
+)
 from actimetrics.config import AiConfig, CatalogConfig, SweepConfig, SyntheticConfig
 from actimetrics.errors import ConfigError
 
@@ -32,10 +45,25 @@ _INVALID = [
     ("synthetic", "subjects", 0, "synthetic.subjects must be >= 1"),
     ("catalog", "include", ("NOPE*",),
      "empty catalog: include/exclude filters left no variants"),
+    # a wrong type names the field and the type it expects
+    (None, "epoch_s", "60", "epoch_s: expected a finite number, got '60'"),
+    (None, "seed", True, "seed: expected a int, got True"),
+    (None, "pim_integrations", "riemann",
+     "pim_integrations: expected a list of strings, got 'riemann'"),
+    ("catalog", "include", "PIM*", "catalog.include: expected a list of strings, got 'PIM*'"),
+    ("psd", "window", 3, "psd.window: expected a str, got 3"),
+    (None, "ai", 60.0, "ai: expected an object"),
+    # the domain sections check their own values, with the section's name
+    ("psd", "segment_epochs", 1, "psd: segment_epochs must be >= 2"),
+    ("psd", "overlap", 1.0, "psd: overlap must be in [0, 1)"),
+    ("bandpass", "f_low_hz", 3.0, "bandpass: need 0 < f_low < f_high, got (3.0, 2.5)"),
+    ("hfen_highpass", "order", 0, "hfen_highpass: order must be >= 1"),
+    ("threshold", "mode", "fixed", "threshold: fixed threshold needs a finite fixed_g >= 0"),
 ]
 
 _SECTIONS = {"ai": AiConfig, "catalog": CatalogConfig, "sweep": SweepConfig,
-             "synthetic": SyntheticConfig}
+             "synthetic": SyntheticConfig, "bandpass": Bandpass, "hfen_highpass": Highpass,
+             "threshold": ThresholdPolicy, "psd": PsdParams}
 
 
 def _from_dict(section, name, value):
@@ -76,8 +104,126 @@ def test_invalid_setting_is_one_config_error(build, section, name, value, text):
     ("sweep", "kinds", ("FMpost",)),
     ("ai", "sigma_sq_override", 0.0),
     ("synthetic", "subjects", 1),
+    ("psd", "window", "hamming"),
+    ("bandpass", "order", 4),
 ])
 def test_valid_setting_builds_alike_three_ways(section, name, value):
     configs = [build(section, name, value)
                for build in (_from_dict, _from_constructor, _from_replace)]
     assert len({config.config_hash() for config in configs}) == 1
+
+
+def test_python_only_mistakes_name_what_python_takes():
+    # a file's objects and lists become sections and tuples; Python passes its own
+    with pytest.raises(ConfigError) as info:
+        PipelineConfig(ai={"noise_window_s": 60.0})
+    assert str(info.value) == "ai: expected an object"
+    with pytest.raises(ConfigError) as info:
+        CatalogConfig(include=["PIM*"])
+    assert str(info.value) == "catalog.include: expected a tuple of strings, got ['PIM*']"
+
+
+# --- whole documents: a file, the constructors and replace agree
+
+_NON_OBJECTS = [None, 1, "x", [], ["x"]]
+_WRONG = [None, True, "x", [1], {}, ["a", 1], 10**400, math.nan, math.inf]
+_ALTERNATIVES = {  # right-typed values a field's default does not suggest
+    "filter_phase": ["zero-phase", "zero_phase"], "mode": ["fixed", "other"],
+    "window": ["hamming", "kaiser", "bogus"], "pim_integrations": [["simpson38"], ["simpson"]],
+    "metrics": [["ZCM", "ZCM"], ["MAD"]], "kinds": [["FMpost"], ["UFX"], ["BOGUS"]],
+    "include": [["PIM*"], ["NOPE*"]], "exclude": [["*[*"], ["*"]],
+    "fixed_g": [0.1, -0.1], "sigma_sq_override": [0.0, -1.0],
+}
+
+
+def _candidates(name, default):
+    """Values to draw for a field: right types, in and out of range, and wrong types."""
+    if isinstance(default, bool):
+        right = [default, not default]
+    elif isinstance(default, int):
+        right = [default, default + 1, 1, 0, -1]
+    elif isinstance(default, float):
+        right = [default, default / 2, 0.0, -1.0, int(default)]
+    elif isinstance(default, tuple):
+        right = [list(default), [], "x"]
+    else:
+        right = [default]
+    return right + _ALTERNATIVES.get(name, []) + _WRONG
+
+
+def _section_fields(cls):
+    return {f.name: _candidates(f.name, getattr(cls(), f.name)) for f in dataclasses.fields(cls)}
+
+
+_TOP = {f.name: _candidates(f.name, getattr(PipelineConfig(), f.name))
+        for f in dataclasses.fields(PipelineConfig) if f.name not in _SECTIONS}
+_SECTION_FIELDS = {name: _section_fields(cls) for name, cls in _SECTIONS.items()}
+
+
+@st.composite
+def documents(draw):
+    doc = {}
+    for name in draw(st.lists(st.sampled_from(sorted([*_TOP, *_SECTIONS])), max_size=5,
+                              unique=True)):
+        if name in _TOP:
+            doc[name] = draw(st.sampled_from(_TOP[name]))
+        elif draw(st.integers(0, 9)) == 7:  # hypothesis favours the ends of a range
+            doc[name] = draw(st.sampled_from(_NON_OBJECTS))
+        else:
+            candidates = _SECTION_FIELDS[name]
+            keys = draw(st.lists(st.sampled_from(sorted(candidates)), max_size=3, unique=True))
+            doc[name] = {key: draw(st.sampled_from(candidates[key])) for key in keys}
+            if draw(st.integers(0, 19)) == 7:
+                doc[name]["bogus"] = 1
+    if draw(st.integers(0, 19)) == 7:
+        doc["bogus"] = 1
+    return doc
+
+
+def _python(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _by_constructors(doc):
+    kwargs = {}
+    for key, value in doc.items():
+        if key in _SECTIONS and isinstance(value, dict):
+            value = _SECTIONS[key](**{k: _python(v) for k, v in value.items()})
+        kwargs[key] = _python(value)
+    return PipelineConfig(**kwargs)
+
+
+def _by_replace(doc):
+    valid = PipelineConfig()
+    kwargs = {}
+    for key, value in doc.items():
+        if key in _SECTIONS and isinstance(value, dict):
+            value = dataclasses.replace(getattr(valid, key),
+                                        **{k: _python(v) for k, v in value.items()})
+        kwargs[key] = _python(value)
+    return dataclasses.replace(valid, **kwargs)
+
+
+def _outcome(build, doc) -> str:
+    """The config hash, or the ConfigError text; any other exception escapes."""
+    try:
+        return f"hash {build(doc).config_hash()}"
+    except ConfigError as exc:
+        return "unknown keys" if "unknown keys" in str(exc) else f"error {exc}"
+    except TypeError as exc:  # Python's own answer to an unknown keyword
+        if "unexpected keyword argument" not in str(exc):
+            raise
+        return "unknown keys"
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(documents())
+def test_a_document_builds_alike_three_ways(doc):
+    from_file = _outcome(config_from_dict, doc)
+    if "bogus" in doc:
+        # a file names a top-level unknown key before it builds any section,
+        # while Python builds each section before it calls PipelineConfig
+        assert from_file == "unknown keys"
+        return
+    assert _outcome(_by_constructors, doc) == from_file
+    assert _outcome(_by_replace, doc) == from_file

@@ -17,7 +17,7 @@ from actimetrics import (
     sd_threshold,
     synthesize,
 )
-from actimetrics.errors import EmptySeries, InapplicableMetric, RecordingTooShort
+from actimetrics.errors import ConfigError, EmptySeries, InapplicableMetric, RecordingTooShort
 from actimetrics.metrics import (
     ai_values,
     enmo_values,
@@ -378,9 +378,15 @@ class TestSdThreshold:
         assert ThresholdPolicy.fixed(0.15).resolve(series) == 0.15
 
     def test_fixed_policy_validation(self):
-        for value in (-0.1, math.nan, math.inf, None):
-            with pytest.raises(ValueError):
+        for value, text in (
+            (-0.1, "threshold: fixed threshold needs a finite fixed_g >= 0"),
+            (math.nan, "threshold.fixed_g: expected a finite number, got nan"),
+            (math.inf, "threshold.fixed_g: expected a finite number, got inf"),
+            (None, "threshold: fixed threshold needs a finite fixed_g >= 0"),
+        ):
+            with pytest.raises(ConfigError) as info:
                 ThresholdPolicy.fixed(value)
+            assert str(info.value) == text
 
 
 class TestApplicabilityTable:

@@ -7,9 +7,11 @@ full-length series is 6.9 MB. ``preprocess_subject`` builds 8 datasets
 made and drops each dataset after its last reader, so it never holds
 more than the three filtered axes, FMpre's running sum and one
 temporary; zero-phase filtering needs one more series. Its peak may add
-the catalog's signals and its row blocks.
+the catalog's signals and its row blocks. The ``preprocess`` dump frees
+each subject's datasets as it writes them, so two subjects peak as one.
 """
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from actimetrics import (
     sd_threshold,
     synthesize,
 )
-from actimetrics import pipeline
+from actimetrics import formats, pipeline
+from actimetrics.cli import main
 from actimetrics.pipeline import preprocess_subject, process_subject
 
 MIB = 1 << 20
@@ -183,3 +186,24 @@ def test_each_dataset_leaves_after_its_last_reader(bout_recording, monkeypatch):
     ]
     assert [event[1] for event in events if event[0] == "made"] == [
         DatasetKind.UFNM, DatasetKind.FX]
+
+
+# --- the preprocess dump holds one subject at a time
+
+
+def test_preprocess_dump_holds_one_subject_at_a_time(tmp_path, monkeypatch):
+    paths = []
+    for i in (1, 2):
+        rec = synthesize(SyntheticSpec(subject_id=f"s{i}", duration_s=7_200.0,
+                                       noise_sd_g=0.02, seed=i))
+        paths.append(str(tmp_path / f"s{i}.actm"))
+        formats.write_recording_bin(rec, paths[-1])
+    series = rec.x.nbytes
+    # the CSV text is the writer's own memory, and slow under tracemalloc
+    monkeypatch.setattr(formats, "write_dataset_csv", lambda _, path: Path(path).touch())
+
+    one = _peak_bytes(main, ["--out", str(tmp_path / "one"), "preprocess", paths[0]])
+    two = _peak_bytes(main, ["--out", str(tmp_path / "two"), "preprocess", *paths])
+    assert two <= one + series, f"{one / series:.2f} vs {two / series:.2f} series"
+    names = sorted(p.name for p in (tmp_path / "two" / "s2" / "datasets").iterdir())
+    assert names == sorted(f"{kind.value}.csv" for kind in DatasetKind)
