@@ -290,22 +290,23 @@ def subject_sweep(
     anchor_idx = int(np.clip(round((sd_thr - grid[0]) / step_g), 0, max_steps - 1))
 
     # beyond the series maximum both metrics are exactly zero, so only the
-    # rows up to it are computed; a zero row is constant and its r stays NaN
+    # rows up to it are computed; a zero row is constant and its r stays NaN.
+    # Each row is reduced as it is made, so only it and the anchor row are held.
     vmax = float(series.values.max())
     rows = next((i for i, thr in enumerate(grid) if thr > vmax), grid.size)
-    activities = np.zeros((grid.size, mat.shape[0]))
+    anchor = (_level_values(metric, mat, grid[anchor_idx], ts) if anchor_idx < rows
+              else np.zeros(mat.shape[0]))
+    curves = {name: np.full(grid.size, np.nan) for name in ("enmo", "hfen", "anchored")}
+    mean_activity = np.zeros(grid.size)
     for i in range(rows):
-        activities[i] = _level_values(metric, mat, grid[i], ts)
-    sd_activity = _level_values(metric, mat, sd_thr, ts)
-
-    def _r_curve(reference: np.ndarray) -> np.ndarray:
-        out = np.full(grid.size, np.nan)
-        for i in range(rows):
+        activity = anchor if i == anchor_idx else _level_values(metric, mat, grid[i], ts)
+        mean_activity[i] = activity.mean()
+        for name, reference in (("enmo", ref_enmo), ("hfen", ref_hfen), ("anchored", anchor)):
             try:
-                out[i] = pearson(activities[i], reference)
+                curves[name][i] = pearson(activity, reference)
             except DegenerateInput:
                 pass
-        return out
+    sd_activity = _level_values(metric, mat, sd_thr, ts)
 
     def _r_scalar(reference: np.ndarray) -> float:
         try:
@@ -317,10 +318,10 @@ def subject_sweep(
         metric=metric,
         kind=kind,
         thresholds=grid,
-        r_vs_enmo=_r_curve(ref_enmo),
-        r_vs_hfen=_r_curve(ref_hfen),
-        r_vs_sd_anchored=_r_curve(activities[anchor_idx]),
-        mean_activity=activities.mean(axis=1),
+        r_vs_enmo=curves["enmo"],
+        r_vs_hfen=curves["hfen"],
+        r_vs_sd_anchored=curves["anchored"],
+        mean_activity=mean_activity,
         sd_marker=sd_thr,
         sd_anchor_r_vs_enmo=_r_scalar(ref_enmo),
         sd_anchor_r_vs_hfen=_r_scalar(ref_hfen),

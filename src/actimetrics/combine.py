@@ -252,10 +252,9 @@ def _single_values(
     The descriptor has already checked the cell against the applicability
     table; the kernel applies the metric's correction for ``series.kind``.
     A ZCM/TAT threshold is resolved once per key of ``thresholds``. A
-    squared input is squared block by block inside the kernel; the whole
-    squared series exists only while its threshold is being resolved, and
-    :func:`~actimetrics.metrics.sd_threshold` centres it in its own memory,
-    so that is the one full-length temporary of a call.
+    squared input is squared block by block, inside the kernel and inside
+    :func:`~actimetrics.metrics.sd_threshold`, which also centres each
+    block on its own, so a call makes no full-length temporary.
     """
     metric, squared = variant.metric, variant.squared
     n = epoch_sample_count(te_s, series.sample_rate_hz)

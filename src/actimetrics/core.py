@@ -36,7 +36,9 @@ def check_fields(section, path: str) -> None:
 
     An int rejects bool, a float must be finite, a tuple must hold strings,
     None is only for Optional fields, and a section field takes only its
-    section. Nothing is converted, so a config hashes what it was given.
+    section. A float field given as an int is stored as that float, so
+    ``60`` and ``60.0`` make one config with one hash; nothing else is
+    converted.
     """
     for name, hint in get_type_hints(type(section)).items():
         value, where = getattr(section, name), f"{path}.{name}" if path else name
@@ -58,6 +60,8 @@ def check_fields(section, path: str) -> None:
         if not ok or (hint is not bool and isinstance(value, bool)):
             shown = list(value) if isinstance(value, tuple) else value  # as JSON has it
             raise ConfigError(f"{where}: expected {noun}, got {shown!r}")
+        if hint is float and isinstance(value, int):
+            object.__setattr__(section, name, float(value))
 
 
 class DatasetKind(Enum):

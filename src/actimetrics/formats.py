@@ -24,9 +24,11 @@ import csv
 import json
 import math
 import numbers
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -50,6 +52,7 @@ MAGIC = b"ACTM"
 BIN_VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")
 _ROWS_PER_WRITE = 1 << 16
+_ROWS_PER_READ = 1 << 16  # samples per block of an .actm decode (768 KiB)
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -84,6 +87,15 @@ def _sample_rate(value, path: Path) -> float:
     return float(value)
 
 
+@lru_cache(maxsize=4)
+def _indexed_rows(lo: int, hi: int, row: str) -> str:
+    """The format of rows ``lo`` to ``hi - 1``: each one's number, a comma, then ``row``.
+
+    Cached, since every activity file of a subject has the same rows.
+    """
+    return "".join([f"{i},{row}" for i in range(lo, hi)])
+
+
 def _write_rows(
     path: PathLike, meta: dict, header: str, *columns, index: bool = False
 ) -> None:
@@ -91,18 +103,20 @@ def _write_rows(
 
     Floats print as ``repr(float(v))``, the shortest text that reads back
     to the same value; ``index`` prepends the row number. Rows stop at the
-    shortest column and are written in blocks, so memory stays bounded.
+    shortest column and are written in blocks, each formatted by one ``%``
+    over a format that holds the block's row numbers, so memory stays
+    bounded.
     """
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = min(c.size for c in cols)
-    if index:
-        cols.insert(0, np.arange(n))
     row = ",".join(["%r"] * len(cols)) + "\n"
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("".join(f"# {k}: {v}\n" for k, v in meta.items()) + header + "\n")
         for lo in range(0, n, _ROWS_PER_WRITE):
-            block = [c[lo:lo + _ROWS_PER_WRITE].tolist() for c in cols]
-            fh.write("".join(map(row.__mod__, zip(*block))))
+            hi = min(lo + _ROWS_PER_WRITE, n)
+            values = np.column_stack([c[lo:hi] for c in cols]).ravel().tolist()
+            fmt = _indexed_rows(lo, hi, row) if index else row * (hi - lo)
+            fh.write(fmt % tuple(values))
 
 
 def _csv_meta(path: Path, sample_rate_hz: Optional[float]) -> tuple[str, float]:
@@ -203,28 +217,43 @@ def _bin_header(path: Path, blob: bytes) -> tuple[float, int]:
     return _sample_rate(deci_hz / 10.0, path), count
 
 
+def _read_axes(fh, count: int) -> Optional[list[np.ndarray]]:
+    """x, y and z of ``count`` interleaved float32 samples, or None if ``fh`` ends first.
+
+    Read block by block into one reused buffer, so the file's bytes never
+    sit beside the axes; each axis is its own float64 allocation, which
+    can be freed alone.
+    """
+    axes = [np.empty(count) for _ in range(3)]
+    buffer = np.empty((min(count, _ROWS_PER_READ), 3), dtype="<f4")
+    for lo in range(0, count, _ROWS_PER_READ):
+        block = buffer[: count - lo]
+        if fh.readinto(block) != block.nbytes:
+            return None
+        for axis, column in zip(axes, block.T):
+            axis[lo : lo + len(block)] = column
+    return axes
+
+
 def read_recording_bin(path: PathLike) -> RawRecording:
     """Read the native binary format; header errors are typed."""
     path = Path(path)
-    blob = path.read_bytes()
-    sample_rate_hz, count = _bin_header(path, blob)
-    need = count * 3 * 4
-    have = len(blob) - _HEADER.size
-    if have < need:
-        raise TruncatedPayload(
-            f"{path}: header declares {count} samples ({need} bytes), payload has "
-            f"{have}"
-        )
-    data = np.frombuffer(
-        blob, dtype="<f4", count=3 * count, offset=_HEADER.size
-    ).reshape(count, 3)
-    return RawRecording(
-        subject_id=path.stem,
-        sample_rate_hz=sample_rate_hz,
-        x=data[:, 0].astype(float),
-        y=data[:, 1].astype(float),
-        z=data[:, 2].astype(float),
-    )
+    with path.open("rb") as fh:
+        sample_rate_hz, count = _bin_header(path, fh.read(_HEADER.size))
+        need = count * 3 * 4
+        # checked before any axis is allocated; a file that shrinks while it
+        # is read fails the same way
+        axes = None
+        if os.fstat(fh.fileno()).st_size - _HEADER.size >= need:
+            axes = _read_axes(fh, count)
+        if axes is None:
+            have = os.fstat(fh.fileno()).st_size - _HEADER.size
+            raise TruncatedPayload(
+                f"{path}: header declares {count} samples ({need} bytes), payload has "
+                f"{have}"
+            )
+    x, y, z = axes
+    return RawRecording(subject_id=path.stem, sample_rate_hz=sample_rate_hz, x=x, y=y, z=z)
 
 
 def write_recording_bin(rec: RawRecording, path: PathLike) -> None:

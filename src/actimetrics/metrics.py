@@ -125,6 +125,28 @@ class NoiseVarianceEstimate:
             raise ValueError("sigma_bar_sq must be >= 0")
 
 
+# Elements of one leaf of the SD's summation tree (1 MiB of float64): at
+# least NumPy's own pairwise block of 128, and any size from there gives
+# the same tree.
+_SD_LEAF = 1 << 17
+
+
+def _pairwise(values: np.ndarray, leaf_sum) -> float:
+    """``leaf_sum`` over the leaves of NumPy's pairwise-summation tree of ``values``, summed.
+
+    A node of more than ``_SD_LEAF`` elements splits where NumPy's
+    ``pairwise_sum`` does, at ``n // 2`` rounded down to a multiple of 8;
+    a leaf is left to ``leaf_sum``, which must sum its (transformed)
+    block with NumPy. The tree below a node depends on its length alone,
+    so this is ``np.add.reduce`` of the transformed whole, bit for bit.
+    """
+    n = values.size
+    if n <= _SD_LEAF:
+        return leaf_sum(values)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(values[:half], leaf_sum) + _pairwise(values[half:], leaf_sum)
+
+
 def sd_threshold(series: PreprocessedSeries, *, squared: bool = False) -> float:
     """Population SD of the whole series, or of its square; +1 g for UFM.
 
@@ -134,17 +156,30 @@ def sd_threshold(series: PreprocessedSeries, *, squared: bool = False) -> float:
     policy) for one subject's datasets (see ``combine.compute_activity``).
 
     The SD takes ``ndarray.std``'s own NumPy steps (sum, divide, subtract,
-    square, sum, divide, sqrt), so it is ``float(values.std())``, or
-    ``float((values ** 2).std())`` when ``squared``, bit for bit. It holds
-    one full-length temporary: the centered copy of the series, or the
-    square of the series, centered in its own memory.
+    square, sum, divide, sqrt), each sum along NumPy's own summation tree
+    (:func:`_pairwise`), so it is ``float(values.std())``, or
+    ``float((values ** 2).std())`` when ``squared``, bit for bit. It makes
+    no full-length temporary: each leaf of the tree (1 MiB) is squared
+    and centred on its own.
     """
     n = series.n_samples
     if n == 0:
         raise EmptySeries("cannot take the SD of an empty series")
-    x = np.square(series.values) if squared else series.values
-    deviations = np.subtract(x, x.sum() / n, out=x if squared else None)
-    variance = np.square(deviations, out=deviations).sum() / n
+
+    # one leaf-sized scratch block for every leaf: a fresh one per leaf can
+    # cost more in page faults than the arithmetic
+    scratch = np.empty(min(n, _SD_LEAF))
+
+    def leaf(block: np.ndarray) -> np.ndarray:
+        return np.multiply(block, block, out=scratch[: block.size]) if squared else block
+
+    mean = _pairwise(series.values, lambda block: np.add.reduce(leaf(block))) / n
+
+    def squared_deviations(block: np.ndarray) -> float:
+        deviations = np.subtract(leaf(block), mean, out=scratch[: block.size])
+        return np.add.reduce(np.square(deviations, out=deviations))
+
+    variance = _pairwise(series.values, squared_deviations) / n
     sd = float(np.sqrt(variance))
     if series.kind is DatasetKind.UFM:
         sd += 1.0

@@ -1,13 +1,17 @@
 """End-to-end batch pipeline over a set of recordings.
 
-One map and one reduce. The map is one task per subject: decode the
+One map and one reduce. The map is one task per subject, and
+:func:`process_subject` is all of it but the writes: decode the
 recording, validate, build the dataset kinds the catalog reads one at a
 time, evaluating each variant as soon as its datasets exist and dropping
 each dataset after its last reader (the signals still come back in
-catalog order, see :func:`process_subject`), compute the subject's part
-of each configured threshold sweep (at the subject's own sample rate,
-against the catalog's own ``ENMO`` and ``HFEN`` signals when it holds
-both), then write one activity file per variant. The reduce, over the successful subjects in
+catalog order), and compute the subject's part of each configured
+threshold sweep (at the subject's own sample rate, against the catalog's
+own ``ENMO`` and ``HFEN`` signals when it holds both) as soon as those
+exist; then the task writes one activity file per variant.
+:func:`process_subject` is the only holder of the recording, and drops it
+after the sweep parts, so the build frees each decoded axis after its
+last use. The reduce, over the successful subjects in
 subject-id order: for each of the time and frequency domains, every
 subject's Pearson matrix and then their mean and SD matrices; one curve
 per sweep, from its parts alone (each part carries its metric, kind and
@@ -30,9 +34,9 @@ process once the pool has shut down, so the bundle is byte-identical for
 any ``jobs`` and any input order. A worker process that dies ends the
 run in :class:`WorkerDied` before the manifest is written.
 
-A failure in one subject's decode, :func:`process_subject` or sweep
-parts, whatever the exception, is reported in the manifest and does not
-stop the others.
+A failure anywhere in one subject's :func:`process_subject`, its decode
+and sweep parts included, whatever the exception, is reported in the
+manifest and does not stop the others.
 Output is deterministic: rerunning with the same config and inputs
 produces byte-identical files.
 """
@@ -48,6 +52,7 @@ from typing import Mapping, Sequence, Union
 from . import formats
 from .analysis import (
     Domain,
+    SweepCurve,
     correlation_matrix,
     recording_sweep,
     subject_correlation,
@@ -108,17 +113,28 @@ def preprocess_subject(
 
 
 def process_subject(
-    rec: RawRecording, config: PipelineConfig
-) -> dict[str, ActivitySignal]:
-    """All cataloged activity signals for one recording, keyed by label.
+    source: Source,
+    config: PipelineConfig,
+    requests: Sequence[tuple[MetricId, DatasetKind]] = (),
+) -> tuple[dict[str, ActivitySignal], list[SweepCurve]]:
+    """All cataloged activity signals of one recording, and its sweep parts.
 
-    The signals come back in catalog order. Only the kinds the catalog
-    reads are built, and each variant is evaluated as soon as
+    ``source`` is loaded here, so that, given a file, this call is the
+    recording's only holder (a :class:`RawRecording` returns itself, and
+    its caller holds it too). The signals come back keyed by label in
+    catalog order, and the parts, one :func:`recording_sweep` per
+    ``(metric, kind)`` request, in request order. Only the kinds the
+    catalog reads are built, and each variant is evaluated as soon as
     :func:`preprocess_all` has made every dataset it reads, so its build
     order is also the evaluation order. Each dataset leaves the map after
     the last variant that reads it, so its memory is freed before the
-    datasets made after it exist.
+    datasets made after it exist. The parts run as soon as the catalog's
+    ``ENMO`` and ``HFEN`` signals exist, their references (right after
+    UFM's variants), or before the build, computing their own, when the
+    catalog has no such pair; then the recording is dropped, so each
+    decoded axis is freed after the build's last use of it.
     """
+    rec = source.load()
     _admit(rec, config)
     variants = config.variants()
     noise = None  # read by the AI variants alone
@@ -127,12 +143,34 @@ def process_subject(
     elif _estimates_noise(config):
         noise = estimate_noise_variance(rec, config.ai.noise_window_s)
 
+    def sweep(references):
+        return [
+            recording_sweep(
+                metric, kind, rec, config.epoch_s,
+                bandpass=config.bandpass,
+                hfen_spec=config.hfen_highpass,
+                zero_phase=config.zero_phase,
+                references=references,
+                step_g=config.sweep.step_g,
+                max_steps=config.sweep.max_steps,
+            )
+            for metric, kind in requests
+        ]
+
     readers = Counter(kind for variant in variants for kind in variant.datasets)
+    build = preprocess_all(rec, config.bandpass, config.hfen_highpass,
+                           config.zero_phase, kinds=readers)
+    # the parts take the catalog's ENMO and HFEN as references, so they run
+    # once both exist; without both in the catalog (or without requests)
+    # they run now and compute their own. Then the recording is dropped.
+    references = (MetricId.ENMO.value, MetricId.HFEN.value)
+    parts = None
+    if not requests or not {v.label for v in variants} >= set(references):
+        parts, rec = sweep(None), None
     datasets: dict[DatasetKind, PreprocessedSeries] = {}
     thresholds = {}  # resolved ZCM/TAT thresholds of this subject's datasets
     signals: dict[str, ActivitySignal] = {}
-    for kind, series in preprocess_all(rec, config.bandpass, config.hfen_highpass,
-                                       config.zero_phase, kinds=readers):
+    for kind, series in build:
         datasets[kind] = series
         del series  # the map alone holds it, so that its last reader frees it
         for variant in variants:
@@ -150,7 +188,9 @@ def process_subject(
                 readers[read] -= 1
                 if not readers[read]:
                     del datasets[read]
-    return {variant.label: signals[variant.label] for variant in variants}
+        if parts is None and signals.keys() >= set(references):
+            parts, rec = sweep(tuple(signals[label].values for label in references)), None
+    return {variant.label: signals[variant.label] for variant in variants}, parts
 
 
 def require_unique_subject_ids(recordings: Sequence[Source]) -> None:
@@ -225,13 +265,14 @@ def run_pipeline(
     """Run the whole pipeline and write the artifact bundle; returns the manifest.
 
     ``recordings`` are sources (see the module docstring); each is loaded
-    inside its own subject task. Config errors (duplicate ids, no fitting
-    rate, a ``jobs`` :func:`require_jobs` rejects) are raised before
-    anything is written. Any exception in one subject's
-    ``load()``, :func:`process_subject` or sweep parts fails that subject
-    alone, before its activity files are written, reported as
-    :func:`subject_failure` words it; an error while writing propagates, and so does
-    :class:`WorkerDied` when a worker process dies.
+    inside its own subject task, by :func:`process_subject`. Config errors
+    (duplicate ids, no fitting rate, a ``jobs`` :func:`require_jobs`
+    rejects) are raised before anything is written. Any exception in one
+    subject's :func:`process_subject` (its ``load()`` and sweep parts
+    included) fails that subject alone, before its activity files are
+    written, reported as :func:`subject_failure` words it; an error while
+    writing propagates, and so does :class:`WorkerDied` when a worker
+    process dies.
     """
     if not recordings:
         raise ConfigError("no recordings given")
@@ -243,28 +284,11 @@ def run_pipeline(
     out_dir = Path(out_dir)
 
     requests = [(MetricId(m), DatasetKind(k)) for m, k in config.sweep_requests()]
-    grid = {"step_g": config.sweep.step_g, "max_steps": config.sweep.max_steps}
 
     def _run(source: Source):
         """(signals, written paths, sweep parts) of one subject, or the text of its failure."""
         try:
-            rec = source.load()
-            signals = process_subject(rec, config)
-            # the sweeps' references are these very signals; a catalog filter
-            # may drop them, and then each part computes its own
-            enmo, hfen = signals.get(MetricId.ENMO.value), signals.get(MetricId.HFEN.value)
-            references = None if enmo is None or hfen is None else (enmo.values, hfen.values)
-            parts = [
-                recording_sweep(
-                    metric, kind, rec, config.epoch_s,
-                    bandpass=config.bandpass,
-                    hfen_spec=config.hfen_highpass,
-                    zero_phase=config.zero_phase,
-                    references=references,
-                    **grid,
-                )
-                for metric, kind in requests
-            ]
+            signals, parts = process_subject(source, config, requests)
         except Exception as exc:
             return subject_failure(source.subject_id, exc)
         return signals, write_activity_files(signals, out_dir, source.subject_id), parts

@@ -188,12 +188,16 @@ def preprocess_all(
 
     The recording and the filters are checked at the call; each kind is
     built when its pair is drawn. The build keeps no series it will not
-    read again: UFM goes once FMpost has been drawn, each filtered axis
-    once its square is in FMpre, and a magnitude adds each later square
-    to its running sum block by block. So a consumer that drops each
-    series after its last use holds at most the three filtered axes and
-    FMpre's sum at once (causal filtering), and one that keeps them all
-    holds the finished datasets and one block.
+    read again: it holds its own references to the three decoded axes and
+    drops each after its last use (x once FX has been filtered), UFM goes
+    once FMpost has been drawn, each filtered axis once its square is in
+    FMpre, and a magnitude adds each later square to its running sum
+    block by block. An axis is freed then only if the caller holds no
+    recording that refers to it. So with causal filtering a consumer that
+    drops each series after its last use, and the recording before FX is
+    made, holds at most five series at once (the three axes, UFM, and
+    UFNM or FMpost), and one that keeps them all holds the finished
+    datasets and one block.
     """
     fs = rec.sample_rate_hz
     if not (rec.x.size == rec.y.size == rec.z.size):
@@ -208,7 +212,10 @@ def preprocess_all(
 def _build(rec, band, high, zero_phase, wanted):
     """The pairs of :func:`preprocess_all`, made one at a time."""
     fs = rec.sample_rate_hz
-    axes = (rec.x, rec.y, rec.z)
+    # the build's own references to the decoded axes, each dropped after its
+    # last use; once the caller drops the recording, that frees the axis
+    axes = [rec.x, rec.y, rec.z]
+    del rec
 
     def need(*made_from) -> bool:
         return not wanted.isdisjoint(made_from)
@@ -218,15 +225,21 @@ def _build(rec, band, high, zero_phase, wanted):
         # and its contiguous copy must replace it before the next is filtered
         return kind, PreprocessedSeries(kind, values, fs)
 
+    magnitudes = need(DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPOST)
+    filtering = need(*FILTERED_AXES, DatasetKind.FMPRE)
     if need(DatasetKind.HFEN_SPECIAL):
         yield made(DatasetKind.HFEN_SPECIAL, _norm(
             filter_values(a, high, zero_phase) for a in axes
         ))
-    for kind, a in zip(UNFILTERED_AXES, axes):
+    for i, kind in enumerate(UNFILTERED_AXES):
         if kind in wanted:
-            yield made(kind, a)
-    if need(DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPOST):
+            yield made(kind, axes[i])
+        if not (magnitudes or filtering):
+            axes[i] = None
+    if magnitudes:
         ufm = _norm(axes)
+        if not filtering:
+            axes.clear()
         if DatasetKind.UFM in wanted:
             yield made(DatasetKind.UFM, ufm)
         if DatasetKind.UFNM in wanted:
@@ -234,10 +247,11 @@ def _build(rec, band, high, zero_phase, wanted):
         if DatasetKind.FMPOST in wanted:
             yield made(DatasetKind.FMPOST, filter_values(ufm, band, zero_phase))
         del ufm
-    if need(*FILTERED_AXES, DatasetKind.FMPRE):
+    if filtering:
         filtered = []  # the filtered axes FMpre is made from
-        for kind, a in zip(FILTERED_AXES, axes):
-            pair = made(kind, filter_values(a, band, zero_phase))
+        for i, kind in enumerate(FILTERED_AXES):
+            pair = made(kind, filter_values(axes[i], band, zero_phase))
+            axes[i] = None
             if DatasetKind.FMPRE in wanted:
                 filtered.append(pair[1].values)
             if kind in wanted:

@@ -113,6 +113,21 @@ def test_valid_setting_builds_alike_three_ways(section, name, value):
     assert len({config.config_hash() for config in configs}) == 1
 
 
+@pytest.mark.parametrize("build", [_from_dict, _from_constructor, _from_replace])
+@pytest.mark.parametrize("section, name, value", [
+    (None, "epoch_s", 60),
+    ("sweep", "step_g", 1),
+    ("ai", "sigma_sq_override", 0),
+    ("bandpass", "f_high_hz", 3),
+])
+def test_a_float_given_as_an_int_is_that_float(build, section, name, value):
+    # one run, one config hash, however the number was written
+    config = build(section, name, value)
+    stored = getattr(config if section is None else getattr(config, section), name)
+    assert type(stored) is float and stored == value
+    assert config.config_hash() == build(section, name, float(value)).config_hash()
+
+
 def test_python_only_mistakes_name_what_python_takes():
     # a file's objects and lists become sections and tuples; Python passes its own
     with pytest.raises(ConfigError) as info:

@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 
@@ -141,6 +142,33 @@ class TestBinaryFormat:
         assert back.sample_rate_hz == rec.sample_rate_hz
         for axis in "xyz":
             assert getattr(back, axis).tobytes() == getattr(rec, axis).tobytes()
+
+    def test_each_axis_is_its_own_allocation(self, tmp_path):
+        # more than one decode block, so that the blocks' seams are read back too
+        rec = self._recording(n=(1 << 16) + 3)
+        path = tmp_path / "rec.actm"
+        write_recording_bin(rec, path)
+        back = read_recording_bin(path)
+        for axis in "xyz":
+            assert getattr(back, axis).tobytes() == getattr(rec, axis).tobytes()
+        for a, b in ((back.x, back.y), (back.x, back.z), (back.y, back.z)):
+            assert not np.shares_memory(a, b)
+
+    def test_payload_error_texts(self, tmp_path):
+        path = tmp_path / "rec.actm"
+        write_recording_bin(self._recording(100), path)
+        path.write_bytes(path.read_bytes()[:-24])
+        with pytest.raises(TruncatedPayload) as info:
+            read_recording_bin(path)
+        assert str(info.value) == (
+            f"{path}: header declares 100 samples (1200 bytes), payload has 1176")
+        path.write_bytes(b"ACTM\x01")
+        with pytest.raises(TruncatedPayload) as info:
+            read_recording_bin(path)
+        assert str(info.value) == f"{path}: 5 bytes is too short for a header"
+        # a payload that ends before its declared count (a file that shrank
+        # after its size was read) gives no axes
+        assert formats._read_axes(io.BytesIO(bytes(23)), 2) is None
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "rec.actm"
@@ -352,6 +380,17 @@ class TestRowWriter:
         formats._write_rows(tmp_path / "r.csv", {}, "x,y,z", *cols)
         expected = "x,y,z\n" + _old_rows(*cols)
         assert (tmp_path / "r.csv").read_text(encoding="utf-8") == expected
+
+    @_fixture_ok
+    @given(values=st.lists(_floats, max_size=30), block=st.integers(1, 8))
+    def test_numbered_blocks_join_to_per_row_formula(self, tmp_path, monkeypatch, values,
+                                                     block):
+        # each block's format holds its own row numbers
+        monkeypatch.setattr(formats, "_ROWS_PER_WRITE", block)
+        formats._write_rows(tmp_path / "n.csv", {}, "i,v", np.array(values, dtype=float),
+                            index=True)
+        expected = "i,v\n" + _old_rows(values, index=True)
+        assert (tmp_path / "n.csv").read_text(encoding="utf-8") == expected
 
     def test_integer_values_print_as_floats(self, tmp_path):
         formats._write_rows(tmp_path / "i.csv", {}, "i,v", np.arange(3), index=True)

@@ -201,22 +201,22 @@ class TestConfig:
 
         rec = corpus(1, duration_s=600.0)[0]
         config = config_from_dict({"filter_phase": "zero-phase"})
-        signals = process_subject(rec, config)
+        signals, _ = process_subject(rec, config)
         datasets = dict(preprocess_all(rec, zero_phase=True))
         noise = estimate_noise_variance(rec)
         for variant in config.variants():
             expected = compute_activity(variant, datasets, config.epoch_s, noise=noise)
             np.testing.assert_array_equal(signals[variant.label].values,
                                           expected.values, err_msg=variant.label)
-        causal = process_subject(rec, config_from_dict({}))
+        causal, _ = process_subject(rec, config_from_dict({}))
         assert not np.array_equal(causal["PIM(FX)"].values, signals["PIM(FX)"].values)
 
     def test_ai_sigma_override_changes_only_ai(self, tmp_path):
         from actimetrics.pipeline import process_subject
 
         rec = corpus(1, duration_s=600.0)[0]
-        base = process_subject(rec, small_config())
-        bumped = process_subject(
+        base, _ = process_subject(rec, small_config())
+        bumped, _ = process_subject(
             rec,
             small_config(ai=dataclasses.replace(
                 PipelineConfig().ai, sigma_sq_override=0.01)),
@@ -457,9 +457,9 @@ class TestRunPipeline:
             pools.append(real_pool(*args, initializer=started, **kwargs))
             return pools[-1]
 
-        def process_subject(rec, config):
-            _log_pid(log, f"catalog:{rec.subject_id}")
-            return real_process(rec, config)
+        def process_subject(source, config, requests):
+            _log_pid(log, f"catalog:{source.subject_id}")
+            return real_process(source, config, requests)
 
         def recording_sweep(metric, kind, rec, *args, **kwargs):
             _log_pid(log, f"sweep:{rec.subject_id}")
@@ -1090,10 +1090,10 @@ class TestCli:
         log = tmp_path / "pids.txt"
         barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
 
-        def process_subject(rec, config):
-            _log_pid(log, f"catalog:{rec.subject_id}")
+        def process_subject(source, config, requests):
+            _log_pid(log, f"catalog:{source.subject_id}")
             barrier.wait()
-            return real_process(rec, config)
+            return real_process(source, config, requests)
 
         def write_activity_csv(signal, path):
             _log_pid(log, f"write:{path.parent.parent.name}")
@@ -1117,7 +1117,7 @@ class TestCli:
     ):
         import actimetrics.pipeline as pipeline
 
-        def process_subject(rec, config):
+        def process_subject(source, config, requests):
             os._exit(3)
 
         monkeypatch.setattr(pipeline, "process_subject", process_subject)

@@ -4,9 +4,13 @@ A 24 h recording at 10 Hz has 864,000 samples per axis, so one
 full-length series is 6.9 MB. ``preprocess_subject`` builds 8 datasets
 (the 3 raw axes pass through), and its peak must be those 8 series.
 ``process_subject`` evaluates each variant as soon as its datasets are
-made and drops each dataset after its last reader, so it never holds
-more than the three filtered axes, FMpre's running sum and one
-temporary; zero-phase filtering needs one more series. Its peak may add
+made and drops each dataset after its last reader. Given a recording its
+caller holds, it allocates no more than the three filtered axes, FMpre's
+running sum and one temporary; zero-phase filtering needs one more
+series. Given a file, which it decodes and then drops after the sweep
+parts, it holds at most five series in all, the decode included: the
+three axes, UFM and UFNM or FMpost, since the build frees each axis
+after its last use and the SD threshold centres no copy. Its peak may add
 the catalog's signals and its row blocks. The ``preprocess`` dump frees
 each subject's datasets as it writes them, so two subjects peak as one.
 """
@@ -21,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from actimetrics import (
     DatasetKind,
+    MetricId,
     PipelineConfig,
     PreprocessedSeries,
     SyntheticSpec,
@@ -31,7 +36,7 @@ from actimetrics import (
     sd_threshold,
     synthesize,
 )
-from actimetrics import formats, pipeline
+from actimetrics import formats, metrics, pipeline
 from actimetrics.cli import main
 from actimetrics.pipeline import preprocess_subject, process_subject
 
@@ -68,6 +73,33 @@ def test_process_subject_holds_a_few_series(day_recording, filter_phase, held):
     series = day_recording.x.nbytes
     config = PipelineConfig(filter_phase=filter_phase)
     peak = _peak_bytes(process_subject, day_recording, config)
+    assert peak <= held * series + 2 * MIB, f"{peak / series:.2f} series"
+
+
+@pytest.fixture(scope="module")
+def day_file(day_recording, tmp_path_factory):
+    path = tmp_path_factory.mktemp("day") / "day.actm"
+    formats.write_recording_bin(day_recording, path)
+    return path
+
+
+def test_decode_holds_the_three_axes_alone(day_file):
+    series = 8 * 86_400 * 10
+    peak = _peak_bytes(formats.read_recording_bin, day_file)
+    assert peak <= 3 * series + MIB, f"{peak / series:.2f} series"
+
+
+@pytest.mark.parametrize("sweep", [{}, {"metrics": []}], ids=["default-sweeps", "no-sweeps"])
+@pytest.mark.parametrize("filter_phase, held", [("causal", 5), ("zero-phase", 7)])
+def test_subject_task_holds_a_few_series_with_its_decode(day_file, sweep, filter_phase, held):
+    # the recording is decoded inside the traced region, as in a run; the
+    # build frees each axis after its last use once the task drops the
+    # recording, so the causal peak is the 3 axes, UFM and UFNM or FMpost
+    config = config_from_dict({"filter_phase": filter_phase, "sweep": sweep})
+    requests = [(MetricId(m), DatasetKind(k)) for m, k in config.sweep_requests()]
+    source = formats.open_recording(day_file)
+    series = 8 * 86_400 * 10
+    peak = _peak_bytes(process_subject, source, config, requests)
     assert peak <= held * series + 2 * MIB, f"{peak / series:.2f} series"
 
 
@@ -119,6 +151,32 @@ def test_sd_threshold_is_ndarray_std_bit_for_bit(values):
     assert values.tobytes() == before
 
 
+@st.composite
+def leaves_and_long_inputs(draw):
+    """A leaf size of the SD's summation tree, and a series spanning up to 8 leaves."""
+    leaf = draw(st.integers(128, 1024))
+    n = draw(st.integers(1, 8 * leaf) | st.sampled_from([leaf, leaf + 1, 2 * leaf + 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.normal(size=n) * draw(st.sampled_from([1e-3, 0.5, 4.0]))
+    else:
+        values = np.full(n, draw(st.floats(-4.0, 4.0)))
+    return leaf, values + draw(st.sampled_from([0.0, 1.0, -3.5, 1e3, 1e6]))
+
+
+@settings(database=None, deadline=None, max_examples=200)
+@given(leaves_and_long_inputs())
+def test_sd_threshold_is_ndarray_std_at_any_leaf_size(case):
+    leaf, values = case
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(metrics, "_SD_LEAF", leaf)
+        fx = PreprocessedSeries(DatasetKind.FX, values, 10.0)
+        assert sd_threshold(fx).hex() == float(values.std()).hex()
+        assert sd_threshold(fx, squared=True).hex() == float((values ** 2).std()).hex()
+        ufm = PreprocessedSeries(DatasetKind.UFM, values, 10.0)
+        assert sd_threshold(ufm).hex() == (float(values.std()) + 1.0).hex()
+
+
 # --- evaluation order is not output order
 
 @pytest.mark.parametrize("catalog", [
@@ -127,9 +185,9 @@ def test_sd_threshold_is_ndarray_std_bit_for_bit(values):
 ], ids=["default", "exclude"])
 def test_process_subject_gives_each_signal_alone_in_catalog_order(bout_recording, catalog):
     config = config_from_dict({"catalog": catalog})
-    signals = process_subject(bout_recording, config)
+    signals, parts = process_subject(bout_recording, config)
     variants = config.variants()
-    assert list(signals) == [v.label for v in variants]
+    assert list(signals) == [v.label for v in variants] and parts == []
     datasets = preprocess_subject(bout_recording, config)
     noise = estimate_noise_variance(bout_recording, config.ai.noise_window_s)
     for variant in variants:
