@@ -14,7 +14,6 @@ from .analysis import (
     correlation_matrix,
     pearson,
     psd,
-    recording_sweep,
     subject_correlation,
     threshold_sweep,
 )

@@ -7,13 +7,12 @@ power spectral densities, estimated in one stacked call), and
 :func:`correlation_matrix` reduces those to mean and SD matrices across
 subjects. Threshold sweeps trace how ZCM/TAT relate to reference metrics as
 their threshold grows, with the dataset-SD threshold marked:
-:func:`recording_sweep` computes one recording's part, a one-subject
-:class:`SweepCurve` that carries its metric, kind and grid, and
+:func:`subject_sweep` computes one subject's part from its swept series, a
+one-subject :class:`SweepCurve` that carries its metric, kind and grid, and
 :func:`threshold_sweep` averages the parts, taking those three from them.
-The references are the subject's ENMO and HFEN signals: the pipeline passes
-those its catalog already computed, and without them a part computes them
-from its own UFM and HFEN_SPECIAL datasets. Both reduces share one
-NaN-skipping mean.
+The references are always given: the subject's ENMO and HFEN per-epoch
+values, which the pipeline takes from the signals its own build evaluated.
+Both reduces share one NaN-skipping mean.
 """
 from __future__ import annotations
 
@@ -36,8 +35,6 @@ from .core import (
 from .errors import ConfigError, DegenerateInput, LabelMismatch, SignalTooShort
 from .metrics import (
     MetricId,
-    enmo_values,
-    hfen_values,
     require_sweepable,
     sd_threshold,
     tat_values,
@@ -87,8 +84,8 @@ class PsdParams:
             raise ConfigError("psd: segment_epochs must be >= 2")
         if not 0.0 <= self.overlap < 1.0:
             raise ConfigError("psd: overlap must be in [0, 1)")
-        try:
-            spsignal.get_window(self.window, self.segment_epochs)
+        try:  # at a bounded length: the length rule is psd()'s, per signal
+            spsignal.get_window(self.window, min(self.segment_epochs, 256))
         except ValueError as exc:
             raise ConfigError(f"psd: window {self.window!r}: {exc}") from None
 
@@ -251,27 +248,26 @@ def _level_values(metric: MetricId, mat: np.ndarray, threshold: float, ts: float
 
 def subject_sweep(
     metric: MetricId,
-    kind: DatasetKind,
-    datasets: Mapping[DatasetKind, PreprocessedSeries],
+    series: PreprocessedSeries,
     te_s: float = 60.0,
     *,
-    references: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    references: tuple[np.ndarray, np.ndarray],
     step_g: float = 0.05,
     max_steps: int = 200,
 ) -> SweepCurve:
-    """One subject's part of a sweep, from its already-preprocessed datasets.
+    """One subject's part of a sweep of ``metric`` over its swept ``series``.
 
-    The grid starts at 1 g for UFM (which still carries gravity) and at
-    0 g otherwise, ascending in ``step_g`` increments, ``max_steps`` points.
-    ``references`` is the subject's (ENMO, HFEN) per-epoch values, such as
-    its catalog's ``ENMO`` and ``HFEN`` signals; when None they are computed
-    from ``datasets``' UFM and HFEN_SPECIAL series, which then must be
-    there. The self-reference curve correlates each grid point against the
-    activity at the grid point nearest the subject's adaptive SD threshold.
+    The swept kind is ``series.kind``. The grid starts at 1 g for UFM
+    (which still carries gravity) and at 0 g otherwise, ascending in
+    ``step_g`` increments, ``max_steps`` points. ``references`` is the
+    subject's (ENMO, HFEN) per-epoch values, such as its catalog's ``ENMO``
+    and ``HFEN`` signals. The self-reference curve correlates each grid
+    point against the activity at the grid point nearest the subject's
+    adaptive SD threshold.
     """
+    kind = series.kind
     require_sweepable(metric, kind)
     grid = (1.0 if kind is DatasetKind.UFM else 0.0) + step_g * np.arange(max_steps)
-    series = datasets[kind]
     n = epoch_sample_count(te_s, series.sample_rate_hz)
     mat = epoch_matrix(series.values, n)
     if mat.shape[0] < 2:
@@ -279,11 +275,6 @@ def subject_sweep(
             f"a threshold sweep needs at least 2 epochs, got {mat.shape[0]}"
         )
     ts = series.ts
-    if references is None:
-        references = (
-            enmo_values(epoch_matrix(datasets[DatasetKind.UFM].values, n)),
-            hfen_values(epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n)),
-        )
     ref_enmo, ref_hfen = references
 
     sd_thr = sd_threshold(series)
@@ -337,24 +328,19 @@ def recording_sweep(
     bandpass: Bandpass = Bandpass(),
     hfen_spec: Highpass = Highpass(),
     zero_phase: bool = False,
-    references: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    references: tuple[np.ndarray, np.ndarray],
     step_g: float = 0.05,
     max_steps: int = 200,
 ) -> SweepCurve:
-    """One recording's part of a threshold sweep.
+    """One recording's part of a threshold sweep, against its ``references``.
 
-    The recording is preprocessed into only the kinds the sweep reads, with
-    filters designed at its own sample rate, then run through
-    :func:`subject_sweep`. Given ``references`` (the subject's ENMO and HFEN
-    values, as the pipeline takes them from its catalog) that is the swept
-    kind alone, so a UFM sweep runs no filter; without them it is also UFM
-    for the ENMO reference and HFEN_SPECIAL for the HFEN reference.
+    The recording is preprocessed into the swept kind alone, with filters
+    designed at its own sample rate (so a UFM sweep runs no filter), then
+    run through :func:`subject_sweep`. ``references`` is the subject's ENMO
+    and HFEN values, as the pipeline takes them from its own build.
     """
-    kinds = (kind,)
-    if references is None:
-        kinds += (DatasetKind.UFM, DatasetKind.HFEN_SPECIAL)
-    datasets = dict(preprocess_all(rec, bandpass, hfen_spec, zero_phase, kinds=kinds))
-    return subject_sweep(metric, kind, datasets, te_s, references=references,
+    series = dict(preprocess_all(rec, bandpass, hfen_spec, zero_phase, kinds=(kind,)))[kind]
+    return subject_sweep(metric, series, te_s, references=references,
                          step_g=step_g, max_steps=max_steps)
 
 

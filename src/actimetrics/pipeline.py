@@ -6,16 +6,17 @@ recording, validate, build the dataset kinds the catalog reads one at a
 time, evaluating each variant as soon as its datasets exist and dropping
 each dataset after its last reader (the signals still come back in
 catalog order), and compute the subject's part of each configured
-threshold sweep (at the subject's own sample rate, against the catalog's
-own ``ENMO`` and ``HFEN`` signals when it holds both) as soon as those
-exist; then the task writes one activity file per variant.
-:func:`process_subject` is the only holder of the recording, and drops it
-after the sweep parts, so the build frees each decoded axis after its
-last use. The reduce, over the successful subjects in
-subject-id order: for each of the time and frequency domains, every
-subject's Pearson matrix and then their mean and SD matrices; one curve
-per sweep, from its parts alone (each part carries its metric, kind and
-grid); and a manifest tying everything to the config hash and catalog.
+threshold sweep (at the subject's own sample rate, against the ``ENMO``
+and ``HFEN`` signals of the same build, evaluated but not written when a
+catalog filter leaves them out) as soon as both exist; then the task
+writes one activity file per variant. :func:`process_subject` is the only
+holder of the recording, and drops it after the sweep parts, so the build
+frees each decoded axis after its last use. The reduce, over the
+successful subjects in subject-id order: for each of the time and
+frequency domains, every subject's Pearson matrix and then their mean and
+SD matrices; one curve per sweep, from its parts alone (each part carries
+its metric, kind and grid); and a manifest tying everything to the config
+hash and catalog.
 
 A run takes recording sources: each has a ``subject_id``, a
 ``sample_rate_hz`` and a ``load()`` that returns the
@@ -58,7 +59,7 @@ from .analysis import (
     subject_correlation,
     threshold_sweep,
 )
-from .combine import compute_activity
+from .combine import catalog, compute_activity
 from .config import PipelineConfig
 from .core import (
     ActivitySignal,
@@ -128,11 +129,13 @@ def process_subject(
     :func:`preprocess_all` has made every dataset it reads, so its build
     order is also the evaluation order. Each dataset leaves the map after
     the last variant that reads it, so its memory is freed before the
-    datasets made after it exist. The parts run as soon as the catalog's
-    ``ENMO`` and ``HFEN`` signals exist, their references (right after
-    UFM's variants), or before the build, computing their own, when the
-    catalog has no such pair; then the recording is dropped, so each
-    decoded axis is freed after the build's last use of it.
+    datasets made after it exist. Given requests, the build also evaluates
+    the catalog's ``ENMO`` and ``HFEN`` variants, the parts' references,
+    if the catalog filters left them out; their signals are not returned.
+    The parts run as soon as both references exist (right after UFM's
+    variants), and then the recording is dropped, so each decoded axis is
+    freed after the build's last use of it; without requests it is dropped
+    before the build.
     """
     rec = source.load()
     _admit(rec, config)
@@ -143,37 +146,27 @@ def process_subject(
     elif _estimates_noise(config):
         noise = estimate_noise_variance(rec, config.ai.noise_window_s)
 
-    def sweep(references):
-        return [
-            recording_sweep(
-                metric, kind, rec, config.epoch_s,
-                bandpass=config.bandpass,
-                hfen_spec=config.hfen_highpass,
-                zero_phase=config.zero_phase,
-                references=references,
-                step_g=config.sweep.step_g,
-                max_steps=config.sweep.max_steps,
-            )
-            for metric, kind in requests
-        ]
-
-    readers = Counter(kind for variant in variants for kind in variant.datasets)
+    # the parts' references are the catalog's ENMO and HFEN, evaluated here
+    # even when a catalog filter leaves them out, and then never returned
+    references = (MetricId.ENMO.value, MetricId.HFEN.value)
+    labels = {variant.label for variant in variants}
+    left_out = [label for label in references if label not in labels]
+    evaluated = variants
+    if requests and left_out:
+        evaluated = variants + catalog(include=left_out)
+    readers = Counter(kind for variant in evaluated for kind in variant.datasets)
     build = preprocess_all(rec, config.bandpass, config.hfen_highpass,
                            config.zero_phase, kinds=readers)
-    # the parts take the catalog's ENMO and HFEN as references, so they run
-    # once both exist; without both in the catalog (or without requests)
-    # they run now and compute their own. Then the recording is dropped.
-    references = (MetricId.ENMO.value, MetricId.HFEN.value)
-    parts = None
-    if not requests or not {v.label for v in variants} >= set(references):
-        parts, rec = sweep(None), None
+    parts = []
+    if not requests:
+        rec = None  # no part reads it, so the build frees each axis after its last use
     datasets: dict[DatasetKind, PreprocessedSeries] = {}
     thresholds = {}  # resolved ZCM/TAT thresholds of this subject's datasets
     signals: dict[str, ActivitySignal] = {}
     for kind, series in build:
         datasets[kind] = series
         del series  # the map alone holds it, so that its last reader frees it
-        for variant in variants:
+        for variant in evaluated:
             if kind not in variant.datasets or not datasets.keys() >= set(variant.datasets):
                 continue  # evaluated when the last kind it reads is made
             signals[variant.label] = compute_activity(
@@ -188,8 +181,21 @@ def process_subject(
                 readers[read] -= 1
                 if not readers[read]:
                     del datasets[read]
-        if parts is None and signals.keys() >= set(references):
-            parts, rec = sweep(tuple(signals[label].values for label in references)), None
+        if rec is not None and signals.keys() >= set(references):
+            values = tuple(signals[label].values for label in references)
+            parts = [
+                recording_sweep(
+                    metric, swept, rec, config.epoch_s,
+                    references=values,
+                    bandpass=config.bandpass,
+                    hfen_spec=config.hfen_highpass,
+                    zero_phase=config.zero_phase,
+                    step_g=config.sweep.step_g,
+                    max_steps=config.sweep.max_steps,
+                )
+                for metric, swept in requests
+            ]
+            rec = None
     return {variant.label: signals[variant.label] for variant in variants}, parts
 
 

@@ -104,9 +104,16 @@ def _design(spec: Union[Bandpass, Highpass], sample_rate_hz: float) -> np.ndarra
             f"{spec}: cutoffs must lie below {nyquist} Hz, the Nyquist "
             f"frequency at {sample_rate_hz} Hz"
         )
-    # a very high order overflows inside the design and leaves NaN in sos
-    with np.errstate(all="ignore"):
-        sos = spsignal.butter(spec.order, wn, btype=btype, fs=sample_rate_hz, output="sos")
+    # a very high order overflows inside the design: it leaves NaN in sos or,
+    # higher still, raises in SciPy's or NumPy's own words
+    try:
+        with np.errstate(all="ignore"):
+            sos = spsignal.butter(spec.order, wn, btype=btype, fs=sample_rate_hz,
+                                  output="sos")
+    except (OverflowError, ValueError):
+        raise UnstableDesign(
+            f"{spec} at {sample_rate_hz} Hz: order {spec.order} is too high to design"
+        ) from None
     if not np.isfinite(sos).all():
         raise UnstableDesign(
             f"non-finite coefficients for {spec} at {sample_rate_hz} Hz"
@@ -181,8 +188,7 @@ def preprocess_all(
     kinds are yielded, and only they and what they are made from are
     built: FX, FY, FZ and FMpre filter the three axes, UFNM and FMpost are
     made from UFM, and HFEN_SPECIAL high-passes the three axes. A threshold
-    sweep asks for the swept kind, plus UFM and HFEN_SPECIAL when it
-    computes its own ENMO and HFEN references. Each kind built is the same
+    sweep asks for the swept kind alone. Each kind built is the same
     array whichever others are requested; take ``dict(...)`` of the pairs
     for a map. Filtered kinds keep the startup transient.
 

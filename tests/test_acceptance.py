@@ -37,16 +37,17 @@ from actimetrics import (
     pearson,
     preprocess_all,
     psd,
-    recording_sweep,
     subject_correlation,
     synthesize,
     threshold_sweep,
 )
 from actimetrics.config import SweepConfig, SyntheticConfig
-from actimetrics.core import RawRecording
+from actimetrics.analysis import recording_sweep
+from actimetrics.core import RawRecording, epoch_matrix
 from actimetrics.errors import InapplicableMetric
-from actimetrics.metrics import mad_values, tat_values, zcm_values
+from actimetrics.metrics import enmo_values, hfen_values, mad_values, tat_values, zcm_values
 from actimetrics.pipeline import run_pipeline
+from oracles import tat_oracle, zcm_oracle
 
 EPOCH_S = 60.0
 
@@ -116,21 +117,6 @@ def corpus_signals(corpus):
 # --- criterion 1: brute-force oracle equivalence ----------------------------
 
 
-def _zcm_oracle(values, threshold):
-    count, last = 0, 0
-    for v in values:
-        side = int(v > threshold) - int(v < threshold)
-        if side != 0:
-            if last != 0 and side != last:
-                count += 1
-            last = side
-    return count
-
-
-def _tat_oracle(values, threshold, ts):
-    return ts * sum(1 for v in values if v > threshold)
-
-
 def test_criterion_1_level_crossing_oracle_equivalence():
     with criterion(1, "zcm/tat match the brute-force scan on 10,000 random epochs"):
         rng = np.random.default_rng(12345)
@@ -138,8 +124,8 @@ def test_criterion_1_level_crossing_oracle_equivalence():
             n = int(rng.integers(2, 65))
             values = rng.uniform(-2.0, 2.0, n)
             threshold = float(rng.uniform(-2.0, 2.0))
-            assert zcm_values([values], threshold)[0] == _zcm_oracle(values, threshold)
-            assert tat_values([values], threshold, 0.1)[0] == _tat_oracle(values, threshold, 0.1)
+            assert zcm_values([values], threshold)[0] == zcm_oracle(values, threshold)
+            assert tat_values([values], threshold, 0.1)[0] == tat_oracle(values, threshold, 0.1)
 
 
 # --- criterion 2: full-rectification identity -------------------------------
@@ -350,9 +336,19 @@ def test_criterion_7_correlation_engine(corpus_signals):
 
 def test_criterion_8_sd_threshold_near_optimality(corpus):
     with criterion(8, "adaptive SD threshold reaches >= 0.97 of the sweep maximum"):
+        references = []  # each subject's (ENMO, HFEN) values, from a build of its own
+        for rec in corpus:
+            datasets = dict(preprocess_all(
+                rec, kinds=(DatasetKind.UFM, DatasetKind.HFEN_SPECIAL)))
+            n = int(EPOCH_S * rec.sample_rate_hz)
+            references.append((
+                enmo_values(epoch_matrix(datasets[DatasetKind.UFM].values, n)),
+                hfen_values(epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n)),
+            ))
         for metric in (MetricId.ZCM, MetricId.TAT):
             curve = threshold_sweep([
-                recording_sweep(metric, DatasetKind.UFM, rec, EPOCH_S) for rec in corpus
+                recording_sweep(metric, DatasetKind.UFM, rec, EPOCH_S, references=refs)
+                for rec, refs in zip(corpus, references)
             ])
             best = float(np.nanmax(curve.r_vs_enmo))
             assert curve.sd_anchor_r_vs_enmo >= 0.97 * best, (metric, best)

@@ -22,9 +22,10 @@ from actimetrics import (
     threshold_sweep,
 )
 from actimetrics.analysis import recording_sweep, subject_sweep
-from actimetrics.core import epoch_matrix
+from actimetrics.core import epoch_matrix, epoch_sample_count
 from actimetrics.errors import DegenerateInput, LabelMismatch, SignalTooShort
 from actimetrics.metrics import enmo_values, hfen_values, tat_values, zcm_values
+from oracles import tat_oracle, zcm_oracle
 
 
 def sig(values, label="sig", te=60.0):
@@ -280,10 +281,27 @@ def _sweep_corpus(n_subjects=2, duration_s=3600.0):
     ]
 
 
-def _sweep(metric, kind, recordings, te_s=60.0, **kwargs):
-    """The reduce over each recording's part, in the order given."""
-    return threshold_sweep([recording_sweep(metric, kind, rec, te_s, **kwargs)
-                            for rec in recordings])
+def _references(datasets, te_s=60.0):
+    """(ENMO, HFEN) per-epoch values of a subject's UFM and HFEN_SPECIAL datasets."""
+    ufm, hfen = datasets[DatasetKind.UFM], datasets[DatasetKind.HFEN_SPECIAL]
+    n = epoch_sample_count(te_s, ufm.sample_rate_hz)
+    return (enmo_values(epoch_matrix(ufm.values, n)),
+            hfen_values(epoch_matrix(hfen.values, n)))
+
+
+def _sweep(metric, kind, recordings, te_s=60.0, zero_phase=False, **kwargs):
+    """The reduce over each recording's part, in the order given.
+
+    Each part's references come from a build of that recording's own.
+    """
+    def part(rec):
+        references = _references(dict(preprocess_all(
+            rec, zero_phase=zero_phase, kinds=(DatasetKind.UFM, DatasetKind.HFEN_SPECIAL))),
+            te_s)
+        return recording_sweep(metric, kind, rec, te_s, references=references,
+                               zero_phase=zero_phase, **kwargs)
+
+    return threshold_sweep([part(rec) for rec in recordings])
 
 
 @pytest.fixture(scope="module")
@@ -340,8 +358,11 @@ class TestThresholdSweep:
         self, sweep_corpus_datasets, metric, kind, step_g, max_steps
     ):
         datasets = sweep_corpus_datasets[1][False][0]
-        zcm = subject_sweep(MetricId.ZCM, DatasetKind.UFM, datasets, max_steps=20)
-        other = subject_sweep(metric, kind, datasets, step_g=step_g, max_steps=max_steps)
+        references = _references(datasets)
+        zcm = subject_sweep(MetricId.ZCM, datasets[DatasetKind.UFM], references=references,
+                            max_steps=20)
+        other = subject_sweep(metric, datasets[kind], references=references,
+                              step_g=step_g, max_steps=max_steps)
         for parts in ([zcm, other], [other, zcm]):
             with pytest.raises(ValueError, match="sweep parts differ"):
                 threshold_sweep(parts)
@@ -367,8 +388,6 @@ class TestThresholdSweep:
 class TestSubjectSweep:
     @pytest.mark.parametrize("active_s", [0.0, 180.0])
     def test_noise_free_ufm_on_grid_point_0_matches_the_oracle(self, active_s):
-        from test_acceptance import _tat_oracle, _zcm_oracle
-
         # noise-free rest gives UFM == 1.0 exactly, the first UFM grid point
         rec = synthesize(SyntheticSpec(
             subject_id="still", duration_s=1200.0, rest_s=240.0, active_s=active_s,
@@ -379,11 +398,12 @@ class TestSubjectSweep:
         assert (ufm == 1.0).any()
         epochs = ufm.reshape(-1, 600)
         oracles = {
-            MetricId.ZCM: lambda row: _zcm_oracle(row, 1.0),
-            MetricId.TAT: lambda row: _tat_oracle(row, 1.0, 0.1),
+            MetricId.ZCM: lambda row: zcm_oracle(row, 1.0),
+            MetricId.TAT: lambda row: tat_oracle(row, 1.0, 0.1),
         }
         for metric, oracle in oracles.items():
-            part = subject_sweep(metric, DatasetKind.UFM, datasets, 60.0, max_steps=10)
+            part = subject_sweep(metric, datasets[DatasetKind.UFM], 60.0,
+                                 references=_references(datasets), max_steps=10)
             expected = np.mean(np.array([oracle(row) for row in epochs], dtype=float))
             assert part.mean_activity[0] == expected, metric
 
@@ -391,7 +411,9 @@ class TestSubjectSweep:
         rec = synthesize(SyntheticSpec(subject_id="short", duration_s=60.0,
                                        noise_sd_g=0.02, seed=1))
         with pytest.raises(SignalTooShort):
-            subject_sweep(MetricId.ZCM, DatasetKind.UFM, dict(preprocess_all(rec)), 60.0)
+            datasets = dict(preprocess_all(rec))
+            subject_sweep(MetricId.ZCM, datasets[DatasetKind.UFM], 60.0,
+                          references=_references(datasets))
 
 
 _SWEEP_KINDS = (DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPRE, DatasetKind.FMPOST,
@@ -421,7 +443,8 @@ class TestSweepReadsOnlyWhatItNeeds:
     ):
         recordings, full = sweep_corpus_datasets
         curve = _sweep(metric, kind, recordings, zero_phase=zero_phase)
-        expected = threshold_sweep([subject_sweep(metric, kind, d) for d in full[zero_phase]])
+        expected = threshold_sweep([subject_sweep(metric, d[kind], references=_references(d))
+                                    for d in full[zero_phase]])
         for field in dataclasses.fields(SweepCurve):
             got, want = getattr(curve, field.name), getattr(expected, field.name)
             if field.name in ("metric", "kind"):
@@ -436,7 +459,8 @@ class TestSweepReadsOnlyWhatItNeeds:
     ):
         datasets = sweep_corpus_datasets[1][False][0]
         step_g, max_steps = 0.05, 200
-        part = subject_sweep(metric, kind, datasets, 60.0, step_g=step_g, max_steps=max_steps)
+        part = subject_sweep(metric, datasets[kind], 60.0, references=_references(datasets),
+                             step_g=step_g, max_steps=max_steps)
         series = datasets[kind]
         grid = (1.0 if kind is DatasetKind.UFM else 0.0) + step_g * np.arange(max_steps)
         assert series.values.max() < grid[max_steps // 4]

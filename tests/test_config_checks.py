@@ -8,6 +8,8 @@ a setting the run would not use. A property test draws whole documents and
 holds the three ways to the same error text or the same config hash.
 """
 import dataclasses
+import json
+import tracemalloc
 
 import pytest
 
@@ -24,7 +26,8 @@ from actimetrics import (
     ThresholdPolicy,
     config_from_dict,
 )
-from actimetrics.config import AiConfig, CatalogConfig, SweepConfig, SyntheticConfig
+from actimetrics.config import (
+    AiConfig, CatalogConfig, SweepConfig, SyntheticConfig, load_config)
 from actimetrics.errors import ConfigError
 
 _KINDS = "['FMpost', 'FMpre', 'FX', 'FY', 'FZ', 'HFEN_SPECIAL', 'UFM', 'UFNM', 'UFX', 'UFY', 'UFZ']"
@@ -126,6 +129,32 @@ def test_a_float_given_as_an_int_is_that_float(build, section, name, value):
     stored = getattr(config if section is None else getattr(config, section), name)
     assert type(stored) is float and stored == value
     assert config.config_hash() == build(section, name, float(value)).config_hash()
+
+
+@pytest.mark.parametrize("section, order", [
+    ("bandpass", 1000), ("bandpass", 10**400), ("hfen_highpass", 10**400),
+], ids=["bandpass-1000", "bandpass-10**400", "hfen_highpass-10**400"])
+def test_an_order_too_high_to_design_names_the_spec_rate_and_order(tmp_path, section, order):
+    # a bandpass of order 1000 overflows a float inside SciPy's design, and
+    # 10**400 overflows NumPy's array size
+    spec = _SECTIONS[section](order=order)
+    text = f"{section}: {spec} at 10.0 Hz: order {order} is too high to design"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {"order": order}}))
+    for build in (lambda: load_config(path), lambda: PipelineConfig(**{section: spec})):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == text
+
+
+def test_a_long_psd_segment_is_checked_without_its_full_window():
+    tracemalloc.start()
+    try:
+        PsdParams(segment_epochs=1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the window itself would be 8 MiB
 
 
 def test_python_only_mistakes_name_what_python_takes():

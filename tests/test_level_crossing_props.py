@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actimetrics.metrics import tat_values, zcm_values
-from test_acceptance import _tat_oracle, _zcm_oracle
+from oracles import tat_oracle, zcm_oracle
 
 TS = 0.1
 
@@ -29,8 +29,8 @@ def _check(mat, threshold):
     zcm = zcm_values(mat, threshold)
     tat = tat_values(mat, threshold, TS)
     for i, row in enumerate(mat):
-        assert zcm[i] == _zcm_oracle(row, threshold), (row, threshold)
-        assert tat[i] == _tat_oracle(row, threshold, TS), (row, threshold)
+        assert zcm[i] == zcm_oracle(row, threshold), (row, threshold)
+        assert tat[i] == tat_oracle(row, threshold, TS), (row, threshold)
 
 
 @_settings

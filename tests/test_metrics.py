@@ -28,6 +28,7 @@ from actimetrics.metrics import (
     tat_values,
     zcm_values,
 )
+from oracles import tat_oracle, zcm_oracle
 
 RIEMANN = IntegrationMethod.RIEMANN_SUM
 SIMPSON = IntegrationMethod.SIMPSON38
@@ -35,26 +36,6 @@ SIMPSON = IntegrationMethod.SIMPSON38
 # Single epochs go through the kernels as one-row matrices, ``[x]``, with
 # 0.1 s sampling unless a test says otherwise.
 TS = 0.1
-
-
-# --- independent brute-force oracles ---------------------------------------
-
-
-def zcm_oracle(values, threshold):
-    """Naive scan: strict sign changes of (x - T); on-threshold samples take no side."""
-    count = 0
-    last = 0
-    for v in values:
-        side = int(v > threshold) - int(v < threshold)
-        if side != 0:
-            if last != 0 and side != last:
-                count += 1
-            last = side
-    return count
-
-
-def tat_oracle(values, threshold, ts):
-    return ts * sum(1 for v in values if v > threshold)
 
 
 class TestPim:

@@ -15,14 +15,16 @@ from actimetrics import (
     SyntheticSpec,
     config_from_dict,
     preprocess_all,
-    recording_sweep,
     synthesize,
     threshold_sweep,
 )
+from actimetrics.analysis import recording_sweep
 from actimetrics.cli import main
-from actimetrics.config import SweepConfig, SyntheticConfig, load_config
+from actimetrics.config import CatalogConfig, SweepConfig, SyntheticConfig, load_config
+from actimetrics.core import epoch_matrix, epoch_sample_count
 from actimetrics.errors import ConfigError
 from actimetrics.formats import read_recording, write_recording_bin, write_recording_csv
+from actimetrics.metrics import enmo_values, hfen_values
 from actimetrics.pipeline import run_pipeline
 
 import dataclasses
@@ -50,12 +52,22 @@ def _logged(path):
     return [(tag, int(pid)) for tag, pid in map(str.split, path.read_text().splitlines())]
 
 
+def direct_references(config, rec):
+    """A recording's (ENMO, HFEN) values from a build of its own, outside the pipeline."""
+    made = dict(preprocess_all(rec, config.bandpass, config.hfen_highpass, config.zero_phase,
+                               kinds=(DatasetKind.UFM, DatasetKind.HFEN_SPECIAL)))
+    n = epoch_sample_count(config.epoch_s, rec.sample_rate_hz)
+    return (enmo_values(epoch_matrix(made[DatasetKind.UFM].values, n)),
+            hfen_values(epoch_matrix(made[DatasetKind.HFEN_SPECIAL].values, n)))
+
+
 def direct_sweep(config, metric, kind, recordings):
     """One configured sweep outside the pipeline: each recording's part, then the reduce."""
     metric, kind = MetricId(metric), DatasetKind(kind)
     grid = {"step_g": config.sweep.step_g, "max_steps": config.sweep.max_steps}
     parts = [
-        recording_sweep(metric, kind, rec, config.epoch_s, bandpass=config.bandpass,
+        recording_sweep(metric, kind, rec, config.epoch_s,
+                        references=direct_references(config, rec), bandpass=config.bandpass,
                         hfen_spec=config.hfen_highpass, zero_phase=config.zero_phase, **grid)
         for rec in recordings
     ]
@@ -307,8 +319,6 @@ class TestRunPipeline:
 
     def test_sweep_references_are_the_catalogs_enmo_and_hfen(self, tmp_path, monkeypatch):
         import actimetrics.pipeline as pipeline
-        from actimetrics.core import epoch_matrix
-        from actimetrics.metrics import enmo_values, hfen_values
 
         received = []
         real = pipeline.recording_sweep
@@ -322,14 +332,10 @@ class TestRunPipeline:
         run_pipeline(config, corpus(), tmp_path)
         assert [rec.subject_id for rec, _ in received] == ["s00", "s00", "s01", "s01"]
         for rec, (enmo, hfen) in received:
-            datasets = dict(preprocess_all(rec, config.bandpass, config.hfen_highpass,
-                                           config.zero_phase))
-            n = int(config.epoch_s * rec.sample_rate_hz)
-            ufm = epoch_matrix(datasets[DatasetKind.UFM].values, n)
-            hfen_input = epoch_matrix(datasets[DatasetKind.HFEN_SPECIAL].values, n)
+            want_enmo, want_hfen = direct_references(config, rec)
             assert enmo.dtype == hfen.dtype == np.float64
-            assert enmo.tobytes() == enmo_values(ufm).tobytes()
-            assert hfen.tobytes() == hfen_values(hfen_input).tobytes()
+            assert enmo.tobytes() == want_enmo.tobytes()
+            assert hfen.tobytes() == want_hfen.tobytes()
 
     def test_default_sweeps_run_no_filter_of_their_own(self, tmp_path, monkeypatch):
         import scipy.signal
@@ -343,9 +349,55 @@ class TestRunPipeline:
 
         monkeypatch.setattr(scipy.signal, "sosfilt", sosfilt)
         run_pipeline(small_config(sweep=SweepConfig()), corpus(), tmp_path)
-        # 7 per subject's catalog; each sweep part adding the 3 HFEN
-        # highpasses for its own references would make it 26
+        # 7 per subject's build, which also makes the parts' references; each
+        # sweep part high-passing its own HFEN input would make it 26
         assert len(calls) == 2 * 7
+
+    def test_references_left_out_of_the_catalog_are_evaluated_once_not_written(
+        self, tmp_path, monkeypatch
+    ):
+        import scipy.signal
+
+        import actimetrics.pipeline as pipeline
+
+        filters, evaluated = [], []
+        real_sosfilt, real_compute = scipy.signal.sosfilt, pipeline.compute_activity
+
+        def sosfilt(*args, **kwargs):
+            filters.append(1)
+            return real_sosfilt(*args, **kwargs)
+
+        def compute_activity(variant, *args, **kwargs):
+            evaluated.append(variant.label)
+            return real_compute(variant, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "sosfilt", sosfilt)
+        monkeypatch.setattr(pipeline, "compute_activity", compute_activity)
+        config = small_config(sweep=SweepConfig(),  # the default ZCM and TAT sweeps
+                              catalog=CatalogConfig(exclude=("ENMO", "HFEN")))
+        recordings = corpus()
+        manifest = run_pipeline(config, recordings, tmp_path / "bundle")
+        # per subject the catalog's 4 bandpasses and the 3 HFEN highpasses,
+        # made once for both parts
+        assert len(filters) == 2 * 7
+        assert evaluated.count("ENMO") == evaluated.count("HFEN") == 2
+        assert manifest["sweeps"] == ["sweep_ZCM_UFM.csv", "sweep_TAT_UFM.csv"]
+        assert manifest["catalog_count"] == 81
+        assert not {"ENMO", "HFEN"} & set(manifest["catalog_labels"])
+        written = [path.name for path in (tmp_path / "bundle").glob("*/activity/*.csv")]
+        assert len(written) == 2 * 81
+        assert not {"ENMO.csv", "HFEN.csv"} & set(written)
+
+        requests = [(MetricId.ZCM, DatasetKind.UFM)]
+        signals, parts = pipeline.process_subject(recordings[0], config, requests)
+        assert list(signals) == [v.label for v in config.variants()]
+        assert len(parts) == 1
+
+        evaluated.clear()
+        no_sweeps = dataclasses.replace(config, sweep=SweepConfig(metrics=()))
+        run_pipeline(no_sweeps, recordings, tmp_path / "no-sweeps")
+        assert len(evaluated) == 2 * 81
+        assert not {"ENMO", "HFEN"} & set(evaluated)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_bundle_does_not_depend_on_input_order(self, tmp_path, jobs):

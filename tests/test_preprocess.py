@@ -447,13 +447,12 @@ class TestPreprocessKinds:
             assert series.values.tobytes() == full[kind].values.tobytes(), kind
             assert series.values.flags.c_contiguous
 
-    def test_default_filters_seven_times_and_a_ufm_sweep_pass_three(
+    def test_default_filters_seven_times_and_a_ufm_sweep_none(
         self, bout_recording, monkeypatch
     ):
-        """A UFM sweep part filters only to build its own ENMO/HFEN references."""
-        from dataclasses import astuple
-
-        from actimetrics import MetricId, recording_sweep, threshold_sweep
+        """A UFM sweep part, given its ENMO/HFEN references, runs no filter."""
+        from actimetrics import MetricId
+        from actimetrics.analysis import recording_sweep
         from actimetrics.core import epoch_matrix
         from actimetrics.metrics import enmo_values, hfen_values
 
@@ -466,11 +465,6 @@ class TestPreprocessKinds:
             hfen_values(epoch_matrix(full[DatasetKind.HFEN_SPECIAL].values, n)),
         )
         calls.clear()
-        given = recording_sweep(MetricId.ZCM, DatasetKind.UFM, bout_recording,
-                                references=references, max_steps=20)
+        recording_sweep(MetricId.ZCM, DatasetKind.UFM, bout_recording,
+                        references=references, max_steps=20)
         assert len(calls) == 0
-        part = recording_sweep(MetricId.ZCM, DatasetKind.UFM, bout_recording, max_steps=20)
-        threshold_sweep([part])
-        assert len(calls) == 3
-        for a, b in zip(astuple(given), astuple(part)):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
