@@ -221,7 +221,7 @@ def load_config(path) -> PipelineConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, bad JSON, a huge int
         raise ConfigError(f"{path}: {exc}") from None
     return config_from_dict(data)
 

@@ -34,11 +34,11 @@ def as_float_array(values) -> np.ndarray:
 def check_fields(section, path: str) -> None:
     """ConfigError unless each field of the settings ``section`` (named ``path``) has its type.
 
-    An int rejects bool, a float must be finite, a tuple must hold strings,
-    None is only for Optional fields, and a section field takes only its
-    section. A float field given as an int is stored as that float, so
-    ``60`` and ``60.0`` make one config with one hash; nothing else is
-    converted.
+    An int rejects bool and lies within a float's range, a float must be
+    finite, a tuple must hold strings, None is only for Optional fields,
+    and a section field takes only its section. A float field given as an
+    int is stored as that float, so ``60`` and ``60.0`` make one config
+    with one hash; nothing else is converted.
     """
     for name, hint in get_type_hints(type(section)).items():
         value, where = getattr(section, name), f"{path}.{name}" if path else name
@@ -50,10 +50,13 @@ def check_fields(section, path: str) -> None:
             ok = isinstance(value, tuple) and all(isinstance(v, str) for v in value)
             # a config file's lists arrive as tuples, so only Python passes a list
             noun = "a tuple of strings" if isinstance(value, list) else "a list of strings"
-        elif hint is float:
+        elif hint in (int, float):
             # an int compares exactly, so one too large for a float is caught too
-            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            noun = "a finite number"
+            ok = isinstance(value, (int, hint)) and abs(value) <= sys.float_info.max
+            noun = "a finite number" if hint is float else "an int"
+            if isinstance(value, int) and not ok:  # not shown: repr raises past 4,300 digits
+                raise ConfigError(
+                    f"{where}: expected {noun} within ±{sys.float_info.max:.4g}")
         else:
             ok = isinstance(value, hint)
             noun = f"a {hint.__name__}"

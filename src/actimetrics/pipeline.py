@@ -2,16 +2,14 @@
 
 One map and one reduce. The map is one task per subject, and
 :func:`process_subject` is all of it but the writes: decode the
-recording, validate, build the dataset kinds the catalog reads one at a
-time, evaluating each variant as soon as its datasets exist and dropping
-each dataset after its last reader (the signals still come back in
-catalog order), and compute the subject's part of each configured
-threshold sweep (at the subject's own sample rate, against the ``ENMO``
-and ``HFEN`` signals of the same build, evaluated but not written when a
-catalog filter leaves them out) as soon as both exist; then the task
-writes one activity file per variant. :func:`process_subject` is the only
-holder of the recording, and drops it after the sweep parts, so the build
-frees each decoded axis after its last use. The reduce, over the
+recording, validate, and walk the list :func:`plan_subject` makes, which
+fixes the evaluation order, when each dataset is built and dropped, and
+when the subject's part of each configured threshold sweep runs (at the
+subject's own rate, against the same build's ``ENMO`` and ``HFEN``);
+then the task writes one activity file per variant, in catalog order.
+The task is the recording's only holder and drops it after the sweep
+parts, so the build frees each decoded axis after its last use. The
+reduce, over the
 successful subjects in subject-id order: for each of the time and
 frequency domains, every subject's Pearson matrix and then their mean and
 SD matrices; one curve per sweep, from its parts alone (each part carries
@@ -45,7 +43,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -59,7 +56,7 @@ from .analysis import (
     subject_correlation,
     threshold_sweep,
 )
-from .combine import catalog, compute_activity
+from .combine import VariantDescriptor, catalog, compute_activity
 from .config import PipelineConfig
 from .core import (
     ActivitySignal,
@@ -78,7 +75,7 @@ from .metrics import (
     estimate_noise_variance,
     noise_window_samples,
 )
-from .preprocess import preprocess_all
+from .preprocess import BUILD_ORDER, preprocess_all
 
 MANIFEST_SCHEMA = 1
 
@@ -86,6 +83,9 @@ MANIFEST_SCHEMA = 1
 Source = Union[RawRecording, formats.RecordingSource]
 
 _log = logging.getLogger(__name__)
+
+# the sweep parts' references, in the order recording_sweep takes them
+_REFERENCES = (MetricId.ENMO.value, MetricId.HFEN.value)
 
 
 def _admit(rec: RawRecording, config: PipelineConfig) -> None:
@@ -113,6 +113,25 @@ def preprocess_subject(
     return {kind: made[kind] for kind in DatasetKind}
 
 
+def plan_subject(
+    variants: Sequence[VariantDescriptor], sweeps: bool
+) -> list[VariantDescriptor]:
+    """The order in which one subject evaluates ``variants``.
+
+    Given ``sweeps``, the parts' references, the catalog's ``ENMO`` and
+    ``HFEN``, are added after the rest if the catalog filters left them
+    out. Each variant is placed at the :data:`~actimetrics.preprocess.BUILD_ORDER`
+    position of the last dataset it reads, keeping catalog order among
+    equals, so :func:`process_subject` evaluates it as soon as that
+    dataset is made, drops each dataset after the last entry that reads
+    it, and runs the sweep parts right after the later reference.
+    """
+    left_out = [label for label in _REFERENCES if label not in {v.label for v in variants}]
+    if sweeps and left_out:  # catalog(include=[]) would be the whole catalog
+        variants = [*variants, *catalog(include=left_out)]
+    return sorted(variants, key=lambda v: max(map(BUILD_ORDER.index, v.datasets)))
+
+
 def process_subject(
     source: Source,
     config: PipelineConfig,
@@ -124,18 +143,11 @@ def process_subject(
     recording's only holder (a :class:`RawRecording` returns itself, and
     its caller holds it too). The signals come back keyed by label in
     catalog order, and the parts, one :func:`recording_sweep` per
-    ``(metric, kind)`` request, in request order. Only the kinds the
-    catalog reads are built, and each variant is evaluated as soon as
-    :func:`preprocess_all` has made every dataset it reads, so its build
-    order is also the evaluation order. Each dataset leaves the map after
-    the last variant that reads it, so its memory is freed before the
-    datasets made after it exist. Given requests, the build also evaluates
-    the catalog's ``ENMO`` and ``HFEN`` variants, the parts' references,
-    if the catalog filters left them out; their signals are not returned.
-    The parts run as soon as both references exist (right after UFM's
-    variants), and then the recording is dropped, so each decoded axis is
-    freed after the build's last use of it; without requests it is dropped
-    before the build.
+    ``(metric, kind)`` request, in request order. :func:`plan_subject`
+    decides the evaluation order, each dataset's lifetime and the sweep
+    point; the references it adds are not returned. The recording is
+    dropped after the parts (before the build without requests), so the
+    build frees each decoded axis after its last use.
     """
     rec = source.load()
     _admit(rec, config)
@@ -146,53 +158,35 @@ def process_subject(
     elif _estimates_noise(config):
         noise = estimate_noise_variance(rec, config.ai.noise_window_s)
 
-    # the parts' references are the catalog's ENMO and HFEN, evaluated here
-    # even when a catalog filter leaves them out, and then never returned
-    references = (MetricId.ENMO.value, MetricId.HFEN.value)
-    labels = {variant.label for variant in variants}
-    left_out = [label for label in references if label not in labels]
-    evaluated = variants
-    if requests and left_out:
-        evaluated = variants + catalog(include=left_out)
-    readers = Counter(kind for variant in evaluated for kind in variant.datasets)
+    plan = plan_subject(variants, bool(requests))
+    last_reader = {kind: step for step, v in enumerate(plan) for kind in v.datasets}
+    labels = [variant.label for variant in plan]
+    sweep_at = max(map(labels.index, _REFERENCES)) if requests else None
     build = preprocess_all(rec, config.bandpass, config.hfen_highpass,
-                           config.zero_phase, kinds=readers)
-    parts = []
-    if not requests:
+                           config.zero_phase, kinds=last_reader)
+    if sweep_at is None:
         rec = None  # no part reads it, so the build frees each axis after its last use
     datasets: dict[DatasetKind, PreprocessedSeries] = {}
     thresholds = {}  # resolved ZCM/TAT thresholds of this subject's datasets
     signals: dict[str, ActivitySignal] = {}
-    for kind, series in build:
-        datasets[kind] = series
-        del series  # the map alone holds it, so that its last reader frees it
-        for variant in evaluated:
-            if kind not in variant.datasets or not datasets.keys() >= set(variant.datasets):
-                continue  # evaluated when the last kind it reads is made
-            signals[variant.label] = compute_activity(
-                variant,
-                datasets,
-                config.epoch_s,
-                noise=noise,
-                ai_subtract_per_axis=config.ai.subtract_per_axis,
-                thresholds=thresholds,
-            )
-            for read in variant.datasets:
-                readers[read] -= 1
-                if not readers[read]:
-                    del datasets[read]
-        if rec is not None and signals.keys() >= set(references):
-            values = tuple(signals[label].values for label in references)
+    parts = []
+    for step, variant in enumerate(plan):
+        while not datasets.keys() >= set(variant.datasets):
+            datasets.update([next(build)])  # the map alone holds it: its last reader frees it
+        signals[variant.label] = compute_activity(
+            variant, datasets, config.epoch_s, noise=noise,
+            ai_subtract_per_axis=config.ai.subtract_per_axis, thresholds=thresholds)
+        for kind in variant.datasets:
+            if last_reader[kind] == step:
+                del datasets[kind]
+        if step == sweep_at:
+            references = tuple(signals[label].values for label in _REFERENCES)
             parts = [
                 recording_sweep(
-                    metric, swept, rec, config.epoch_s,
-                    references=values,
-                    bandpass=config.bandpass,
-                    hfen_spec=config.hfen_highpass,
-                    zero_phase=config.zero_phase,
-                    step_g=config.sweep.step_g,
-                    max_steps=config.sweep.max_steps,
-                )
+                    metric, swept, rec, config.epoch_s, references=references,
+                    bandpass=config.bandpass, hfen_spec=config.hfen_highpass,
+                    zero_phase=config.zero_phase, step_g=config.sweep.step_g,
+                    max_steps=config.sweep.max_steps)
                 for metric, swept in requests
             ]
             rec = None

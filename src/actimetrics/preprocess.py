@@ -7,9 +7,9 @@ the axes and the raw magnitude are bandpassed (FXYZ, FMpost), FMpre is the
 magnitude of the filtered axes, UFNM is the gravity-normalized magnitude,
 and the HFEN input is the magnitude of the high-passed axes. Whether a
 filter runs per axis or on a magnitude is therefore read in one place.
-It yields each kind as it is made, in one fixed build order, so that a
-consumer can use and drop each dataset before the later ones exist; that
-order is also the order in which the pipeline evaluates the catalog.
+It yields each kind as it is made, in :data:`BUILD_ORDER`, so that a
+consumer can use and drop each dataset before the later ones exist; the
+pipeline's subject plan sorts the catalog by that order.
 
 A filter is specified without a sample rate, as a :class:`Bandpass` or a
 :class:`Highpass`, and :func:`design_filter` designs it at the rate of the
@@ -39,6 +39,10 @@ from .core import (
     check_fields,
 )
 from .errors import ConfigError, InvalidCutoffs, SeriesMismatch, UnstableDesign
+
+# The order in which preprocess_all makes and yields the kinds it is asked for.
+BUILD_ORDER = (DatasetKind.HFEN_SPECIAL, *UNFILTERED_AXES, DatasetKind.UFM, DatasetKind.UFNM,
+               DatasetKind.FMPOST, *FILTERED_AXES, DatasetKind.FMPRE)
 
 
 @dataclass(frozen=True)
@@ -183,9 +187,8 @@ def preprocess_all(
 ) -> Iterator[tuple[DatasetKind, PreprocessedSeries]]:
     """The dataset ``kinds`` of one recording (all 11 by default), as made.
 
-    Yields ``(kind, series)`` pairs in one fixed build order: HFEN_SPECIAL,
-    UFX, UFY, UFZ, UFM, UFNM, FMpost, FX, FY, FZ, FMpre. Only the requested
-    kinds are yielded, and only they and what they are made from are
+    Yields ``(kind, series)`` pairs in :data:`BUILD_ORDER`. Only the
+    requested kinds are yielded, and only they and what they are made from are
     built: FX, FY, FZ and FMpre filter the three axes, UFNM and FMpost are
     made from UFM, and HFEN_SPECIAL high-passes the three axes. A threshold
     sweep asks for the swept kind alone. Each kind built is the same
@@ -216,7 +219,7 @@ def preprocess_all(
 
 
 def _build(rec, band, high, zero_phase, wanted):
-    """The pairs of :func:`preprocess_all`, made one at a time."""
+    """The pairs of :func:`preprocess_all`, made one at a time in :data:`BUILD_ORDER`."""
     fs = rec.sample_rate_hz
     # the build's own references to the decoded axes, each dropped after its
     # last use; once the caller drops the recording, that frees the axis

@@ -637,6 +637,7 @@ class TestCli:
         '{"sweep": {"step_g": NaN}}',
         '{"ai": {"sigma_sq_override": Infinity}}',
         pytest.param('{"full_scale_g": 1%s}' % ("0" * 400), id="int-beyond-float"),
+        pytest.param('{"seed": %s}' % ("1" * 5000), id="int-beyond-str-digits"),
         '{"epoch_s": "60"}',
         '{"epoch_s": true}',
         '{"epoch_s": null}',

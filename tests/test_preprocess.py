@@ -15,12 +15,14 @@ from actimetrics import (
     preprocess_all,
     synthesize,
 )
+from actimetrics import preprocess
 from actimetrics.errors import InvalidCutoffs, SeriesMismatch, UnstableDesign
 from actimetrics.pipeline import preprocess_subject
 from actimetrics.preprocess import filter_values
 
 FS = 10.0
-# the order in which preprocess_all makes and yields the kinds
+# the order in which preprocess_all makes and yields the kinds; the spec that
+# preprocess.BUILD_ORDER, the order the subject plan sorts by, must state
 BUILD_ORDER = (
     DatasetKind.HFEN_SPECIAL, DatasetKind.UFX, DatasetKind.UFY, DatasetKind.UFZ,
     DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPOST,
@@ -377,6 +379,7 @@ class TestMagnitudesMatchTheDirectFormula:
 class TestPreprocessAll:
     def test_map_has_exactly_11_entries(self, bout_recording, bout_datasets):
         assert list(bout_datasets) == list(BUILD_ORDER)
+        assert preprocess.BUILD_ORDER == BUILD_ORDER
         assert list(preprocess_subject(bout_recording, PipelineConfig())) == list(DatasetKind)
 
     def test_checks_come_at_the_call(self):
