@@ -7,7 +7,8 @@ ids, and an epoch or AI noise window that no recording's rate holds, are
 configuration errors, and so is output that cannot be written (an
 ``--out`` that names a file, say). Every recording is first opened by its
 header alone (``formats.open_recording``): a missing or unreadable file,
-and a bad ``.actm`` header or CSV sidecar, is a data error before any
+a bad ``.actm`` header or CSV sidecar, and a subject id (a sidecar's or a
+file stem) that is not a plain directory name, is a data error before any
 output. Past that, any exception while one subject is decoded,
 validated, preprocessed, evaluated or swept fails that subject only, with
 a ``data error: subject <id> failed: <reason>`` line, and the others are
@@ -54,7 +55,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--seed", type=int, help="override the config RNG seed")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the per-subject stages "
+                        help="worker processes for correlate's per-subject tasks "
                              "(>= 1; above 1 needs fork)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -83,6 +83,10 @@ class UnreadableRecording(ActimetricsError):
     """A recording file could not be opened or read; the message gives the OS reason."""
 
 
+class UnusableSubjectId(ActimetricsError):
+    """A recording's subject id (its sidecar's, or its file stem) is no plain directory name."""
+
+
 class MissingSampleRate(ActimetricsError):
     """No usable sample rate came from the argument, sidecar or file header.
 

@@ -3,8 +3,10 @@
 Recording CSV: UTF-8 text, header ``x,y,z`` (an optional leading ``t``
 column is accepted and ignored), numeric body in g. The sample rate comes from an
 argument or from a JSON sidecar next to the file (``<name>.csv.json`` with a
-``sample_rate_hz`` key). The sidecar's ``subject_id`` names the subject's
-output directory, so one that is not a plain directory name is rejected.
+``sample_rate_hz`` key). A recording's subject id is the sidecar's
+``subject_id``, else the file stem (of a CSV or an ``.actm`` file). It
+names the subject's output directory, so one that is not a plain directory
+name is rejected.
 
 Native binary (.actm): 16-byte little-endian header - magic ``ACTM``,
 version u16, sample rate u16 in deci-hertz, sample count u64 - followed by
@@ -43,6 +45,7 @@ from .errors import (
     TruncatedPayload,
     UnreadableRecording,
     UnrepresentableSampleRate,
+    UnusableSubjectId,
     VersionUnsupported,
 )
 
@@ -119,6 +122,25 @@ def _write_rows(
             fh.write(fmt % tuple(values))
 
 
+def _subject_id(path: Path, meta: dict) -> str:
+    """The subject id of the recording at ``path``: ``meta``'s ``subject_id``, else the stem.
+
+    The id names the subject's output directory, so one that is not a plain
+    directory name is an error that names the file it came from (the
+    sidecar, or the recording itself).
+    """
+    source = _sidecar_path(path) if "subject_id" in meta else path
+    subject_id = meta.get("subject_id", path.stem)
+    if (not isinstance(subject_id, str) or subject_id in ("", ".", "..")
+            or any(c in subject_id for c in "/\\\0")):
+        raise UnusableSubjectId(
+            f"{source}: subject_id {subject_id!r} names the subject's output "
+            "directory: it must be a non-empty string, not '.' or '..', "
+            "with no '/', '\\' or NUL"
+        )
+    return subject_id
+
+
 def _csv_meta(path: Path, sample_rate_hz: Optional[float]) -> tuple[str, float]:
     """(subject id, rate) of a CSV recording, every check made before its body."""
     sidecar = _sidecar_path(path)
@@ -131,15 +153,7 @@ def _csv_meta(path: Path, sample_rate_hz: Optional[float]) -> tuple[str, float]:
             f"{path}: supply a sample rate or a sidecar {sidecar.name}"
         )
     sample_rate_hz = _sample_rate(sample_rate_hz, source)
-    subject_id = meta.get("subject_id", path.stem)
-    if (not isinstance(subject_id, str) or subject_id in ("", ".", "..")
-            or any(c in subject_id for c in "/\\\0")):
-        raise ParseError(
-            1, f"{sidecar}: subject_id {subject_id!r} names the subject's output "
-            "directory: it must be a non-empty string, not '.' or '..', "
-            "with no '/', '\\' or NUL"
-        )
-    return subject_id, sample_rate_hz
+    return _subject_id(path, meta), sample_rate_hz
 
 
 def read_recording_csv(path: PathLike, sample_rate_hz: Optional[float] = None) -> RawRecording:
@@ -240,6 +254,7 @@ def read_recording_bin(path: PathLike) -> RawRecording:
     path = Path(path)
     with path.open("rb") as fh:
         sample_rate_hz, count = _bin_header(path, fh.read(_HEADER.size))
+        subject_id = _subject_id(path, {})
         need = count * 3 * 4
         # checked before any axis is allocated; a file that shrinks while it
         # is read fails the same way
@@ -253,7 +268,7 @@ def read_recording_bin(path: PathLike) -> RawRecording:
                 f"{have}"
             )
     x, y, z = axes
-    return RawRecording(subject_id=path.stem, sample_rate_hz=sample_rate_hz, x=x, y=y, z=z)
+    return RawRecording(subject_id=subject_id, sample_rate_hz=sample_rate_hz, x=x, y=y, z=z)
 
 
 def write_recording_bin(rec: RawRecording, path: PathLike) -> None:
@@ -327,7 +342,7 @@ def open_recording(path: PathLike, sample_rate_hz: Optional[float] = None) -> Re
         else:
             with path.open("rb") as fh:
                 sample_rate_hz, _ = _bin_header(path, fh.read(_HEADER.size))
-            subject_id = path.stem
+            subject_id = _subject_id(path, {})
     return RecordingSource(path, subject_id, sample_rate_hz)
 
 

@@ -3,13 +3,18 @@
 A config is checked when it is built, types first, so a setting fails with
 one ``ConfigError`` text whether it comes from a config file's dict, from
 the constructor of the section that owns it, or from ``dataclasses.replace``
-on a valid config. No config that a run could record in its manifest holds
+on a valid config; ``actimetrics --config FILE`` prints that text after
+``config error: ``. No config that a run could record in its manifest holds
 a setting the run would not use. A property test draws whole documents and
 holds the three ways to the same error text or the same config hash.
 """
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +31,7 @@ from actimetrics import (
     ThresholdPolicy,
     config_from_dict,
 )
+from actimetrics.cli import main
 from actimetrics.config import (
     AiConfig, CatalogConfig, SweepConfig, SyntheticConfig, load_config)
 from actimetrics.errors import ConfigError
@@ -69,10 +75,25 @@ _SECTIONS = {"ai": AiConfig, "catalog": CatalogConfig, "sweep": SweepConfig,
              "threshold": ThresholdPolicy, "psd": PsdParams}
 
 
-def _from_dict(section, name, value):
+def _document(section, name, value):
     value = list(value) if isinstance(value, tuple) else value
-    data = {name: value} if section is None else {section: {name: value}}
-    return config_from_dict(data)
+    return {name: value} if section is None else {section: {name: value}}
+
+
+def _from_dict(section, name, value):
+    return config_from_dict(_document(section, name, value))
+
+
+def _from_cli(section, name, value):
+    """``actimetrics --config FILE catalog``; its one ``config error:`` line, raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(_document(section, name, value)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--config", str(path), "catalog"])
+    if code == 1 and err.getvalue().startswith("config error: "):
+        raise ConfigError(err.getvalue()[len("config error: "):-1])
 
 
 def _from_constructor(section, name, value):
@@ -91,7 +112,7 @@ def _from_replace(section, name, value):
     return dataclasses.replace(valid, **{section: part})
 
 
-@pytest.mark.parametrize("build", [_from_dict, _from_constructor, _from_replace])
+@pytest.mark.parametrize("build", [_from_dict, _from_constructor, _from_replace, _from_cli])
 @pytest.mark.parametrize(
     "section, name, value, text", _INVALID,
     ids=[f"{s or 'config'}.{n}={v!r}" for s, n, v, _ in _INVALID],

@@ -17,6 +17,7 @@ from actimetrics.errors import (
     ParseError,
     TruncatedPayload,
     UnrepresentableSampleRate,
+    UnusableSubjectId,
     VersionUnsupported,
 )
 from actimetrics.formats import (
@@ -114,7 +115,7 @@ class TestCsvReader:
         (tmp_path / "r.csv.json").write_text(
             json.dumps({"sample_rate_hz": 10.0, "subject_id": subject_id})
         )
-        with pytest.raises(ParseError, match="r.csv.json: subject_id"):
+        with pytest.raises(UnusableSubjectId, match="r.csv.json: subject_id"):
             read_recording_csv(path)
 
     def test_roundtrip_via_writer(self, tmp_path):

@@ -1102,6 +1102,47 @@ class TestCli:
         for rel in files:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
+    # settings over psd.segment_epochs 8, the activity and sweep files they
+    # write, and whether each activity file is the full catalog's own
+    _BUNDLES = {
+        "sweep": ({"sweep": {"metrics": ["ZCM", "TAT"], "kinds": ["UFM", "FMpost"],
+                             "max_steps": 30}}, 166, 4, True),
+        "zero-phase": ({"filter_phase": "zero-phase", "sweep": {"max_steps": 30}},
+                       166, 2, False),
+        "filtered": ({"catalog": {"include": ["PIM(UFNM)", "MAD(FX)", "HFEN",
+                                              "SUM?PIM,FXYZ?"]},
+                      "sweep": {"max_steps": 30}}, 8, 2, True),
+        "sweep-free": ({"sweep": {"metrics": []}}, 166, 0, True),
+    }
+
+    @pytest.fixture(scope="class")
+    def full_bundle(self, tmp_path_factory):
+        """A two-subject corpus, and its full-catalog bundle at --jobs 1."""
+        root = tmp_path_factory.mktemp("full")
+        paths = self._write_corpus(root)
+        (root / "full.json").write_text(json.dumps({"psd": {"segment_epochs": 8}}))
+        assert main(["--config", str(root / "full.json"), "--out", str(root / "out"),
+                     "correlate", *map(str, paths)]) == 0
+        return paths, root / "out"
+
+    @pytest.mark.parametrize("name", list(_BUNDLES))
+    def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path, full_bundle, name):
+        paths, full = full_bundle
+        settings, n_activity, n_sweeps, as_full = self._BUNDLES[name]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"psd": {"segment_epochs": 8}, **settings}))
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        for out, jobs in ((serial, "1"), (parallel, "2")):
+            assert main(["--config", str(config), "--out", str(out), "--jobs", jobs,
+                         "correlate", *map(str, paths)]) == 0
+        assert multiprocessing.active_children() == []
+        self._same_files(serial, parallel)
+        activity = sorted(p.relative_to(serial) for p in serial.glob("*/activity/*.csv"))
+        assert len(activity) == n_activity
+        assert len(list(serial.glob("sweep_*.csv"))) == n_sweeps
+        for rel in activity if as_full else ():
+            assert (serial / rel).read_bytes() == (full / rel).read_bytes(), rel
+
     def test_sweep_runs_recordings_in_jobs_workers(self, tmp_path, monkeypatch):
         import actimetrics.analysis as analysis
 
@@ -1283,17 +1324,31 @@ class TestCli:
         assert capsys.readouterr().err == "config error: synthetic.subjects must be >= 1\n"
         assert not out.exists()
 
-    def test_escaping_sidecar_subject_id_exits_2_writing_nothing(self, tmp_path, capsys):
-        csv_path = tmp_path / "in" / "r.csv"
-        csv_path.parent.mkdir()
-        write_recording_csv(corpus(1, duration_s=180.0)[0], csv_path)
-        sidecar = tmp_path / "in" / "r.csv.json"
-        sidecar.write_text(json.dumps({"sample_rate_hz": 10.0, "subject_id": "../escaped"}))
-        out = tmp_path / "out"
-        assert main(["--out", str(out), "correlate", str(csv_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and "r.csv.json" in err
+    @pytest.mark.parametrize("command", ["preprocess", "correlate"])
+    @pytest.mark.parametrize("name", ["r.csv", "..actm", "...actm"])
+    def test_escaping_sidecar_subject_id_exits_2_writing_nothing(
+        self, tmp_path, capsys, name, command
+    ):
+        # the id names the subject's directory: a sidecar's "../escaped" and
+        # the stem ".." of "...actm" would write beside --out, and the stem "."
+        # of "..actm" into the bundle's root
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        good = self._write_corpus(inputs, n=1)[0]
+        bad = inputs / name
+        if name == "r.csv":
+            write_recording_csv(read_recording(good), bad)
+            bad = inputs / "r.csv.json"
+            bad.write_text(json.dumps({"sample_rate_hz": 10.0, "subject_id": "../escaped"}))
+        else:
+            bad.write_bytes(good.read_bytes())
+        config = self._config_file(inputs)
+        given = sorted(inputs.iterdir())
+        assert main(["--config", str(config), "--out", str(tmp_path / "out"), command,
+                     str(good), str(inputs / name)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: subject_id ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+        assert sorted(inputs.iterdir()) == given
 
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_negative_seed_exits_1_before_any_output(self, tmp_path, capsys, how):
@@ -1305,7 +1360,7 @@ class TestCli:
         else:
             args = ["--seed", "-5"]
         assert main([*args, "--out", str(out), "synth"]) == 1
-        assert capsys.readouterr().err.startswith("config error:")
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
         assert not out.exists()
 
     def test_partial_failure_exit_code_3(self, tmp_path, capsys):
@@ -1314,6 +1369,10 @@ class TestCli:
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("x,y,z\n" + "\n".join(["0.1,0.2,nan"] * 6000) + "\n")
         (tmp_path / "bad.csv.json").write_text(json.dumps({"sample_rate_hz": 10.0}))
-        code = main(["--config", str(config), "--out", str(tmp_path / "out"),
-                     "correlate", str(paths[0]), str(bad_csv)])
-        assert code == 3
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "correlate",
+                     str(paths[0]), str(bad_csv)]) == 3
+        assert (out / "manifest.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("data error: subject bad failed: bad: z[0] is non-finite")
+        assert "Traceback" not in err
