@@ -14,7 +14,9 @@ axis.
 :func:`compute_activity` is the one evaluation path. Every variant except
 AI takes its metric's base values on each of its series (one kind, or
 FX/FY/FZ), squared where ``squared`` says so, then applies its rule's
-post-op: none, ``²``, SUM, SQRTSUM, SUMSQ or VM3. :func:`catalog`
+post-op: none, ``²``, SUM, SQRTSUM, SUMSQ or VM3; a combination (the last
+four) reads the signals of its per-axis :attr:`~VariantDescriptor.inputs`
+it is given, and evaluates only the absent ones. :func:`catalog`
 enumerates the single-series rows from the applicability table, the two AI
 rows, then ``_FAMILIES`` for each axial metric.
 
@@ -222,6 +224,17 @@ class VariantDescriptor:
             return f"({base}){SQ}"
         return base
 
+    @property
+    def inputs(self) -> tuple[VariantDescriptor, ...]:
+        """The per-axis variants (FX, FY, FZ) a combination rule combines; none for other rules."""
+        if self.combination not in _RULE_TOKEN:
+            return ()
+        return tuple(
+            VariantDescriptor(self.metric, axis, CombinationRule.NONE, self.squared,
+                              self.threshold_policy, self.integration)
+            for axis in self.datasets
+        )
+
 
 def vm3(a_x, a_y, a_z):
     """Euclidean norm of the three per-axis activity values, per epoch."""
@@ -288,12 +301,17 @@ def compute_activity(
     noise: Optional[NoiseVarianceEstimate] = None,
     ai_subtract_per_axis: bool = False,
     thresholds: Optional[ThresholdMemo] = None,
+    signals: Optional[Mapping[VariantDescriptor, ActivitySignal]] = None,
 ) -> ActivitySignal:
     """Evaluate one variant against a preprocessed dataset map.
 
     Every variant except AI is the base values of its metric on each of its
     series, then its rule's post-op; the three axes of a combination must
     give the same number of epochs (:class:`SeriesMismatch` otherwise).
+    ``signals`` holds the subject's already-evaluated signals, keyed by
+    descriptor (a label does not carry the threshold policy): a combination
+    takes each of its :attr:`~VariantDescriptor.inputs` found there as that
+    axis's base values, and evaluates only the others.
 
     AI variants need ``noise``, the subject's noise-variance estimate (see
     :func:`~actimetrics.metrics.estimate_noise_variance`); without it they
@@ -326,9 +344,11 @@ def compute_activity(
             ai_subtract_per_axis,
         )
     else:
+        known = signals or {}
         base = [
-            _single_values(variant, _series(kind), te_s, thresholds)
-            for kind in variant.datasets
+            known[v].values if v in known
+            else _single_values(variant, _series(kind), te_s, thresholds)
+            for kind, v in zip(variant.datasets, variant.inputs or [None])
         ]
         epochs = [v.size for v in base]
         if len(set(epochs)) > 1:

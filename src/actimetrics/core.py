@@ -174,6 +174,11 @@ def validate_recording(
 
     for axis in ("x", "y", "z"):
         values = getattr(rec, axis)
+        # NaN propagates through min and max, so an axis whose extremes are
+        # finite and within full scale has no finding and needs no scan
+        lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
+        if np.isfinite(lo) and np.isfinite(hi) and -full_scale_g <= lo and hi <= full_scale_g:
+            continue
         bad = ~np.isfinite(values)
         if bad.any():
             i = int(np.argmax(bad))

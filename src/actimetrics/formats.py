@@ -122,15 +122,13 @@ def _write_rows(
             fh.write(fmt % tuple(values))
 
 
-def _subject_id(path: Path, meta: dict) -> str:
-    """The subject id of the recording at ``path``: ``meta``'s ``subject_id``, else the stem.
+def require_plain_subject_id(subject_id, source) -> str:
+    """``subject_id``, if it is a plain directory name; else :class:`UnusableSubjectId`.
 
-    The id names the subject's output directory, so one that is not a plain
-    directory name is an error that names the file it came from (the
-    sidecar, or the recording itself).
+    The id names the subject's output directory, so it must be a non-empty
+    string, not ``.`` or ``..``, with no ``/``, ``\\`` or NUL. The error
+    names ``source``, where the id came from.
     """
-    source = _sidecar_path(path) if "subject_id" in meta else path
-    subject_id = meta.get("subject_id", path.stem)
     if (not isinstance(subject_id, str) or subject_id in ("", ".", "..")
             or any(c in subject_id for c in "/\\\0")):
         raise UnusableSubjectId(
@@ -139,6 +137,16 @@ def _subject_id(path: Path, meta: dict) -> str:
             "with no '/', '\\' or NUL"
         )
     return subject_id
+
+
+def _subject_id(path: Path, meta: dict) -> str:
+    """The subject id of the recording at ``path``: ``meta``'s ``subject_id``, else the stem.
+
+    The error of :func:`require_plain_subject_id` names the file the id
+    came from: the sidecar, or the recording itself.
+    """
+    source = _sidecar_path(path) if "subject_id" in meta else path
+    return require_plain_subject_id(meta.get("subject_id", path.stem), source)
 
 
 def _csv_meta(path: Path, sample_rate_hz: Optional[float]) -> tuple[str, float]:

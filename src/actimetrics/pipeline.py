@@ -145,9 +145,10 @@ def process_subject(
     catalog order, and the parts, one :func:`recording_sweep` per
     ``(metric, kind)`` request, in request order. :func:`plan_subject`
     decides the evaluation order, each dataset's lifetime and the sweep
-    point; the references it adds are not returned. The recording is
-    dropped after the parts (before the build without requests), so the
-    build frees each decoded axis after its last use.
+    point; the references it adds are not returned. A combination reads
+    the signals of its per-axis inputs, evaluated before it. The
+    recording is dropped after the parts (before the build without
+    requests), so the build frees each decoded axis after its last use.
     """
     rec = source.load()
     _admit(rec, config)
@@ -168,19 +169,21 @@ def process_subject(
         rec = None  # no part reads it, so the build frees each axis after its last use
     datasets: dict[DatasetKind, PreprocessedSeries] = {}
     thresholds = {}  # resolved ZCM/TAT thresholds of this subject's datasets
-    signals: dict[str, ActivitySignal] = {}
+    signals: dict[VariantDescriptor, ActivitySignal] = {}  # where a combination finds its inputs
     parts = []
     for step, variant in enumerate(plan):
         while not datasets.keys() >= set(variant.datasets):
             datasets.update([next(build)])  # the map alone holds it: its last reader frees it
-        signals[variant.label] = compute_activity(
+        signals[variant] = compute_activity(
             variant, datasets, config.epoch_s, noise=noise,
-            ai_subtract_per_axis=config.ai.subtract_per_axis, thresholds=thresholds)
+            ai_subtract_per_axis=config.ai.subtract_per_axis, thresholds=thresholds,
+            signals=signals)
         for kind in variant.datasets:
             if last_reader[kind] == step:
                 del datasets[kind]
         if step == sweep_at:
-            references = tuple(signals[label].values for label in _REFERENCES)
+            references = tuple(signals[plan[labels.index(label)]].values
+                               for label in _REFERENCES)
             parts = [
                 recording_sweep(
                     metric, swept, rec, config.epoch_s, references=references,
@@ -190,7 +193,7 @@ def process_subject(
                 for metric, swept in requests
             ]
             rec = None
-    return {variant.label: signals[variant.label] for variant in variants}, parts
+    return {variant.label: signals[variant] for variant in variants}, parts
 
 
 def require_unique_subject_ids(recordings: Sequence[Source]) -> None:
@@ -267,7 +270,8 @@ def run_pipeline(
     ``recordings`` are sources (see the module docstring); each is loaded
     inside its own subject task, by :func:`process_subject`. Config errors
     (duplicate ids, no fitting rate, a ``jobs`` :func:`require_jobs`
-    rejects) are raised before anything is written. Any exception in one
+    rejects) and an id :func:`formats.require_plain_subject_id` rejects are
+    raised before anything is written. Any exception in one
     subject's :func:`process_subject` (its ``load()`` and sweep parts
     included) fails that subject alone, before its activity files are
     written, reported as :func:`subject_failure` words it; an error while
@@ -277,6 +281,8 @@ def run_pipeline(
     if not recordings:
         raise ConfigError("no recordings given")
     require_jobs(jobs)
+    for i, source in enumerate(recordings):  # each names its output directory
+        formats.require_plain_subject_id(source.subject_id, f"recordings[{i}]")
     labels = [v.label for v in config.variants()]
     recordings = sorted(recordings, key=lambda source: source.subject_id)
     require_unique_subject_ids(recordings)

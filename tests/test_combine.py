@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -16,11 +17,13 @@ from actimetrics import (
     PipelineConfig,
     catalog,
     compute_activity,
+    config_from_dict,
     metrics,
     process_subject,
     vm3,
 )
 from actimetrics.errors import InapplicableMetric, MissingDataset
+from actimetrics.pipeline import write_activity_files
 
 SQ = "\N{SUPERSCRIPT TWO}"
 
@@ -369,6 +372,42 @@ class TestComputeActivity:
         )
         manual = vm3(*(signal.values for signal in per_axis))
         np.testing.assert_allclose(combined.values, manual, rtol=1e-12)
+
+    def test_combination_reads_its_inputs_signals_bit_for_bit(self, bout_datasets):
+        rows = catalog()
+        combinations = [v for v in rows if v.inputs]
+        assert len(combinations) == 24
+        for variant in combinations:
+            assert set(variant.inputs) <= set(rows), variant.label
+            given = {i: compute_activity(i, bout_datasets, 60.0) for i in variant.inputs}
+            alone = compute_activity(variant, bout_datasets, 60.0).values.tobytes()
+            # with every input given no kernel runs, so no dataset is needed
+            assert compute_activity(variant, {}, 60.0, signals=given).values.tobytes() == alone
+            first = dict(list(given.items())[:1])
+            assert compute_activity(variant, bout_datasets, 60.0,
+                                    signals=first).values.tobytes() == alone, variant.label
+
+    def test_an_input_is_found_by_descriptor_not_label(self, bout_datasets):
+        variant = VariantDescriptor(MetricId.ZCM, AxisTriple.FXYZ, CombinationRule.SUM_AXES)
+        fixed = {dataclasses.replace(i, threshold_policy=ThresholdPolicy.fixed(0.0)):
+                 compute_activity(i, bout_datasets, 60.0) for i in variant.inputs}
+        assert {i.label for i in fixed} == {i.label for i in variant.inputs}
+        with pytest.raises(MissingDataset):  # none of them is read
+            compute_activity(variant, {}, 60.0, signals=fixed)
+
+    def test_a_combination_without_its_inputs_writes_the_full_runs_bytes(
+        self, bout_recording, tmp_path
+    ):
+        include = ["SUM?PIM,FXYZ?", "VM3?ZCM,FXYZ?", "SQRTSUM?TAT,FXYZ²?", "SUMSQ?MAD,FXYZ?"]
+        config = config_from_dict({"catalog": {"include": include}})
+        assert [v.label for v in config.variants() if not v.inputs] == []
+        full, filtered = tmp_path / "full", tmp_path / "filtered"
+        write_activity_files(process_subject(bout_recording, PipelineConfig())[0], full, "s")
+        write_activity_files(process_subject(bout_recording, config)[0], filtered, "s")
+        written = sorted(p.relative_to(filtered) for p in filtered.rglob("*.csv"))
+        assert len(written) == 4
+        for rel in written:
+            assert (filtered / rel).read_bytes() == (full / rel).read_bytes(), rel
 
     def test_square_each_axis_squares_activity(self, bout_datasets):
         base = compute_activity(

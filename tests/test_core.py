@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from actimetrics import (
     DatasetKind,
@@ -7,7 +10,7 @@ from actimetrics import (
     RawRecording,
     validate_recording,
 )
-from actimetrics.core import as_float_array, epoch_matrix, epoch_sample_count
+from actimetrics.core import Finding, as_float_array, epoch_matrix, epoch_sample_count
 from actimetrics.errors import EmptySeries, EpochTooShort
 
 N_60S = epoch_sample_count(60.0, 10.0)  # 600 samples per 60 s epoch at 10 Hz
@@ -91,6 +94,51 @@ class TestValidateRecording:
         assert finding.index == 1
         # a wider full scale admits the same sample
         assert validate_recording(rec, full_scale_g=16.0).ok
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_full_scale_is_inclusive_and_one_ulp_beyond_is_out(self, axis, sign):
+        clean = {"x": [0.0] * 3, "y": [0.0] * 3, "z": [1.0] * 3}
+
+        def report(sample):
+            return validate_recording(
+                RawRecording("s", 10.0, **{**clean, axis: [0.0, sample, 0.0]}))
+
+        edge = sign * 8.0
+        beyond = float(np.nextafter(edge, sign * np.inf))
+        assert report(edge).ok
+        assert report(beyond).findings == (Finding(
+            "out-of-range",
+            f"{axis}[1] = {beyond!r} g exceeds the +/-8.0 g full scale (1 total on {axis})",
+            axis=axis, index=1),)
+
+    def test_an_infinite_full_scale_still_finds_infinities(self):
+        rec = RawRecording("s", 10.0, [0.0, np.inf], [0.0, 0.0], [1.0, -np.inf])
+        findings = validate_recording(rec, full_scale_g=np.inf).findings
+        assert [(f.code, f.axis, f.index) for f in findings] == [
+            ("non-finite", "x", 1), ("non-finite", "z", 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.just(3), st.integers(1, 20)), elements=st.sampled_from(
+        [0.0, 1.0, -7.5, 8.0, -8.0, np.nextafter(8.0, 9.0), -9.5, np.nan, np.inf, -np.inf])))
+    def test_findings_are_the_full_scans(self, axes):
+        # each axis's findings by a scan of every sample, as validation made
+        # them before it read each axis's extremes first
+        expected = []
+        for axis, values in zip("xyz", axes):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                i = int(np.argmax(bad))
+                expected.append(Finding("non-finite", f"{axis}[{i}] is non-finite "
+                                        f"({int(bad.sum())} total on {axis})", axis=axis, index=i))
+            over = (np.abs(values) > 8.0) & np.isfinite(values)
+            if over.any():
+                i = int(np.argmax(over))
+                expected.append(Finding(
+                    "out-of-range", f"{axis}[{i}] = {float(values[i])!r} g exceeds the "
+                    f"+/-8.0 g full scale ({int(over.sum())} total on {axis})",
+                    axis=axis, index=i))
+        assert validate_recording(RawRecording("s", 10.0, *axes)).findings == tuple(expected)
 
     def test_validation_is_pure(self):
         rec = RawRecording("s", 10.0, [0.0, np.nan], [0.0, 0.0], [9.0, 1.0])

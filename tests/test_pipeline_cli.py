@@ -22,7 +22,7 @@ from actimetrics.analysis import recording_sweep
 from actimetrics.cli import main
 from actimetrics.config import CatalogConfig, SweepConfig, SyntheticConfig, load_config
 from actimetrics.core import epoch_matrix, epoch_sample_count
-from actimetrics.errors import ConfigError
+from actimetrics.errors import ConfigError, UnusableSubjectId
 from actimetrics.formats import read_recording, write_recording_bin, write_recording_csv
 from actimetrics.metrics import enmo_values, hfen_values
 from actimetrics.pipeline import run_pipeline
@@ -250,6 +250,16 @@ class TestRunPipeline:
         assert (tmp_path / "sweep_ZCM_UFM.csv").exists()
         activity_files = list((tmp_path / "s00" / "activity").glob("*.csv"))
         assert len(activity_files) == 83
+
+    @pytest.mark.parametrize("subject_id", ["..", ".", "", "a/b"])
+    def test_an_id_that_is_no_directory_name_fails_before_any_output(self, tmp_path, subject_id):
+        # the id names the subject's directory: ".." would write beside
+        # out_dir, "." and "" into the bundle's root, "a/b" below a subject "a"
+        a, b = corpus(duration_s=600.0)
+        with pytest.raises(UnusableSubjectId, match=r"^recordings\[1\]: subject_id "):
+            run_pipeline(small_config(), [a, dataclasses.replace(b, subject_id=subject_id)],
+                         tmp_path / "run" / "out")
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_labels_match_outputs(self, tmp_path):
         config = small_config()

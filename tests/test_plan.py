@@ -6,7 +6,7 @@ recording built; one test then holds ``process_subject`` to the plan.
 import pytest
 
 from actimetrics import DatasetKind, MetricId, PipelineConfig, config_from_dict
-from actimetrics import pipeline
+from actimetrics import combine, pipeline
 from actimetrics.pipeline import plan_subject, process_subject
 from actimetrics.preprocess import BUILD_ORDER
 
@@ -22,6 +22,30 @@ def labels(variants) -> list[str]:
     return [variant.label for variant in variants]
 
 
+def kernel_calls(plan) -> list[tuple]:
+    """The (metric, kind, squared, policy, integration) of each kernel call ``plan`` makes.
+
+    One call per dataset a variant reads, AI one for its three axes; a
+    combination makes none for an input evaluated before it.
+    """
+    calls, done = [], set()
+    for v in plan:
+        read = {i.kind for i in v.inputs if i in done}
+        calls += [(v.metric, kind, v.squared, v.threshold_policy, v.integration)
+                  for kind in ((v.kind,) if v.metric is MetricId.AI else v.datasets)
+                  if kind not in read]
+        done.add(v)
+    return calls
+
+
+CATALOGS = pytest.mark.parametrize("catalog", [
+    {},
+    {"exclude": list(REFERENCES)},
+    {"exclude": ["ENMO", "*FXYZ*"]},
+    {"include": ["PIM*", "AI*", "MAD(UFM)", "HFEN"]},
+], ids=["default", "no-references", "no-enmo", "filtered"])
+
+
 @pytest.mark.parametrize("sweeps", [False, True])
 def test_default_plan_is_the_whole_catalog_hfen_first(sweeps):
     variants = PipelineConfig().variants()
@@ -30,12 +54,7 @@ def test_default_plan_is_the_whole_catalog_hfen_first(sweeps):
     assert sorted(labels(plan)) == sorted(labels(variants))
 
 
-@pytest.mark.parametrize("catalog", [
-    {},
-    {"exclude": list(REFERENCES)},
-    {"exclude": ["ENMO", "*FXYZ*"]},
-    {"include": ["PIM*", "AI*", "MAD(UFM)", "HFEN"]},
-], ids=["default", "no-references", "no-enmo", "filtered"])
+@CATALOGS
 def test_plan_waits_for_the_last_kind_and_keeps_catalog_order(catalog):
     variants = config_from_dict({"catalog": catalog}).variants()
     plan = plan_subject(variants, True)
@@ -46,15 +65,34 @@ def test_plan_waits_for_the_last_kind_and_keeps_catalog_order(catalog):
     assert keys == sorted(keys) and len(plan) == len(source)
 
 
-def test_default_plan_makes_131_kernel_calls_on_47_bases():
-    # one call per dataset a variant reads; AI takes its three axes in one call
-    calls = [
-        (v.metric, kind, v.squared, v.threshold_policy, v.integration)
-        for v in plan_subject(PipelineConfig().variants(), True)
-        for kind in ((v.kind,) if v.metric is MetricId.AI else v.datasets)
-    ]
-    assert len(calls) == 131
+@CATALOGS
+def test_each_combination_comes_after_its_inputs_in_the_plan(catalog):
+    plan = plan_subject(config_from_dict({"catalog": catalog}).variants(), True)
+    for at, variant in enumerate(plan):
+        assert all(plan.index(i) < at for i in variant.inputs if i in plan), variant.label
+
+
+def test_default_plan_makes_59_kernel_calls_on_47_bases():
+    plan = plan_subject(PipelineConfig().variants(), True)
+    calls = kernel_calls(plan)
+    # each of the 24 combinations reads the signals of its 3 per-axis inputs
+    assert sum(1 for v in plan if v.inputs) == 24
+    assert len(calls) == 131 - 24 * 3 == 59
     assert len(set(calls)) == 47
+
+
+def test_process_subject_makes_the_kernel_calls_the_plan_counts(bout_recording, monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("pim_corrected_values", "zcm_values", "tat_values", "mad_values",
+                 "enmo_values", "hfen_values", "ai_values"):
+        monkeypatch.setattr(combine, name, counted(name, getattr(combine, name)))
+    process_subject(bout_recording, PipelineConfig())
+    plan = plan_subject(PipelineConfig().variants(), False)
+    assert len(calls) == len(kernel_calls(plan)) == 59
 
 
 def test_sweeps_append_exactly_the_left_out_references_after_the_rest():
