@@ -12,7 +12,6 @@ from .analysis import (
     PsdParams,
     SweepCurve,
     correlation_matrix,
-    pearson,
     psd,
     subject_correlation,
     threshold_sweep,

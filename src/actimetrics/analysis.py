@@ -13,6 +13,13 @@ one-subject :class:`SweepCurve` that carries its metric, kind and grid, and
 The references are always given: the subject's ENMO and HFEN per-epoch
 values, which the pipeline takes from the signals its own build evaluated.
 Both reduces share one NaN-skipping mean.
+
+Every r, a matrix cell or a sweep point, comes from one row-wise kernel:
+rows centred and scaled to unit length (a constant row becomes NaN, so its
+r is NaN), their products summed by ``np.einsum`` rather than BLAS, then
+clipped into [-1, 1]. So the bytes do not depend on the CPU's BLAS kernel.
+The cross-subject SD is taken in two passes, the mean and then the mean
+squared deviation from it, which does not cancel where r is about 1.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from .core import (
     epoch_matrix,
     epoch_sample_count,
 )
-from .errors import ConfigError, DegenerateInput, LabelMismatch, SignalTooShort
+from .errors import ConfigError, LabelMismatch, SignalTooShort
 from .metrics import (
     MetricId,
     require_sweepable,
@@ -46,28 +53,6 @@ from .preprocess import Bandpass, Highpass, preprocess_all
 class Domain(Enum):
     TIME = "time"
     FREQUENCY = "frequency"
-
-
-def pearson(a, b) -> float:
-    """Sample Pearson correlation coefficient, clipped into [-1, 1].
-
-    Raises DegenerateInput when either input is constant, because the
-    coefficient is undefined there; aggregation layers exclude such pairs
-    and count them instead of imputing a value.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length 1-D inputs, got {a.shape} vs {b.shape}")
-    if a.size < 2:
-        raise ValueError("need at least 2 samples")
-    da = a - a.mean()
-    db = b - b.mean()
-    na = float(np.sqrt(da @ da))
-    nb = float(np.sqrt(db @ db))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInput("correlation is undefined for a constant input")
-    return float(np.clip((da @ db) / (na * nb), -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -150,6 +135,26 @@ def _nanmean(rows: Sequence[np.ndarray]) -> np.ndarray:
     return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row centred and scaled to unit length; a constant row becomes NaN."""
+    unit = rows - rows.mean(axis=-1, keepdims=True)
+    norms = np.sqrt(np.einsum("...k,...k->...", unit, unit))
+    # read off the row itself: where the float mean is not the row's value
+    # (0.1 three times), centring leaves equal nonzero residues
+    constant = rows.max(axis=-1) == rows.min(axis=-1)
+    unit /= np.where((norms > 0.0) & ~constant, norms, np.nan)[..., None]
+    return unit
+
+
+def _correlations(unit: np.ndarray, unit_references: np.ndarray) -> np.ndarray:
+    """Pearson r of each unit row against each unit reference row, clipped into [-1, 1].
+
+    ``np.einsum`` sums the products without BLAS, so the bits do not depend
+    on the BLAS kernel.
+    """
+    return np.clip(np.einsum("...k,jk->...j", unit, unit_references), -1.0, 1.0)
+
+
 def subject_correlation(
     signals: Mapping[str, ActivitySignal],
     labels: Sequence[str],
@@ -173,13 +178,8 @@ def subject_correlation(
     rows = np.asarray(rows, dtype=float)
     if domain is Domain.FREQUENCY:
         rows = psd(rows, signals[labels[0]].epoch_length_s, psd_params)[1]
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
-    valid = norms > 0.0
-    safe = np.where(valid, norms, 1.0)
-    unit = centered / safe[:, None]
-    r = np.clip(unit @ unit.T, -1.0, 1.0)
-    return np.where(np.outer(valid, valid), r, np.nan)
+    unit = _unit_rows(rows)
+    return _correlations(unit, unit)
 
 
 def correlation_matrix(
@@ -198,7 +198,7 @@ def correlation_matrix(
     mean = _nanmean(per_subject)
     if mean.shape != (len(labels), len(labels)):
         raise ValueError(f"matrices of shape {mean.shape} do not fit {len(labels)} labels")
-    sd = np.sqrt(np.maximum(_nanmean([r * r for r in per_subject]) - mean * mean, 0.0))
+    sd = np.sqrt(_nanmean([(r - mean) ** 2 for r in per_subject]))
     excluded = np.isnan(np.stack(per_subject)).sum(axis=0)
 
     mean = (mean + mean.T) / 2.0
@@ -270,12 +270,14 @@ def subject_sweep(
     grid = (1.0 if kind is DatasetKind.UFM else 0.0) + step_g * np.arange(max_steps)
     n = epoch_sample_count(te_s, series.sample_rate_hz)
     mat = epoch_matrix(series.values, n)
-    if mat.shape[0] < 2:
-        raise SignalTooShort(
-            f"a threshold sweep needs at least 2 epochs, got {mat.shape[0]}"
-        )
+    epochs = mat.shape[0]
+    if epochs < 2:
+        raise SignalTooShort(f"a threshold sweep needs at least 2 epochs, got {epochs}")
+    for reference in references:
+        if np.shape(reference) != (epochs,):
+            raise ValueError(f"a reference of shape {np.shape(reference)} does not fit "
+                             f"the swept series' {epochs} epochs")
     ts = series.ts
-    ref_enmo, ref_hfen = references
 
     sd_thr = sd_threshold(series)
     anchor_idx = int(np.clip(round((sd_thr - grid[0]) / step_g), 0, max_steps - 1))
@@ -286,36 +288,28 @@ def subject_sweep(
     vmax = float(series.values.max())
     rows = next((i for i, thr in enumerate(grid) if thr > vmax), grid.size)
     anchor = (_level_values(metric, mat, grid[anchor_idx], ts) if anchor_idx < rows
-              else np.zeros(mat.shape[0]))
-    curves = {name: np.full(grid.size, np.nan) for name in ("enmo", "hfen", "anchored")}
+              else np.zeros(epochs))
+    unit_references = _unit_rows(np.array([*references, anchor], dtype=float))
+    r = np.full((3, grid.size), np.nan)  # against ENMO, HFEN and the anchor
     mean_activity = np.zeros(grid.size)
     for i in range(rows):
         activity = anchor if i == anchor_idx else _level_values(metric, mat, grid[i], ts)
         mean_activity[i] = activity.mean()
-        for name, reference in (("enmo", ref_enmo), ("hfen", ref_hfen), ("anchored", anchor)):
-            try:
-                curves[name][i] = pearson(activity, reference)
-            except DegenerateInput:
-                pass
-    sd_activity = _level_values(metric, mat, sd_thr, ts)
-
-    def _r_scalar(reference: np.ndarray) -> float:
-        try:
-            return pearson(sd_activity, reference)
-        except DegenerateInput:
-            return np.nan
+        r[:, i] = _correlations(_unit_rows(activity), unit_references)
+    sd_anchor_r = _correlations(_unit_rows(_level_values(metric, mat, sd_thr, ts)),
+                                unit_references[:2])
 
     return SweepCurve(
         metric=metric,
         kind=kind,
         thresholds=grid,
-        r_vs_enmo=curves["enmo"],
-        r_vs_hfen=curves["hfen"],
-        r_vs_sd_anchored=curves["anchored"],
+        r_vs_enmo=r[0],
+        r_vs_hfen=r[1],
+        r_vs_sd_anchored=r[2],
         mean_activity=mean_activity,
         sd_marker=sd_thr,
-        sd_anchor_r_vs_enmo=_r_scalar(ref_enmo),
-        sd_anchor_r_vs_hfen=_r_scalar(ref_hfen),
+        sd_anchor_r_vs_enmo=float(sd_anchor_r[0]),
+        sd_anchor_r_vs_hfen=float(sd_anchor_r[1]),
     )
 
 

@@ -45,10 +45,6 @@ class RecordingTooShort(ActimetricsError):
     """Recording is shorter than the requested analysis window."""
 
 
-class DegenerateInput(ActimetricsError):
-    """Correlation is undefined because an input is constant."""
-
-
 class LabelMismatch(ActimetricsError):
     """Subjects do not share an identical set of variant labels."""
 

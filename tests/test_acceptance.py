@@ -19,6 +19,7 @@ import pytest
 from scipy.signal import sosfreqz
 
 from actimetrics import (
+    ActivitySignal,
     AxisTriple,
     Bandpass,
     DatasetKind,
@@ -34,7 +35,6 @@ from actimetrics import (
     correlation_matrix,
     design_filter,
     estimate_noise_variance,
-    pearson,
     preprocess_all,
     psd,
     subject_correlation,
@@ -47,7 +47,7 @@ from actimetrics.core import RawRecording, epoch_matrix
 from actimetrics.errors import InapplicableMetric
 from actimetrics.metrics import enmo_values, hfen_values, mad_values, tat_values, zcm_values
 from actimetrics.pipeline import run_pipeline
-from oracles import tat_oracle, zcm_oracle
+from oracles import pearson_oracle, tat_oracle, zcm_oracle
 
 EPOCH_S = 60.0
 
@@ -160,7 +160,7 @@ def test_criterion_3_integration_agreement(corpus_signals):
     with criterion(3, "PIM Riemann vs Simpson 3/8 correlate > 0.999 per subject"):
         for kind in ("UFNM", "FMpost", "FMpre", "UFM"):
             for subject, signals in corpus_signals.items():
-                r = pearson(
+                r = pearson_oracle(
                     signals[f"PIM({kind})"].values, signals[f"PIMs({kind})"].values
                 )
                 assert r > 0.999, (subject, kind, r)
@@ -302,7 +302,7 @@ def test_criterion_6_metric_invariants(corpus, corpus_signals):
 
 
 def test_criterion_7_correlation_engine(corpus_signals):
-    with criterion(7, "matrix symmetry/diagonal, pearson affine invariance, Parseval"):
+    with criterion(7, "matrix symmetry/diagonal, Pearson oracle and affine invariance, Parseval"):
         for domain in (Domain.TIME, Domain.FREQUENCY):
             labels = tuple(next(iter(corpus_signals.values())))
             summary = correlation_matrix(
@@ -318,9 +318,13 @@ def test_criterion_7_correlation_engine(corpus_signals):
 
         rng = np.random.default_rng(31)
         x, y = rng.normal(size=(2, 500))
-        base = pearson(x, y)
-        assert abs(pearson(2.5 * x + 3.0, y) - base) < 1e-12
-        assert abs(pearson(x, -0.5 * y + 1.0) + base) < 1e-12
+        pairs = {"x": x, "y": y, "ax": 2.5 * x + 3.0, "ay": -0.5 * y + 1.0}
+        r = subject_correlation(
+            {k: ActivitySignal(k, EPOCH_S, v) for k, v in pairs.items()}, tuple(pairs))
+        base = pearson_oracle(x, y)
+        assert abs(r[0, 1] - base) < 1e-12
+        assert abs(r[2, 1] - base) < 1e-12
+        assert abs(r[0, 3] + base) < 1e-12
 
         # Parseval on a real activity signal and on white noise
         any_subject = next(iter(corpus_signals.values()))
@@ -405,7 +409,7 @@ def _mean_r(recordings, label_a, label_b):
         datasets = dict(preprocess_all(rec))
         a = compute_activity(variants[label_a], datasets, EPOCH_S)
         b = compute_activity(variants[label_b], datasets, EPOCH_S)
-        rs.append(pearson(a.values, b.values))
+        rs.append(pearson_oracle(a.values, b.values))
     return float(np.mean(rs))
 
 

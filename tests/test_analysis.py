@@ -10,12 +10,13 @@ from actimetrics import (
     DatasetKind,
     Domain,
     MetricId,
+    PipelineConfig,
     PsdParams,
     SweepCurve,
     SyntheticSpec,
     correlation_matrix,
-    pearson,
     preprocess_all,
+    process_subject,
     psd,
     subject_correlation,
     synthesize,
@@ -23,52 +24,63 @@ from actimetrics import (
 )
 from actimetrics.analysis import recording_sweep, subject_sweep
 from actimetrics.core import epoch_matrix, epoch_sample_count
-from actimetrics.errors import DegenerateInput, LabelMismatch, SignalTooShort
+from actimetrics.errors import LabelMismatch, SignalTooShort
 from actimetrics.metrics import enmo_values, hfen_values, tat_values, zcm_values
-from oracles import tat_oracle, zcm_oracle
+from oracles import pearson_oracle, sd_oracle, tat_oracle, zcm_oracle
 
 
 def sig(values, label="sig", te=60.0):
     return ActivitySignal(label=label, epoch_length_s=te, values=values)
 
 
+def r(x, y):
+    """Pearson r of two signals by the correlation kernel, through subject_correlation."""
+    signals = {"x": sig(np.asarray(x, dtype=float), "x"),
+               "y": sig(np.asarray(y, dtype=float), "y")}
+    return subject_correlation(signals, ("x", "y"))[0, 1]
+
+
 class TestPearson:
     def test_self_correlation_is_one(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=50)
-        assert pearson(x, x) == pytest.approx(1.0, abs=1e-12)
+        assert r(x, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_negation_gives_minus_one(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=50)
-        assert pearson(x, -x) == pytest.approx(-1.0, abs=1e-12)
+        assert r(x, -x) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_value(self):
         # closed form: centered products sum 2.1, norms sqrt(2) and
         # sqrt(331/150); r = 2.1 / sqrt(2 * 331/150) = 0.9996220...
         expected = 2.1 / math.sqrt(2.0 * 331.0 / 150.0)
-        assert pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.1]) == pytest.approx(
+        assert r([1.0, 2.0, 3.0], [1.0, 2.0, 3.1]) == pytest.approx(expected, abs=1e-12)
+        assert expected == pytest.approx(0.99962, abs=1e-5)
+        assert pearson_oracle([1.0, 2.0, 3.0], [1.0, 2.0, 3.1]) == pytest.approx(
             expected, abs=1e-12
         )
-        assert expected == pytest.approx(0.99962, abs=1e-5)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(2, 80))
-        base = pearson(x, y)
-        assert pearson(3.7 * x + 11.0, y) == pytest.approx(base, abs=1e-12)
-        assert pearson(-2.0 * x + 1.0, y) == pytest.approx(-base, abs=1e-12)
+        base = r(x, y)
+        assert base == pytest.approx(pearson_oracle(x, y), abs=1e-12)
+        assert r(3.7 * x + 11.0, y) == pytest.approx(base, abs=1e-12)
+        assert r(-2.0 * x + 1.0, y) == pytest.approx(-base, abs=1e-12)
 
-    def test_constant_input_degenerate(self):
-        with pytest.raises(DegenerateInput):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(DegenerateInput):
-            pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+    def test_constant_row_is_nan(self):
+        assert math.isnan(r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(r([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
+        # the float mean of 0.1 three times is not 0.1
+        assert math.isnan(r([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]))
+        assert math.isnan(pearson_oracle([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
 
     def test_result_clipped_to_valid_range(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=10)
-        assert -1.0 <= pearson(x, 2 * x + 1e-9 * rng.normal(size=10)) <= 1.0
+        assert -1.0 <= r(x, 2 * x + 1e-9 * rng.normal(size=10)) <= 1.0
+        assert r(x, x) <= 1.0 and r(x, -x) >= -1.0
 
 
 def matrix(subjects, domain=Domain.TIME):
@@ -149,6 +161,30 @@ class TestCorrelationMatrix:
         out = matrix(subjects)
         assert out.mean[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert out.sd[0, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_sd_where_r_is_about_one_matches_pstdev(self):
+        # sqrt(E[r^2] - E[r]^2) cancels to 0.0 here; the two-pass SD does not
+        rs = [0.999999999, 0.9999999995, 0.9999999999, 0.99999999995]
+        out = correlation_matrix([np.array([[1.0, x], [x, 1.0]]) for x in rs],
+                                 Domain.TIME, ("A", "B"))
+        assert out.sd[0, 1] == pytest.approx(sd_oracle(rs), rel=1e-6)
+        assert out.sd[0, 1] > 0.0
+
+    def test_every_sd_cell_of_a_small_corpus_matches_pstdev(self):
+        config = PipelineConfig()
+        subjects = [process_subject(rec, config)[0] for rec in _sweep_corpus(3, 3600.0)]
+        labels = tuple(subjects[0])
+        per_subject = [subject_correlation(s, labels) for s in subjects]
+        sd = correlation_matrix(per_subject, Domain.TIME, labels).sd
+        checked = 0
+        for i, j in zip(*np.nonzero(~np.eye(len(labels), dtype=bool))):
+            rs = [m[i, j] for m in per_subject if np.isfinite(m[i, j])]
+            if not rs:
+                assert np.isnan(sd[i, j])
+                continue
+            assert abs(sd[i, j] - sd_oracle(rs)) <= 1e-15, (labels[i], labels[j])
+            checked += 1
+        assert checked > len(labels) ** 2 // 2
 
     def test_frequency_domain_uses_psd(self):
         rng = np.random.default_rng(10)
@@ -415,6 +451,14 @@ class TestSubjectSweep:
             subject_sweep(MetricId.ZCM, datasets[DatasetKind.UFM], 60.0,
                           references=_references(datasets))
 
+    def test_a_reference_one_epoch_short_names_both_lengths(self, sweep_corpus_datasets):
+        datasets = sweep_corpus_datasets[1][False][0]
+        enmo, hfen = _references(datasets)
+        epochs = enmo.size
+        with pytest.raises(ValueError, match=rf"\({epochs - 1},\).* {epochs} epochs"):
+            subject_sweep(MetricId.ZCM, datasets[DatasetKind.UFM],
+                          references=(enmo, hfen[:-1]))
+
 
 _SWEEP_KINDS = (DatasetKind.UFM, DatasetKind.UFNM, DatasetKind.FMPRE, DatasetKind.FMPOST,
                 DatasetKind.FX, DatasetKind.FY, DatasetKind.FZ)
@@ -454,7 +498,7 @@ class TestSweepReadsOnlyWhatItNeeds:
 
     @pytest.mark.parametrize("metric", [MetricId.ZCM, MetricId.TAT], ids=str)
     @pytest.mark.parametrize("kind", [DatasetKind.UFM, DatasetKind.FX], ids=str)
-    def test_rows_past_the_series_maximum_match_pearson_on_every_row(
+    def test_rows_past_the_series_maximum_match_the_oracle_on_every_row(
         self, sweep_corpus_datasets, kind, metric
     ):
         datasets = sweep_corpus_datasets[1][False][0]
@@ -476,17 +520,12 @@ class TestSweepReadsOnlyWhatItNeeds:
         nearest_sd = int(np.clip(round((part.sd_marker - grid[0]) / step_g), 0, max_steps - 1))
 
         def every_row(reference):
-            out = np.full(max_steps, np.nan)
-            for i, row in enumerate(rows):
-                try:
-                    out[i] = pearson(row, reference)
-                except DegenerateInput:
-                    pass
-            return out
+            return np.array([pearson_oracle(row, reference) for row in rows])
 
-        assert _same_bits(part.r_vs_enmo, every_row(enmo_values(epochs(DatasetKind.UFM))))
-        assert _same_bits(
-            part.r_vs_hfen, every_row(hfen_values(epochs(DatasetKind.HFEN_SPECIAL)))
-        )
-        assert _same_bits(part.r_vs_sd_anchored, every_row(rows[nearest_sd]))
+        # assert_allclose also holds the NaN pattern: NaN only where the oracle has NaN
+        for got, reference in ((part.r_vs_enmo, enmo_values(epochs(DatasetKind.UFM))),
+                               (part.r_vs_hfen, hfen_values(epochs(DatasetKind.HFEN_SPECIAL))),
+                               (part.r_vs_sd_anchored, rows[nearest_sd])):
+            np.testing.assert_allclose(got, every_row(reference), rtol=0, atol=1e-12)
+            assert np.isnan(got).any() and np.isfinite(got).any()
         assert _same_bits(part.mean_activity, np.array(rows).mean(axis=1))

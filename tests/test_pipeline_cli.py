@@ -3,11 +3,14 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import actimetrics
 from actimetrics import (
     DatasetKind,
     MetricId,
@@ -286,6 +289,45 @@ class TestRunPipeline:
         assert files1 == files2
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    def test_bundle_bytes_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # `synth`, then `correlate`, in one child process per OpenBLAS kernel:
+        # the default one for this CPU, and two forced by OPENBLAS_CORETYPE
+        (tmp_path / "config.json").write_text('{"psd": {"segment_epochs": 32}}')
+        script = (
+            "import sys; from pathlib import Path; from actimetrics.cli import main\n"
+            "out = Path(sys.argv[1])\n"
+            "assert main(['--out', str(out / 'data'), 'synth']) == 0\n"
+            "assert main(['--config', sys.argv[2], '--out', str(out / 'bundle'), 'correlate',\n"
+            "             *map(str, sorted((out / 'data').glob('*.actm')))]) == 0\n"
+        )
+        src = str(Path(actimetrics.__file__).resolve().parents[1])
+        children = {}
+        for coretype in ("", "Prescott", "SandyBridge"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            out = tmp_path / (coretype or "default")
+            children[out] = subprocess.Popen(
+                [sys.executable, "-c", script, str(out), str(tmp_path / "config.json")],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        try:
+            for out, child in children.items():
+                output = child.communicate(timeout=300)[0].decode()
+                assert child.returncode == 0, (out.name, output)
+        finally:
+            for child in children.values():
+                child.kill()
+                child.wait()
+        bundles = [out / "bundle" for out in children]
+        files = sorted(p.relative_to(bundles[0]) for p in bundles[0].rglob("*") if p.is_file())
+        assert len(files) > 2 * 83
+        for bundle in bundles[1:]:
+            assert sorted(p.relative_to(bundle) for p in bundle.rglob("*") if p.is_file()) == files
+            for rel in files:
+                assert (bundle / rel).read_bytes() == (bundles[0] / rel).read_bytes(), (
+                    bundle.parent.name, rel)
 
     def test_jobs_parallel_matches_serial(self, tmp_path):
         config = small_config()
