@@ -90,7 +90,7 @@ def psd(
     if x.shape[-1] < params.segment_epochs:
         raise SignalTooShort(
             f"signal of {x.shape[-1]} epochs is shorter than one "
-            f"{params.segment_epochs}-epoch segment"
+            f"{params.segment_epochs}-epoch segment (psd.segment_epochs)"
         )
     return spsignal.welch(
         x,

@@ -6,15 +6,14 @@ recording, validate, and walk the list :func:`plan_subject` makes, which
 fixes the evaluation order, when each dataset is built and dropped, and
 when the subject's part of each configured threshold sweep runs (at the
 subject's own rate, against the same build's ``ENMO`` and ``HFEN``);
-then the task writes one activity file per variant, in catalog order.
-The task is the recording's only holder and drops it after the sweep
-parts, so the build frees each decoded axis after its last use. The
-reduce, over the
-successful subjects in subject-id order: for each of the time and
-frequency domains, every subject's Pearson matrix and then their mean and
-SD matrices; one curve per sweep, from its parts alone (each part carries
-its metric, kind and grid); and a manifest tying everything to the config
-hash and catalog.
+then the task makes the subject's Pearson matrix in each of the time and
+frequency domains and writes one activity file per variant, in catalog
+order. The task is the recording's only holder and drops it after the
+sweep parts, so the build frees each decoded axis after its last use.
+The reduce, over the successful subjects in subject-id order: for each
+domain, the mean and SD of their matrices; one curve per sweep, from its
+parts alone (each part carries its metric, kind and grid); and a
+manifest tying everything to the config hash and catalog.
 
 A run takes recording sources: each has a ``subject_id``, a
 ``sample_rate_hz`` and a ``load()`` that returns the
@@ -26,16 +25,16 @@ own recording, so no process holds the whole cohort's samples.
 
 With ``jobs`` > 1 the subject tasks run in that many worker processes
 (at most one per subject), started by fork: each inherits the config and
-every recording's path, id and rate, and only its subject's signals,
-written paths and sweep parts come back pickled. The reduce, the
-per-subject matrices included, and the manifest run in the calling
+every recording's path, id and rate, and only its subject's two
+matrices, written paths and sweep parts come back pickled, never its
+signals. The reduce and the manifest run in the calling
 process once the pool has shut down, so the bundle is byte-identical for
 any ``jobs`` and any input order. A worker process that dies ends the
 run in :class:`WorkerDied` before the manifest is written.
 
-A failure anywhere in one subject's :func:`process_subject`, its decode
-and sweep parts included, whatever the exception, is reported in the
-manifest and does not stop the others.
+A failure anywhere in one subject's task, its decode, sweep parts and
+matrices included (a recording shorter than one PSD segment, say),
+whatever the exception, is reported in the manifest and stops no other.
 Output is deterministic: rerunning with the same config and inputs
 produces byte-identical files.
 """
@@ -271,12 +270,11 @@ def run_pipeline(
     inside its own subject task, by :func:`process_subject`. Config errors
     (duplicate ids, no fitting rate, a ``jobs`` :func:`require_jobs`
     rejects) and an id :func:`formats.require_plain_subject_id` rejects are
-    raised before anything is written. Any exception in one
-    subject's :func:`process_subject` (its ``load()`` and sweep parts
-    included) fails that subject alone, before its activity files are
-    written, reported as :func:`subject_failure` words it; an error while
-    writing propagates, and so does :class:`WorkerDied` when a worker
-    process dies.
+    raised before anything is written. Any exception in one subject's
+    task (its ``load()``, sweep parts and matrices included) fails that
+    subject alone, before its activity files are written, reported as
+    :func:`subject_failure` words it; an error while writing propagates,
+    and so does :class:`WorkerDied` when a worker process dies.
     """
     if not recordings:
         raise ConfigError("no recordings given")
@@ -292,12 +290,14 @@ def run_pipeline(
     requests = [(MetricId(m), DatasetKind(k)) for m, k in config.sweep_requests()]
 
     def _run(source: Source):
-        """(signals, written paths, sweep parts) of one subject, or the text of its failure."""
+        """(matrices, written paths, sweep parts) of one subject, or the text of its failure."""
         try:
             signals, parts = process_subject(source, config, requests)
+            matrices = {domain: subject_correlation(signals, labels, domain, config.psd)
+                        for domain in Domain}
         except Exception as exc:
             return subject_failure(source.subject_id, exc)
-        return signals, write_activity_files(signals, out_dir, source.subject_id), parts
+        return matrices, write_activity_files(signals, out_dir, source.subject_id), parts
 
     results = []  # consumed to the end, so that the pool is shut down here
     try:
@@ -311,18 +311,16 @@ def run_pipeline(
     failures = {rec.subject_id: result for rec, result in zip(recordings, results)
                 if isinstance(result, str)}
     ok = [result for result in results if not isinstance(result, str)]
-    signals = [s for s, _, _ in ok]  # per ok subject, in subject-id order
+    per_subject = [m for m, _, _ in ok]  # per ok subject, in subject-id order
     outputs = [rel for _, written, _ in ok for rel in written]
     parts = [p for _, _, p in ok]  # per ok subject, one per sweep request
     out_dir.mkdir(parents=True, exist_ok=True)
 
     matrices: dict[str, dict] = {}
-    if signals:
-        for domain, stem in ((Domain.TIME, "correlation_time"),
-                             (Domain.FREQUENCY, "correlation_frequency")):
-            summary = correlation_matrix(
-                [subject_correlation(s, labels, domain, config.psd) for s in signals],
-                domain, labels)
+    if per_subject:
+        for domain in Domain:
+            summary = correlation_matrix([m[domain] for m in per_subject], domain, labels)
+            stem = f"correlation_{domain.value}"
             formats.write_matrix_csv(summary, out_dir / f"{stem}.csv")
             formats.write_matrix_json(summary, out_dir / f"{stem}.json")
             outputs += [f"{stem}.csv", f"{stem}.json"]

@@ -1,14 +1,18 @@
 import contextlib
+import functools
 import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import actimetrics
 from actimetrics import (
@@ -93,6 +97,13 @@ def corpus(n=2, duration_s=1200.0, seed0=50):
         )
         for i in range(n)
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def _short_recording(i, epochs):
+    """Subject ``s<i>``: ``epochs`` minutes of noisy motion at 10 Hz."""
+    return synthesize(SyntheticSpec(subject_id=f"s{i}", duration_s=60.0 * epochs, rest_s=90.0,
+                                    active_s=60.0, amp_jitter=0.3, noise_sd_g=0.02, seed=i))
 
 
 class TestConfig:
@@ -253,6 +264,22 @@ class TestRunPipeline:
         assert (tmp_path / "sweep_ZCM_UFM.csv").exists()
         activity_files = list((tmp_path / "s00" / "activity").glob("*.csv"))
         assert len(activity_files) == 83
+
+    @settings(database=None, deadline=None, max_examples=25)
+    @given(st.lists(st.integers(2, 12), min_size=1, max_size=4))
+    def test_a_subject_fails_alone_exactly_when_shorter_than_one_psd_segment(self, epochs):
+        # small_config's PSD segment is 8 epochs of 60 s
+        recordings = [_short_recording(i, n) for i, n in enumerate(epochs)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp, "out")
+            manifest = run_pipeline(small_config(), recordings, out)
+            assert json.loads((out / "manifest.json").read_text()) == manifest
+            failed = [s["status"] == "failed" for s in manifest["subjects"]]
+            assert failed == [n < 8 for n in epochs]
+            files = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
+            assert files == set(map(Path, [*manifest["outputs"], "manifest.json"]))
+            dirs = {p.relative_to(out) for p in out.rglob("*") if p.is_dir()}
+            assert dirs == {d for f in files for d in f.parents} - {Path(".")}
 
     @pytest.mark.parametrize("subject_id", ["..", ".", "", "a/b"])
     def test_an_id_that_is_no_directory_name_fails_before_any_output(self, tmp_path, subject_id):
@@ -792,8 +819,40 @@ class TestCli:
         assert err.startswith("data error:")
         assert "256-epoch segment" in err
         assert "Traceback" not in err
-        assert not Path("out", "manifest.json").exists()
+        manifest = json.loads(Path("out", "manifest.json").read_text())
+        text = "signal of 60 epochs is shorter than one 256-epoch segment (psd.segment_epochs)"
+        assert {s["subject_id"]: (s["status"], s["error"]) for s in manifest["subjects"]} == {
+            Path(r).stem: ("failed", text) for r in recordings}
+        assert sorted(Path("out").iterdir()) == sorted(
+            map(Path, [*recordings, "out/manifest.json"]))
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_subject_shorter_than_one_psd_segment_fails_alone(self, tmp_path, capsys, jobs):
+        # a and b are 40 min, c is 5 min: 5 epochs, fewer than the
+        # config's 8-epoch PSD segment
+        config = self._config_file(tmp_path)
+        paths = {}
+        for seed, (sid, duration_s) in enumerate((("a", 2400.0), ("b", 2400.0), ("c", 300.0))):
+            rec = dataclasses.replace(corpus(1, duration_s, seed0=70 + seed)[0], subject_id=sid)
+            paths[sid] = str(tmp_path / f"{sid}.actm")
+            write_recording_bin(rec, Path(paths[sid]))
+        alone, with_c = tmp_path / "alone", tmp_path / "with_c"
+        assert main(["--config", str(config), "--out", str(alone), "--jobs", jobs,
+                     "correlate", paths["a"], paths["b"]]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(config), "--out", str(with_c), "--jobs", jobs,
+                     "correlate", *paths.values()]) == 3
+        text = "signal of 5 epochs is shorter than one 8-epoch segment (psd.segment_epochs)"
+        assert capsys.readouterr().err == f"data error: subject c failed: {text}\n"
+        assert multiprocessing.active_children() == []
+        manifest = json.loads((with_c / "manifest.json").read_text())
+        assert {s["subject_id"]: s["error"] for s in manifest["subjects"]} == {
+            "a": None, "b": None, "c": text}
+        assert not (with_c / "c").exists()
+        for out in (alone, with_c):
+            (out / "manifest.json").unlink()
+        self._same_files(alone, with_c)
 
     def test_bad_sweep_kind_exits_1_before_any_output(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -1257,6 +1316,35 @@ class TestCli:
         for subject, pid in catalog.items():
             assert [p for tag, p in logged if tag == f"write:{subject}"] == [pid] * 83
         self._same_files(serial, parallel)
+
+    def test_correlate_makes_each_subjects_matrices_in_its_worker(self, tmp_path, monkeypatch):
+        import actimetrics.pipeline as pipeline
+
+        config = self._config_file(tmp_path)
+        paths = self._write_corpus(tmp_path, n=2)
+        real_process, real_correlation = pipeline.process_subject, pipeline.subject_correlation
+        log = tmp_path / "pids.txt"
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+
+        def process_subject(source, config, requests):
+            _log_pid(log, "catalog")
+            barrier.wait()  # so each subject has a worker of its own
+            return real_process(source, config, requests)
+
+        def subject_correlation(signals, labels, domain, psd_params):
+            _log_pid(log, domain.value)
+            return real_correlation(signals, labels, domain, psd_params)
+
+        monkeypatch.setattr(pipeline, "process_subject", process_subject)
+        monkeypatch.setattr(pipeline, "subject_correlation", subject_correlation)
+        assert main(["--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "2",
+                     "correlate", *map(str, paths)]) == 0
+        logged = _logged(log)
+        workers = sorted(pid for tag, pid in logged if tag == "catalog")
+        assert len(set(workers)) == 2
+        assert os.getpid() not in workers
+        for domain in ("time", "frequency"):
+            assert sorted(pid for tag, pid in logged if tag == domain) == workers
 
     def test_dead_worker_exits_4_without_manifest_or_traceback(
         self, tmp_path, monkeypatch, capsys

@@ -265,3 +265,37 @@ def test_preprocess_dump_holds_one_subject_at_a_time(tmp_path, monkeypatch):
     assert two <= one + series, f"{one / series:.2f} vs {two / series:.2f} series"
     names = sorted(p.name for p in (tmp_path / "two" / "s2" / "datasets").iterdir())
     assert names == sorted(f"{kind.value}.csv" for kind in DatasetKind)
+
+
+# --- what the calling process keeps of each subject
+
+
+def test_calling_process_keeps_two_matrices_per_subject(tmp_path, monkeypatch):
+    # 12 h at 60 s epochs: 720 epochs per signal
+    recordings = [synthesize(SyntheticSpec(subject_id=f"s{i}", duration_s=43_200.0,
+                                           amp_jitter=0.3, noise_sd_g=0.02, seed=i))
+                  for i in range(3)]
+    config = config_from_dict({"psd": {"segment_epochs": 32},
+                               "sweep": {"metrics": ["ZCM"], "max_steps": 30}})
+    monkeypatch.setattr(formats, "write_activity_csv", lambda _, path: Path(path).touch())
+    real_reduce, at_reduce = pipeline.correlation_matrix, []
+
+    def correlation_matrix(per_subject, domain, labels):
+        if not at_reduce:  # the run's first call
+            at_reduce.append(tracemalloc.get_traced_memory()[0])
+        return real_reduce(per_subject, domain, labels)
+
+    def held_at_reduce(n, out):
+        at_reduce.clear()
+        tracemalloc.start()
+        try:
+            pipeline.run_pipeline(config, recordings[:n], tmp_path / out)
+        finally:
+            tracemalloc.stop()
+        return at_reduce[0]
+
+    monkeypatch.setattr(pipeline, "correlation_matrix", correlation_matrix)
+    held_at_reduce(1, "warm-up")  # fills the caches the later runs share
+    per_subject = (held_at_reduce(3, "three") - held_at_reduce(1, "one")) / 2
+    matrices, signals = 2 * 83 * 83 * 8, 83 * 720 * 8
+    assert matrices <= per_subject < matrices + signals / 8, f"{per_subject:.0f} B"
